@@ -30,6 +30,7 @@ from .pipeline import (
     annotate_corpus,
     consistency_report,
     load_secondary_stress,
+    resolve_oov,
     syllabify_word,
 )
 from .sonority import hierarchy_for
@@ -251,6 +252,7 @@ def cmd_syllabify(args) -> int:
                   file=sys.stderr)
         elif w:
             usable.append(w)
+    resolve_oov(usable, resources)
     records = [syllabify_word(w, resources, args.method) for w in usable]
     if args.format == "json":
         out = json.dumps([record_to_json(r) for r in records],

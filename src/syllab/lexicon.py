@@ -65,7 +65,8 @@ def _parse_phones(tokens: Sequence[str], fmt: str) -> Pronunciation:
 
 def _read_text(path) -> list[str]:
     # CMU dict releases are Latin-1; MFA dictionaries are UTF-8.
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError:
@@ -130,7 +131,10 @@ def lookup(lexicon: Lexicon, word: str) -> list[Pronunciation]:
 
 @dataclass(frozen=True)
 class FallbackConfig:
-    """External G2P command: words on stdin, one phone sequence per line out."""
+    """External G2P command: words on stdin, one phone sequence per line out.
+
+    `timeout` (seconds) applies to each invocation of the command.
+    """
 
     command: str | tuple[str, ...]
     timeout: float = 30.0
@@ -141,31 +145,71 @@ class FallbackConfig:
         return list(self.command)
 
 
-def g2p_fallback(word: str, config: FallbackConfig | None,
-                 phone_format: str = "cmu") -> Pronunciation | None:
-    """Ask the configured external command for a pronunciation.
+def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
+                 phone_format: str = "cmu") -> list[Pronunciation | None]:
+    """Ask the configured external command for the pronunciations of `words`.
 
-    Returns None (with a logged diagnostic) when no command is configured,
-    the command fails, or its output is unusable.
+    Every distinct word goes to one invocation as one line on stdin.  The
+    result has one entry per input word: None where no command is
+    configured or the command gave no phones for the word.  An invocation
+    that fails (non-zero exit, timeout, OSError, output that is not UTF-8,
+    or a wrong line count) is logged once and retried as two halves, down
+    to single words, so only the words that cause the failure come back
+    None.  A word that is not exactly one line (empty, or holding a line
+    break) would shift the lines of the words after it; it is not sent and
+    comes back None.
     """
-    if config is None:
-        return None
+    if isinstance(words, str):
+        raise TypeError("g2p_fallback takes a sequence of words, not a str")
+    distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
+    if config is None or not distinct:
+        return [None] * len(words)
+    found = dict(zip(distinct, _g2p_batch(distinct, config, phone_format)))
+    return [found.get(w) for w in words]
+
+
+def _g2p_batch(words: list[str], config: FallbackConfig,
+               phone_format: str) -> list[Pronunciation | None]:
+    lines = _run_g2p(words, config)
+    if lines is None:
+        if len(words) == 1:
+            return [None]
+        mid = len(words) // 2
+        return (_g2p_batch(words[:mid], config, phone_format)
+                + _g2p_batch(words[mid:], config, phone_format))
+    return [_parse_phones(line.split(), phone_format) if line.split() else None
+            for line in lines]
+
+
+def _run_g2p(words: list[str], config: FallbackConfig) -> list[str] | None:
+    """One invocation: the output line of each word, or None if it failed.
+
+    A batch of n > 1 words must print exactly n lines; for a single word the
+    first non-empty line is its answer.
+    """
     try:
         proc = subprocess.run(
-            config.argv(), input=word + "\n", capture_output=True,
-            text=True, timeout=config.timeout)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        log.warning("g2p fallback failed for %r: %s", word, exc)
-        return None
-    if proc.returncode != 0:
-        log.warning("g2p fallback exited %d for %r: %s",
-                    proc.returncode, word, proc.stderr.strip())
-        return None
-    for line in proc.stdout.splitlines():
-        tokens = line.split()
-        if tokens:
-            return _parse_phones(tokens, phone_format)
-    log.warning("g2p fallback produced no phones for %r", word)
+            config.argv(), input="".join(w + "\n" for w in words).encode("utf-8"),
+            capture_output=True, timeout=config.timeout)
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            reason = f"exited {proc.returncode}: {stderr[-200:]}"
+        else:
+            lines = proc.stdout.decode("utf-8").split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            if len(words) == 1:
+                return [next((line for line in lines if line.split()), "")]
+            if len(lines) == len(words):
+                return lines
+            reason = f"printed {len(lines)} lines for {len(words)} words"
+    except subprocess.TimeoutExpired:
+        reason = f"timed out after {config.timeout:g} s"
+    except UnicodeError as exc:
+        reason = f"not UTF-8 ({exc})"
+    except OSError as exc:
+        reason = str(exc)
+    log.warning("g2p: invocation for %d word(s) failed: %s", len(words), reason)
     return None
 
 

@@ -37,7 +37,7 @@ FLAG_NAMES = ("oov", "count-mismatch", "degenerate-projection",
 
 @dataclass
 class Resources:
-    """Loaded, immutable inputs shared by every word of a run."""
+    """Loaded inputs shared by every word of a run, plus its G2P cache."""
 
     lexicon: Lexicon
     phone_hierarchy: SonorityHierarchy
@@ -46,6 +46,12 @@ class Resources:
     fallback: FallbackConfig | None = None
     secondary_stress: dict[str, tuple[int, int]] | None = None
     variant: str = ""  # label such as "CMU" or "en_US", used in reports
+    # external G2P results of this run, by lower-cased OOV word
+    g2p_cache: dict[str, Pronunciation | None] = field(default_factory=dict)
+
+    @property
+    def phone_format(self) -> str:
+        return "cmu" if self.lexicon.phoneset == "cmu-arpabet" else "mfa"
 
 
 @dataclass
@@ -107,11 +113,13 @@ def syllabify_word(word: str, resources: Resources,
     prons = lookup(resources.lexicon, word)
     if not prons:
         flags.add("oov")
-        fb = g2p_fallback(
-            word, resources.fallback,
-            "cmu" if resources.lexicon.phoneset == "cmu-arpabet" else "mfa")
-        if fb is not None:
-            prons = [fb]
+        if resources.fallback is not None:
+            cache = resources.g2p_cache
+            if word not in cache:
+                cache[word] = g2p_fallback([word], resources.fallback,
+                                           resources.phone_format)[0]
+            if cache[word] is not None:
+                prons = [cache[word]]
 
     phone_seq = None
     if prons:
@@ -239,10 +247,38 @@ def annotate_sentence(index: int, sentence: str, lang: str,
     return ann
 
 
+def resolve_oov(words, resources: Resources) -> None:
+    """Put the G2P results of the OOV words among `words` in the run's cache.
+
+    Lexicon misses not cached yet go to the external G2P in one batch, each
+    distinct word once, in first-seen order.  Without a configured fallback
+    this does nothing and does not consume `words`.
+    """
+    if resources.fallback is None:
+        return
+    cache = resources.g2p_cache
+    missing = list(dict.fromkeys(
+        w for w in map(str.lower, words)
+        if w not in cache and not lookup(resources.lexicon, w)))
+    if not missing:
+        return
+    results = g2p_fallback(missing, resources.fallback, resources.phone_format)
+    cache.update(zip(missing, results))
+    unresolved = results.count(None)
+    log.log(logging.WARNING if unresolved else logging.INFO,
+            "g2p: %d of %d OOV words unresolved", unresolved, len(missing))
+
+
 def annotate_corpus(sentences, lang: str, resources: Resources,
                     method: str = "lkp-ssp-dtw", jobs: int = 1,
                     ) -> list[SentenceAnnotation]:
-    """Annotate sentences in order; `jobs` > 1 fans out with order restored."""
+    """Annotate sentences in order; `jobs` > 1 fans out with order restored.
+
+    The OOV words of all sentences are resolved by one G2P batch first.
+    """
+    sentences = list(sentences)
+    resolve_oov((tok.core for s in sentences for tok in normalize(s, lang)),
+                resources)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(

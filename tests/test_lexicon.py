@@ -1,4 +1,6 @@
+import gc
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,16 @@ class TestCmuFormat:
         assert "cat" in load_pron_dict(p, "cmu").entries
 
 
+def test_loaders_close_their_files():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_pron_dict(DATA / "mini_cmu.dict", "cmu")
+        load_syllabified_corpus(DATA / "mini_syllables.txt",
+                                CorpusFormat.preset("gutenberg"))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestMfaFormat:
     def test_tab_separated(self, tmp_path):
         p = tmp_path / "d.dict"
@@ -126,29 +138,33 @@ class TestPronunciation:
 
 class TestG2pFallback:
     def test_no_config(self):
-        assert g2p_fallback("zzxq", None) is None
+        assert g2p_fallback(["zzxq"], None) == [None]
 
     def test_mock_command(self):
         cfg = FallbackConfig((sys.executable, "-c",
                               "import sys; sys.stdin.read(); print('Z Z K Y UW1')"))
-        pron = g2p_fallback("zzxq", cfg)
+        [pron] = g2p_fallback(["zzxq"], cfg)
         assert str(pron) == "Z Z K Y UW1"
         assert pron.phones[-1] == Phone("UW", 1)
 
     def test_command_failure(self, caplog):
         cfg = FallbackConfig((sys.executable, "-c", "import sys; sys.exit(3)"))
         with caplog.at_level("WARNING"):
-            assert g2p_fallback("zzxq", cfg) is None
+            assert g2p_fallback(["zzxq"], cfg) == [None]
         assert "exited 3" in caplog.text
 
     def test_empty_output(self, caplog):
         cfg = FallbackConfig((sys.executable, "-c", "pass"))
         with caplog.at_level("WARNING"):
-            assert g2p_fallback("zzxq", cfg) is None
+            assert g2p_fallback(["zzxq"], cfg) == [None]
 
     def test_missing_binary(self, caplog):
         with caplog.at_level("WARNING"):
-            assert g2p_fallback("zzxq", FallbackConfig("/no/such/binary")) is None
+            assert g2p_fallback(["zzxq"], FallbackConfig("/no/such/binary")) == [None]
+
+    def test_bare_string_rejected(self):
+        with pytest.raises(TypeError):
+            g2p_fallback("zzxq", None)
 
 
 class TestScCorrection:
