@@ -123,7 +123,15 @@ def ssp_dtw_syllabify(word: str, pron_symbols, phone_h: SonorityHierarchy,
         raise ValueError("empty word")
     phone_seq = sonority_sequence(list(pron_symbols), phone_h)
     letter_seq = sonority_sequence(list(word), letter_h)
-    phone_syll = ssp_breaks(phone_seq)
+    return project_ssp(ssp_breaks(phone_seq), phone_seq, letter_seq)
+
+
+def project_ssp(phone_syll: Syllabification, phone_seq: SonoritySequence,
+                letter_seq: SonoritySequence) -> tuple[Syllabification, bool]:
+    """Carry the SSP breaks `phone_syll` of `phone_seq` onto the letters.
+
+    DTW runs only when there is a break to carry.
+    """
     if not phone_syll.breaks:
         return Syllabification(letter_seq.symbols, ()), False
     path = dtw(phone_seq, letter_seq)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
-from .pipeline import METHOD_CHOICES, Resources, syllabify_word
+from .pipeline import METHOD_CHOICES, Resources, analyze_word, word_record
 from .ssp import Syllabification
 
 
@@ -68,13 +68,16 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
         raise ValueError(
             f"sample_size must be in [1, {len(lexicon)}], got {sample_size}")
     words = random.Random(seed).sample(sorted(lexicon.entries), sample_size)
-    accuracies: dict[str, float | None] = {}
-    for method in methods:
-        if method.startswith("lkp") and resources.syllabified is None:
-            accuracies[method] = None
-            continue
-        records = [syllabify_word(w, resources, method) for w in words]
-        accuracies[method] = word_accuracy(records)
+    # each word is analyzed once and scored under every active method
+    hits = {m: 0 for m in methods
+            if not (m.startswith("lkp") and resources.syllabified is None)}
+    for word in words:
+        analysis = analyze_word(word, resources)
+        for method in hits:
+            rec = word_record(analysis, method)
+            hits[method] += rec.text_syll.n_syllables == rec.phone_syll.n_syllables
+    accuracies = {m: 100.0 * hits[m] / sample_size if m in hits else None
+                  for m in methods}
     return AblationResult(resources.variant, accuracies, sample_size, seed)
 
 

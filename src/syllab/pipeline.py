@@ -5,6 +5,8 @@ for OOV words), single-vowel short circuit, optional syllabified-corpus
 lookup accepted only when its syllable count matches the phone-domain
 nucleus count, then cross-domain projection (or plain letters-SSP for the
 non-DTW methods).  Anomalies never raise; they become record flags.
+The steps that do not depend on the method form one `WordAnalysis` per
+word, from which `word_record` derives the record of any method.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .align import ssp_dtw_syllabify
+from .align import project_ssp
 from .errors import UnknownSymbolError
 from .lexicon import (
     FallbackConfig,
@@ -23,7 +26,12 @@ from .lexicon import (
     g2p_fallback,
     lookup,
 )
-from .sonority import VOWEL_LEVEL, SonorityHierarchy, sonority_sequence
+from .sonority import (
+    VOWEL_LEVEL,
+    SonorityHierarchy,
+    SonoritySequence,
+    sonority_sequence,
+)
 from .ssp import Syllabification, ssp_breaks, syllabify_symbols
 from .textnorm import normalize
 
@@ -54,7 +62,7 @@ class Resources:
         return "cmu" if self.lexicon.phoneset == "cmu-arpabet" else "mfa"
 
 
-@dataclass
+@dataclass(frozen=True)
 class WordRecord:
     word: str
     pronunciations: list[Pronunciation]
@@ -83,14 +91,6 @@ def _arpabet_stress(pron: Pronunciation, phone_syll: Syllabification) -> int | N
     return None
 
 
-def _letters_syllabify(word: str, letter_h: SonorityHierarchy) -> Syllabification:
-    try:
-        return syllabify_symbols(tuple(word), letter_h)
-    except UnknownSymbolError as exc:
-        log.debug("letters of %r not classifiable (%s); kept unbroken", word, exc)
-        return Syllabification(tuple(word), ())
-
-
 def _syll_from_parts(word: str, parts) -> Syllabification | None:
     if "".join(parts) != word:
         return None
@@ -101,14 +101,53 @@ def _syll_from_parts(word: str, parts) -> Syllabification | None:
     return Syllabification(tuple(word), tuple(breaks))
 
 
-def syllabify_word(word: str, resources: Resources,
-                   method: str = "lkp-ssp-dtw",
-                   extra_flags=()) -> WordRecord:
-    """Produce the unified annotation record for one word token."""
-    if method not in METHOD_CHOICES:
-        raise ValueError(f"unknown method {method!r}")
+@dataclass(frozen=True)
+class WordAnalysis:
+    """The method-independent part of a word's annotation.
+
+    `phone_seq` is None when the word has no pronunciation whose phones the
+    hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
+    accepted by count consensus, if any.  The letter curve, letters-SSP and
+    the DTW projection are each computed on first use, at most once.
+    """
+
+    word: str
+    pronunciations: list[Pronunciation]
+    phone_seq: SonoritySequence | None
+    phone_syll: Syllabification
+    nuclei: int
+    corpus_syll: Syllabification | None
+    stress_index: int | None
+    flags: frozenset[str]
+    letter_hierarchy: SonorityHierarchy = field(compare=False, repr=False)
+
+    @cached_property
+    def letter_seq(self) -> SonoritySequence | None:
+        try:
+            return sonority_sequence(tuple(self.word), self.letter_hierarchy)
+        except UnknownSymbolError as exc:
+            log.debug("letters of %r not classifiable (%s); kept unbroken",
+                      self.word, exc)
+            return None
+
+    @cached_property
+    def letters_ssp(self) -> Syllabification:
+        if self.letter_seq is None:
+            return Syllabification(tuple(self.word), ())
+        return ssp_breaks(self.letter_seq)
+
+    @cached_property
+    def projection(self) -> tuple[Syllabification, bool]:
+        """DTW-projected letter syllabification and its degenerate flag."""
+        if self.letter_seq is None:
+            return Syllabification(tuple(self.word), ()), False
+        return project_ssp(self.phone_syll, self.phone_seq, self.letter_seq)
+
+
+def analyze_word(word: str, resources: Resources) -> WordAnalysis:
+    """Lookup (or G2P), phone curve, SSP breaks, corpus entry and stress of a word."""
     word = word.lower()
-    flags = set(extra_flags)
+    flags = set()
 
     prons = lookup(resources.lexicon, word)
     if not prons:
@@ -131,44 +170,20 @@ def syllabify_word(word: str, resources: Resources,
             flags.add("oov")
 
     if phone_seq is None:
-        text_syll = _letters_syllabify(word, resources.letter_hierarchy)
-        record = WordRecord(word, prons, 0 if prons else None,
-                            Syllabification((), ()), text_syll, None,
-                            "oov-unresolved", frozenset())
         flags.add("no-stress")
-        return _finish(record, flags)
+        return WordAnalysis(word, prons, None, Syllabification((), ()), 0, None,
+                            None, frozenset(flags), resources.letter_hierarchy)
 
     phone_syll = ssp_breaks(phone_seq)
     nuclei = sum(1 for p in phone_seq.points if p.level == VOWEL_LEVEL)
-
-    text_syll = None
     if nuclei == 0:
         flags.add("no-nucleus")
-        text_syll = Syllabification(tuple(word), ())
-        method_used = "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
-    elif nuclei == 1:
-        text_syll = Syllabification(tuple(word), ())
-        method_used = "single-vowel"
-    else:
-        if method.startswith("lkp") and resources.syllabified is not None:
-            entry = resources.syllabified.entries.get(word)
-            if entry is not None and len(entry) == nuclei:
-                text_syll = _syll_from_parts(word, entry)
-                method_used = "corpus-lookup"
-        if text_syll is None:
-            if method.endswith("dtw"):
-                try:
-                    text_syll, degenerate = ssp_dtw_syllabify(
-                        word, prons[0].raw,
-                        resources.phone_hierarchy, resources.letter_hierarchy)
-                except UnknownSymbolError:
-                    text_syll, degenerate = Syllabification(tuple(word), ()), False
-                if degenerate:
-                    flags.add("degenerate-projection")
-                method_used = "ssp-dtw"
-            else:
-                text_syll = _letters_syllabify(word, resources.letter_hierarchy)
-                method_used = "ssp-letters"
+
+    corpus_syll = None
+    if nuclei > 1 and resources.syllabified is not None:
+        entry = resources.syllabified.entries.get(word)
+        if entry is not None and len(entry) == nuclei:
+            corpus_syll = _syll_from_parts(word, entry)
 
     stress = _arpabet_stress(prons[0], phone_syll)
     if stress is None and resources.secondary_stress:
@@ -178,18 +193,49 @@ def syllabify_word(word: str, resources: Resources,
     if stress is None:
         flags.add("no-stress")
 
-    record = WordRecord(word, prons, 0, phone_syll, text_syll, stress,
-                        method_used, frozenset())
-    return _finish(record, flags)
+    return WordAnalysis(word, prons, phone_seq, phone_syll, nuclei, corpus_syll,
+                        stress, frozenset(flags), resources.letter_hierarchy)
 
 
-def _finish(record: WordRecord, flags: set[str]) -> WordRecord:
-    if record.phone_syll.n_syllables != record.text_syll.n_syllables:
+def word_record(analysis: WordAnalysis, method: str,
+                extra_flags=()) -> WordRecord:
+    """The record of an analyzed word under `method`, with the token's flags."""
+    if method not in METHOD_CHOICES:
+        raise ValueError(f"unknown method {method!r}")
+    a = analysis
+    flags = set(extra_flags) | a.flags
+    if a.phone_seq is None:
+        text_syll, method_used = a.letters_ssp, "oov-unresolved"
+    elif a.nuclei < 2:
+        text_syll = Syllabification(tuple(a.word), ())
+        if a.nuclei == 1:
+            method_used = "single-vowel"
+        else:
+            method_used = "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
+    elif method.startswith("lkp") and a.corpus_syll is not None:
+        text_syll, method_used = a.corpus_syll, "corpus-lookup"
+    elif method.endswith("dtw"):
+        text_syll, degenerate = a.projection
+        if degenerate:
+            flags.add("degenerate-projection")
+        method_used = "ssp-dtw"
+    else:
+        text_syll, method_used = a.letters_ssp, "ssp-letters"
+
+    if a.phone_syll.n_syllables != text_syll.n_syllables:
         flags.add("count-mismatch")
     else:
         flags.discard("count-mismatch")
-    record.flags = frozenset(flags)
-    return record
+    return WordRecord(a.word, a.pronunciations, 0 if a.pronunciations else None,
+                      a.phone_syll, text_syll, a.stress_index, method_used,
+                      frozenset(flags))
+
+
+def syllabify_word(word: str, resources: Resources,
+                   method: str = "lkp-ssp-dtw",
+                   extra_flags=()) -> WordRecord:
+    """Produce the unified annotation record for one word token."""
+    return word_record(analyze_word(word, resources), method, extra_flags)
 
 
 def load_secondary_stress(path, hierarchy: SonorityHierarchy,
@@ -238,13 +284,11 @@ class SentenceAnnotation:
     records: list[tuple[int, WordRecord]] = field(default_factory=list)
 
 
-def annotate_sentence(index: int, sentence: str, lang: str,
-                      resources: Resources, method: str) -> SentenceAnnotation:
-    ann = SentenceAnnotation(index, sentence)
-    for token_index, tok in enumerate(normalize(sentence, lang)):
-        rec = syllabify_word(tok.core, resources, method, extra_flags=tok.flags)
-        ann.records.append((token_index, rec))
-    return ann
+def annotate_sentence(index: int, sentence: str, keys,
+                      records: dict) -> SentenceAnnotation:
+    """Assemble a sentence from the records of its (word, token flags) keys."""
+    return SentenceAnnotation(index, sentence,
+                              [(i, records[key]) for i, key in enumerate(keys)])
 
 
 def resolve_oov(words, resources: Resources) -> None:
@@ -272,20 +316,29 @@ def resolve_oov(words, resources: Resources) -> None:
 def annotate_corpus(sentences, lang: str, resources: Resources,
                     method: str = "lkp-ssp-dtw", jobs: int = 1,
                     ) -> list[SentenceAnnotation]:
-    """Annotate sentences in order; `jobs` > 1 fans out with order restored.
+    """Annotate sentences in order, syllabifying each distinct token once.
 
-    The OOV words of all sentences are resolved by one G2P batch first.
+    Each sentence is normalized once.  The OOV words of all sentences are
+    resolved by one G2P batch, then every distinct (word, token flags) key
+    gets one record, which all its occurrences share; `jobs` > 1 spreads the
+    keys over a thread pool.
     """
     sentences = list(sentences)
-    resolve_oov((tok.core for s in sentences for tok in normalize(s, lang)),
-                resources)
+    sentence_keys = [[(tok.core, tok.flags) for tok in normalize(s, lang)]
+                     for s in sentences]
+    keys = list(dict.fromkeys(key for ks in sentence_keys for key in ks))
+    resolve_oov((word for word, _ in keys), resources)
+
+    def record(key):
+        return syllabify_word(key[0], resources, method, extra_flags=key[1])
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda pair: annotate_sentence(pair[0], pair[1], lang, resources, method),
-                enumerate(sentences)))
-    return [annotate_sentence(i, s, lang, resources, method)
-            for i, s in enumerate(sentences)]
+            records = dict(zip(keys, pool.map(record, keys)))
+    else:
+        records = {key: record(key) for key in keys}
+    return [annotate_sentence(i, s, ks, records)
+            for i, (s, ks) in enumerate(zip(sentences, sentence_keys))]
 
 
 @dataclass

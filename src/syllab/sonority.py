@@ -10,7 +10,7 @@ local minimum between the nuclei; consonants contribute one point each.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigurationError, UnknownSymbolError
@@ -96,6 +96,9 @@ class SonorityHierarchy:
 
     symbol_set: str  # "cmu-arpabet" | "mfa-ipa" | "letters" | "custom"
     class_of: Mapping[str, str]
+    # level of each symbol resolved so far; unknown symbols are never stored
+    _levels: dict[str, int] = field(default_factory=dict, init=False,
+                                    compare=False, repr=False)
 
     def classify(self, symbol: str) -> str:
         cls = self._resolve(symbol)
@@ -104,7 +107,11 @@ class SonorityHierarchy:
         return cls
 
     def level(self, symbol: str) -> int:
-        return CLASS_LEVELS[self.classify(symbol)]
+        try:
+            return self._levels[symbol]
+        except KeyError:
+            level = self._levels[symbol] = CLASS_LEVELS[self.classify(symbol)]
+            return level
 
     def is_vowel(self, symbol: str) -> bool:
         return self.classify(symbol) == "vowel"

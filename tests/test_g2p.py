@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syllab import pipeline
 from syllab.cli import main
 from syllab.lexicon import FallbackConfig, g2p_fallback
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
@@ -116,6 +117,19 @@ class TestHostileG2p:
         assert row[3] == "QQ1 XX"
         assert row[7] == "oov-unresolved" and "oov" in row[8].split(",")
 
+    def test_unknown_phones_warned_once_per_word(self, tmp_path, capsys, caplog):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("zzxq zzxq\nthe zzxq\n")
+        out = tmp_path / "a.tsv"
+        with caplog.at_level("WARNING"):
+            assert main(["annotate", str(prompts), "--dict", DICT, "--out", str(out),
+                         "--fallback-cmd", shlex.join(fake_argv("unknown-phones"))]) == 0
+        assert caplog.text.count("treating as unresolved") == 1
+        rows = [r.split("\t")[2:] for r in out.read_text().splitlines()
+                if r.split("\t")[2] == "zzxq"]
+        assert rows == [["zzxq", "QQ1 XX", "-", "zzxq", "-", "oov-unresolved",
+                         "count-mismatch,no-stress,oov"]] * 3
+
     def test_stderr_flood(self, good):
         assert strs(g2p_fallback(OOV, fake("stderr-flood"))) == [good[w] for w in OOV]
 
@@ -127,6 +141,24 @@ class TestHostileG2p:
     def test_poisoned_word_isolated(self, good):
         result = strs(g2p_fallback(OOV, fake("poison", "glark")))
         assert result == [None if w == "glark" else good[w] for w in OOV]
+
+    def test_annotate_normalizes_each_sentence_once(self, mini_lexicon, arpabet,
+                                                     letters_en, monkeypatch):
+        calls = {"normalize": 0, "g2p": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "normalize", counted("normalize", pipeline.normalize))
+        monkeypatch.setattr(pipeline, "g2p_fallback",
+                            counted("g2p", pipeline.g2p_fallback))
+        res = Resources(mini_lexicon, arpabet, letters_en, fallback=fake("ok"))
+        anns = annotate_corpus(["the zzxq leaves", "blorp and zzxq", "a wug"], "en", res)
+        assert calls == {"normalize": 3, "g2p": 1}
+        assert [rec.word for _, rec in anns[1].records] == ["blorp", "and", "zzxq"]
 
     def test_summary_warning(self, mini_lexicon, arpabet, letters_en, caplog):
         res = Resources(mini_lexicon, arpabet, letters_en,

@@ -99,6 +99,20 @@ class TestHierarchies:
         assert ipa.classify("dʲ") == "stop"
         assert ipa.classify("n̩") == "nasal"
 
+    def test_memoized_level_same_on_second_call(self):
+        ipa = hierarchy_for("mfa-ipa")
+        for sym, level in (("n̩", 2), ("dʲ", 1), ("ˈaː", 5)):
+            assert ipa.level(sym) == level
+            assert ipa.level(sym) == level
+        # the memo takes no part in equality or repr
+        assert ipa == hierarchy_for("mfa-ipa")
+        assert repr(ipa) == repr(hierarchy_for("mfa-ipa"))
+
+    def test_unknown_symbol_raises_every_time(self, letters_en):
+        for _ in range(2):
+            with pytest.raises(UnknownSymbolError):
+                letters_en.level("7")
+
     def test_table_file_override(self, tmp_path, letters_en):
         table = tmp_path / "letters.tsv"
         table.write_text("w\tvowel\n")
