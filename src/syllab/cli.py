@@ -16,7 +16,8 @@ import re
 import sys
 
 from . import evaluate, pipeline
-from .errors import ConfigurationError, SyllabError
+from .align import alignment_debug_tsv, dtw
+from .errors import ConfigurationError, DictParseError, SyllabError, open_utf8
 from .lexicon import (
     CorpusFormat,
     FallbackConfig,
@@ -27,11 +28,11 @@ from .lexicon import (
 from .pipeline import (
     Resources,
     WordRecord,
+    analyze_words,
     annotate_corpus,
     consistency_report,
     load_secondary_stress,
-    resolve_oov,
-    syllabify_word,
+    word_record,
 )
 from .sonority import hierarchy_for
 from .ssp import Syllabification
@@ -124,7 +125,7 @@ def _resource_path(path: str | None) -> str | None:
 
 def _read_config_file(path) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -252,8 +253,8 @@ def cmd_syllabify(args) -> int:
                   file=sys.stderr)
         elif w:
             usable.append(w)
-    resolve_oov(usable, resources)
-    records = [syllabify_word(w, resources, args.method) for w in usable]
+    analyses = {a.word: a for a in analyze_words(usable, resources)}
+    records = [word_record(analyses[w.lower()], args.method) for w in usable]
     if args.format == "json":
         out = json.dumps([record_to_json(r) for r in records],
                          ensure_ascii=False, indent=2) + "\n"
@@ -261,34 +262,25 @@ def cmd_syllabify(args) -> int:
         out = "".join(format_record_row(r) + "\n" for r in records)
     _write_output(out, args.out)
     if args.dump_alignment:
-        _dump_alignments(usable, resources, args.dump_alignment)
+        _dump_alignments(analyses.values(), args.dump_alignment)
     return 0
 
 
-def _dump_alignments(words, resources: Resources, directory: str) -> None:
-    from .align import alignment_debug_tsv, dtw
-    from .sonority import sonority_sequence
-
+def _dump_alignments(analyses, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    for word in words:
-        prons = resources.lexicon.entries.get(word.lower())
-        if not prons:
+    for a in analyses:
+        if a.phone_seq is None or a.letter_seq is None:
             continue
-        try:
-            a = sonority_sequence(prons[0].raw, resources.phone_hierarchy)
-            b = sonority_sequence(tuple(word.lower()), resources.letter_hierarchy)
-            path = dtw(a, b)
-        except SyllabError:
-            continue
-        with open(os.path.join(directory, f"{word.lower()}.tsv"), "w",
+        path = dtw(a.phone_seq, a.letter_seq)
+        with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(alignment_debug_tsv(path, a, b))
+            fh.write(alignment_debug_tsv(path, a.phone_seq, a.letter_seq))
 
 
 def read_corpus_file(path) -> list[tuple[str, str]]:
     """(sentence_id, text) pairs from festival prompts, id<TAB>text, or plain lines."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for i, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -308,7 +300,7 @@ def cmd_annotate(args) -> int:
     resources = build_resources(args)
     pairs = read_corpus_file(args.corpus_file)
     annotations = annotate_corpus([text for _, text in pairs], args.lang,
-                                  resources, args.method, jobs=args.jobs)
+                                  resources, args.method)
     lines = ["\t".join(ANNOTATION_COLUMNS)]
     records = []
     for (sid, _), ann in zip(pairs, annotations):
@@ -349,12 +341,13 @@ def cmd_histogram(args) -> int:
     else:
         resources = build_resources(args)
         words = sorted(resources.lexicon.entries)
-        if args.sample:
-            if args.sample > len(words):
+        if args.sample is not None:
+            if not 0 < args.sample <= len(words):
                 raise ConfigurationError(
-                    f"sample {args.sample} exceeds lexicon size {len(words)}")
+                    f"sample must be in [1, {len(words)}], got {args.sample}")
             words = random.Random(args.seed).sample(words, args.sample)
-        records = [syllabify_word(w, resources, args.method) for w in words]
+        # the histogram reads only the phone-domain syllables of each analysis
+        records = analyze_words(words, resources)
     hist = evaluate.syllable_histogram(records)
     if args.format == "json":
         out = evaluate.histogram_json(hist)
@@ -367,17 +360,18 @@ def cmd_histogram(args) -> int:
 
 
 def read_annotation_file(path) -> list[WordRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line == "\t".join(ANNOTATION_COLUMNS):
-                continue
-            fields = line.split("\t")
-            if len(fields) == len(ANNOTATION_COLUMNS):
-                records.append(parse_record_row("\t".join(fields[2:])))
-            elif len(fields) == len(RECORD_COLUMNS):
-                records.append(parse_record_row(line))
+    records, header = [], list(ANNOTATION_COLUMNS)
+    with open_utf8(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) == len(header) and fields != header:
+                fields = fields[2:]  # drop sentence_id and token_index
+            if len(fields) != len(RECORD_COLUMNS):
+                continue  # blank line, header or foreign row
+            try:
+                records.append(parse_record_row("\t".join(fields)))
+            except ValueError as exc:
+                raise DictParseError(path, line_no, str(exc)) from None
     return records
 
 
@@ -420,7 +414,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_resource_args(p)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_annotate)
 
     p = by_name["ablate"] = sub.add_parser(
@@ -467,7 +460,11 @@ def _apply_config(args, sub_parser: argparse.ArgumentParser, argv) -> None:
         if isinstance(action, argparse._StoreTrueAction):
             parsed = value.lower() in ("1", "true", "yes")
         elif action.type is int:
-            parsed = int(value)
+            try:
+                parsed = int(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"config key {key!r}: {value!r} is not an integer") from None
         else:
             parsed = value
             if action.choices and parsed not in action.choices:

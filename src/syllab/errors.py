@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a UTF-8 reader that raises one."""
+
+from contextlib import contextmanager
 
 
 class SyllabError(Exception):
@@ -10,7 +12,7 @@ class ConfigurationError(SyllabError):
 
 
 class DictParseError(SyllabError):
-    """A dictionary or corpus file line could not be parsed (strict mode)."""
+    """A line of a dictionary, corpus or annotation file could not be parsed."""
 
     def __init__(self, path, line_no: int, message: str):
         self.path = path
@@ -33,3 +35,13 @@ class UnsupportedNumeralError(SyllabError):
 
 class UndefinedMetricError(SyllabError):
     """A metric was requested over an empty record set."""
+
+
+@contextmanager
+def open_utf8(path):
+    """Open a text file for reading; non-UTF-8 bytes raise an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SyllabError(f"{path}: not UTF-8 text ({exc.reason})") from None

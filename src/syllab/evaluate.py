@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
-from .pipeline import METHOD_CHOICES, Resources, analyze_word, word_record
+from .pipeline import METHOD_CHOICES, Resources, analyze_words, word_record
 from .ssp import Syllabification
 
 
@@ -40,12 +40,12 @@ def juncture_accuracy(pred: Syllabification, gold: Syllabification) -> float:
 
 
 def syllable_histogram(records) -> dict[int, float]:
-    """Share of records (in %) per phone-domain syllable count."""
-    records = list(records)
-    if not records:
-        raise UndefinedMetricError("histogram over an empty record set")
+    """Share (in %) of records or word analyses per phone-domain syllable count."""
     counts = Counter(r.phone_syll.n_syllables for r in records)
-    return {k: 100.0 * v / len(records) for k, v in sorted(counts.items())}
+    total = sum(counts.values())
+    if not total:
+        raise UndefinedMetricError("histogram over an empty record set")
+    return {k: 100.0 * v / total for k, v in sorted(counts.items())}
 
 
 @dataclass
@@ -71,8 +71,7 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
     # each word is analyzed once and scored under every active method
     hits = {m: 0 for m in methods
             if not (m.startswith("lkp") and resources.syllabified is None)}
-    for word in words:
-        analysis = analyze_word(word, resources)
+    for analysis in analyze_words(words, resources):
         for method in hits:
             rec = word_record(analysis, method)
             hits[method] += rec.text_syll.n_syllables == rec.phone_syll.n_syllables

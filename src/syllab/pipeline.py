@@ -1,23 +1,24 @@
 """Unified per-word syllabification with consensus checks and stress merging.
 
-Order of operations for every word: dictionary lookup (external G2P fallback
-for OOV words), single-vowel short circuit, optional syllabified-corpus
-lookup accepted only when its syllable count matches the phone-domain
-nucleus count, then cross-domain projection (or plain letters-SSP for the
-non-DTW methods).  Anomalies never raise; they become record flags.
-The steps that do not depend on the method form one `WordAnalysis` per
-word, from which `word_record` derives the record of any method.
+Order of operations for every word: dictionary lookup (external G2P
+fallback for OOV words, in one batch per run), single-vowel short circuit,
+optional syllabified-corpus lookup accepted only when its syllable count
+matches the phone-domain nucleus count, then cross-domain projection (or
+plain letters-SSP for the non-DTW methods).  Anomalies never raise; they
+become record flags.  `analyze_words` turns the distinct words of a run
+into one `WordAnalysis` each, from which `word_record` derives the record
+of any method.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .align import project_ssp
-from .errors import UnknownSymbolError
+from .errors import UnknownSymbolError, open_utf8
 from .lexicon import (
     FallbackConfig,
     Lexicon,
@@ -43,9 +44,9 @@ FLAG_NAMES = ("oov", "count-mismatch", "degenerate-projection",
               "no-nucleus", "no-stress", "numeral-unsupported")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resources:
-    """Loaded inputs shared by every word of a run, plus its G2P cache."""
+    """Loaded inputs shared by every word of a run."""
 
     lexicon: Lexicon
     phone_hierarchy: SonorityHierarchy
@@ -54,8 +55,6 @@ class Resources:
     fallback: FallbackConfig | None = None
     secondary_stress: dict[str, tuple[int, int]] | None = None
     variant: str = ""  # label such as "CMU" or "en_US", used in reports
-    # external G2P results of this run, by lower-cased OOV word
-    g2p_cache: dict[str, Pronunciation | None] = field(default_factory=dict)
 
     @property
     def phone_format(self) -> str:
@@ -144,21 +143,41 @@ class WordAnalysis:
         return project_ssp(self.phone_syll, self.phone_seq, self.letter_seq)
 
 
-def analyze_word(word: str, resources: Resources) -> WordAnalysis:
-    """Lookup (or G2P), phone curve, SSP breaks, corpus entry and stress of a word."""
-    word = word.lower()
-    flags = set()
+def analyze_words(words: Iterable[str], resources: Resources,
+                  ) -> Iterator[WordAnalysis]:
+    """One analysis per distinct lower-cased word of `words`, in first-seen order.
 
-    prons = lookup(resources.lexicon, word)
-    if not prons:
-        flags.add("oov")
-        if resources.fallback is not None:
-            cache = resources.g2p_cache
-            if word not in cache:
-                cache[word] = g2p_fallback([word], resources.fallback,
-                                           resources.phone_format)[0]
-            if cache[word] is not None:
-                prons = [cache[word]]
+    Every distinct word is looked up once; the lexicon misses go to the
+    external G2P, if one is configured, in one batch.  The analyses are
+    made one at a time as the result is consumed.
+    """
+    found = {word: lookup(resources.lexicon, word)
+             for word in dict.fromkeys(map(str.lower, words))}
+    g2p = {}
+    missing = [word for word, prons in found.items() if not prons]
+    if resources.fallback is not None and missing:
+        results = g2p_fallback(missing, resources.fallback, resources.phone_format)
+        g2p = {word: [pron] for word, pron in zip(missing, results)
+               if pron is not None}
+        unresolved = len(missing) - len(g2p)
+        log.log(logging.WARNING if unresolved else logging.INFO,
+                "g2p: %d of %d OOV words unresolved", unresolved, len(missing))
+    for word, prons in found.items():
+        yield analyze_word(word, resources, prons or g2p.get(word, []),
+                           oov=not prons)
+
+
+def analyze_word(word: str, resources: Resources,
+                 prons: list[Pronunciation] | None = None,
+                 oov: bool = False) -> WordAnalysis:
+    """Phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
+
+    `prons` come from the lexicon or, for an `oov` word, from the G2P;
+    without them the word goes through `analyze_words` alone.
+    """
+    if prons is None:
+        return next(analyze_words([word], resources))
+    flags = {"oov"} if oov else set()
 
     phone_seq = None
     if prons:
@@ -247,7 +266,7 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     engine's own break detection on the stripped phone sequence.
     """
     out: dict[str, tuple[int, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -291,52 +310,24 @@ def annotate_sentence(index: int, sentence: str, keys,
                               [(i, records[key]) for i, key in enumerate(keys)])
 
 
-def resolve_oov(words, resources: Resources) -> None:
-    """Put the G2P results of the OOV words among `words` in the run's cache.
-
-    Lexicon misses not cached yet go to the external G2P in one batch, each
-    distinct word once, in first-seen order.  Without a configured fallback
-    this does nothing and does not consume `words`.
-    """
-    if resources.fallback is None:
-        return
-    cache = resources.g2p_cache
-    missing = list(dict.fromkeys(
-        w for w in map(str.lower, words)
-        if w not in cache and not lookup(resources.lexicon, w)))
-    if not missing:
-        return
-    results = g2p_fallback(missing, resources.fallback, resources.phone_format)
-    cache.update(zip(missing, results))
-    unresolved = results.count(None)
-    log.log(logging.WARNING if unresolved else logging.INFO,
-            "g2p: %d of %d OOV words unresolved", unresolved, len(missing))
-
-
 def annotate_corpus(sentences, lang: str, resources: Resources,
-                    method: str = "lkp-ssp-dtw", jobs: int = 1,
-                    ) -> list[SentenceAnnotation]:
-    """Annotate sentences in order, syllabifying each distinct token once.
+                    method: str = "lkp-ssp-dtw") -> list[SentenceAnnotation]:
+    """Annotate sentences in order, analyzing each distinct word once.
 
-    Each sentence is normalized once.  The OOV words of all sentences are
-    resolved by one G2P batch, then every distinct (word, token flags) key
-    gets one record, which all its occurrences share; `jobs` > 1 spreads the
-    keys over a thread pool.
+    Each sentence is normalized once.  Every distinct (word, token flags)
+    key gets one record, which all its occurrences share; the records of a
+    word's keys are made from its analysis, which is then dropped.
     """
     sentences = list(sentences)
     sentence_keys = [[(tok.core, tok.flags) for tok in normalize(s, lang)]
                      for s in sentences]
-    keys = list(dict.fromkeys(key for ks in sentence_keys for key in ks))
-    resolve_oov((word for word, _ in keys), resources)
-
-    def record(key):
-        return syllabify_word(key[0], resources, method, extra_flags=key[1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = dict(zip(keys, pool.map(record, keys)))
-    else:
-        records = {key: record(key) for key in keys}
+    by_word: dict[str, list] = {}
+    for key in dict.fromkeys(key for ks in sentence_keys for key in ks):
+        by_word.setdefault(key[0].lower(), []).append(key)
+    records = {key: word_record(analysis, method, key[1])
+               for keys, analysis in zip(by_word.values(),
+                                         analyze_words(by_word, resources))
+               for key in keys}
     return [annotate_sentence(i, s, ks, records)
             for i, (s, ks) in enumerate(zip(sentences, sentence_keys))]
 

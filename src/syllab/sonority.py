@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigurationError, UnknownSymbolError
+from .errors import ConfigurationError, UnknownSymbolError, open_utf8
 
 CLASS_LEVELS = {
     "vowel": 5,
@@ -201,7 +201,7 @@ def load_hierarchy(path, symbol_set: str = "custom") -> SonorityHierarchy:
 
 def _read_table(path) -> dict[str, str]:
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

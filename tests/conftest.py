@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,22 @@ def real_resource(name: str) -> Path | None:
         if candidate.exists():
             return candidate
     return None
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call of `fn` made through a syllab module."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "syllab" or name.startswith("syllab."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="session")

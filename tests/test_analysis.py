@@ -2,13 +2,13 @@
 
 import dataclasses
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.align import dtw
+from syllab.cli import main
 from syllab.evaluate import run_ablation, word_accuracy
 from syllab.pipeline import (
     METHOD_CHOICES,
@@ -21,25 +21,11 @@ from syllab.sonority import sonority_sequence
 from syllab.ssp import ssp_breaks
 from syllab.textnorm import normalize
 
+from conftest import DATA, count_calls
+
 WORDS = ["sentence", "leaves", "beautiful", "rhythm", "the", "people",
          "oceanic", "qqqzz", "another", "picture"]
 NUMERALS = ["2", "3.5", "12", "1999"]
-
-
-def count_calls(monkeypatch, fn) -> list:
-    """Count calls of `fn` through every syllab module that binds it."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "syllab" or name.startswith("syllab."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    return calls
 
 
 class TestAblationEquivalence:
@@ -98,9 +84,8 @@ sentences = st.lists(
 @given(sentences, st.sampled_from(METHOD_CHOICES))
 def test_annotate_rows_equal_fresh_records(mini_resources, sents, method):
     sents = sents + sents[:2]  # repeats across sentences as well as within
-    serial = annotate_corpus(sents, "en", mini_resources, method, jobs=1)
-    assert annotate_corpus(sents, "en", mini_resources, method, jobs=4) == serial
-    for ann, sentence in zip(serial, sents):
+    anns = annotate_corpus(sents, "en", mini_resources, method)
+    for ann, sentence in zip(anns, sents):
         tokens = normalize(sentence, "en")
         assert [i for i, _ in ann.records] == list(range(len(tokens)))
         for (_, rec), tok in zip(ann.records, tokens):
@@ -124,10 +109,38 @@ class TestWorkCounts:
 
     def test_annotate_syllabifies_each_distinct_token_once(self, mini_resources,
                                                            monkeypatch):
-        calls = count_calls(monkeypatch, syllabify_word)
+        calls = count_calls(monkeypatch, analyze_word)
         sents = ["The author can write 3.5 words.", "the AUTHOR can write",
                  "write 3.5 words the author"] * 3
         anns = annotate_corpus(sents, "en", mini_resources)
-        keys = {(tok.core, tok.flags) for s in sents for tok in normalize(s, "en")}
-        assert sum(len(a.records) for a in anns) > len(keys)
-        assert len(calls) == len(keys)
+        words = {tok.core.lower() for s in sents for tok in normalize(s, "en")}
+        assert sum(len(a.records) for a in anns) > len(words)
+        assert sorted(args[0] for args in calls) == sorted(words)
+
+    def test_syllabify_command_analyzes_a_repeated_word_once(self, monkeypatch,
+                                                            capsys):
+        calls = count_calls(monkeypatch, analyze_word)
+        assert main(["syllabify", "a", "b", "A", "--dict", str(DATA / "mini_cmu.dict")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["a", "b", "a"]
+        assert rows[0] == rows[2]
+        assert [args[0] for args in calls] == ["a", "b"]
+
+
+# `histogram` of the fixture dictionary, for every method alike
+HISTOGRAM = {
+    "tsv": "n_syllables\tpercentage\n1\t74.15\n2\t20.75\n3\t4.42\n4\t0.68\n",
+    "csv": "n_syllables,percentage\n1,74.15\n2,20.75\n3,4.42\n4,0.68\n",
+    "json": '{\n  "1": 74.15,\n  "2": 20.75,\n  "3": 4.42,\n  "4": 0.68\n}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", HISTOGRAM)
+@pytest.mark.parametrize("method", ["ssp", "lkp-ssp-dtw"])
+def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, method, monkeypatch, capsys):
+    alignments = count_calls(monkeypatch, dtw)
+    assert main(["histogram", "--dict", str(DATA / "mini_cmu.dict"),
+                 "--corpus", str(DATA / "mini_syllables.txt"),
+                 "--method", method, "--format", fmt]) == 0
+    assert capsys.readouterr().out == HISTOGRAM[fmt]
+    assert alignments == []

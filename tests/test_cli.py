@@ -205,12 +205,11 @@ class TestAnnotateCommand:
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         outs = []
-        for i, jobs in enumerate(("1", "1", "3")):
+        for i in range(3):
             out_path = tmp_path / f"ann{i}.tsv"
             rep_path = tmp_path / f"rep{i}.tsv"
             code, _, _ = run(capsys, "annotate", str(DATA / "fixture_prompts.txt"),
                              "--dict", DICT, "--corpus", CORPUS,
-                             "--jobs", jobs,
                              "--out", str(out_path), "--report", str(rep_path))
             assert code == 0
             outs.append(out_path.read_bytes() + rep_path.read_bytes())
@@ -319,3 +318,77 @@ class TestResourceRootEnv:
         code, out, _ = run(capsys, "syllabify", "leaves",
                            "--dict", "mini_cmu.dict")
         assert code == 0 and out.startswith("leaves\t")
+
+
+NOT_UTF8 = b"leaves\t\xff\xfe sentence\n"
+LEAVES_ROW = "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t-"
+
+
+def expect_error(capsys, *argv, needle=""):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error: ") and needle in err
+
+
+class TestUnreadableInputs:
+    """Bad input files end in `error: ...` and exit 2, never a traceback."""
+
+    def test_prompt_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "prompts.txt"
+        bad.write_bytes(NOT_UTF8)
+        expect_error(capsys, "annotate", str(bad), "--dict", DICT,
+                     "--out", str(tmp_path / "a.tsv"), needle=f"{bad}: not UTF-8")
+
+    def test_secondary_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "secondary.tsv"
+        bad.write_bytes(NOT_UTF8)
+        expect_error(capsys, "syllabify", "leaves", "--dict", DICT,
+                     "--secondary", str(bad), needle=f"{bad}: not UTF-8")
+
+    @pytest.mark.parametrize("option", ["--phone-table", "--letter-table"])
+    def test_symbol_table_not_utf8(self, capsys, tmp_path, option):
+        bad = tmp_path / "table.tsv"
+        bad.write_bytes(b"\xff\tvowel\n")
+        expect_error(capsys, "syllabify", "leaves", "--dict", DICT,
+                     option, str(bad), needle=f"{bad}: not UTF-8")
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(b"method = \xff\n")
+        expect_error(capsys, "syllabify", "leaves", "--config", str(bad),
+                     needle=f"{bad}: not UTF-8")
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
+    def test_annotation_file_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "ann.tsv"
+        bad.write_bytes(NOT_UTF8)
+        args = [str(bad)] if command == "report" else ["--annotations", str(bad)]
+        expect_error(capsys, command, *args, needle=f"{bad}: not UTF-8")
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
+    @pytest.mark.parametrize("row", [
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\tfirst\tsingle-vowel\t-",
+        "ab\tAE1 B\tAE1 B\ta||b\t0\tssp-dtw\t-",
+    ], ids=["stress-not-int", "empty-text-syllable"])
+    def test_malformed_annotation_row(self, capsys, tmp_path, command, row):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text(f"s1\t0\t{LEAVES_ROW}\ns1\t1\t{row}\n")
+        args = [str(ann)] if command == "report" else ["--annotations", str(ann)]
+        expect_error(capsys, command, *args, needle=f"{ann}:2: ")
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_histogram_sample_below_one(self, capsys, sample):
+        expect_error(capsys, "histogram", "--dict", DICT, "--sample", sample,
+                     needle="sample must be in [1, ")
+
+    def test_config_int_option_not_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\nsample_size = abc\n")
+        expect_error(capsys, "ablate", "--config", str(cfg),
+                     needle="'sample_size': 'abc' is not an integer")
+
+    def test_config_jobs_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\njobs = 2\n")
+        expect_error(capsys, "annotate", str(DATA / "plain_sentences.txt"),
+                     "--config", str(cfg), needle="unknown config key 'jobs'")

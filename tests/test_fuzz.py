@@ -1,15 +1,23 @@
-"""Whole-pipeline robustness: random dictionaries must never break invariants."""
+"""Whole-pipeline robustness: random dictionaries must never break invariants,
+and no input file, however malformed, may crash the command line."""
 
+import contextlib
+import io
 import random
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from syllab.cli import main
 from syllab.lexicon import Lexicon, Phone, Pronunciation
 from syllab.pipeline import Resources, syllabify_word
 from syllab.sonority import hierarchy_for
+
+from conftest import DATA
 
 ARPABET = ("AA AE AH AO AW AY B CH D DH EH ER EY F G HH IH IY JH K L M "
            "N NG OW OY P R S SH T TH UH UW V W Y Z ZH").split()
@@ -72,3 +80,46 @@ def test_bulk_random_lexicon_annotation(seed):
         rec = syllabify_word(word, resources, "ssp-dtw")
         if not rec.flags:
             assert rec.phone_syll.n_syllables == rec.text_syll.n_syllables
+
+
+# pieces of every input format, so that random files often come close to valid ones
+FRAGMENTS = [
+    b"\n", b"\n", b"\t", b"\t", b" ", b"  ", b"leaves", b"LEAVES", b"a", b"ab", b"zzxq",
+    b"L IY1 V Z", b"AH0", b"B", b"AE1 B", "ˈæ b".encode(), "l ˈi v z".encode(),
+    b"-", b"|", b"||", b" . ", b"0", b"1", b"x", b"=", b" = ", b"#", b";;;", b"(1)",
+    b'(s1 "', b'")', b"3.5", b"1999", b"BBC", b"s1", b"single-vowel", b"oov",
+    b"method", b"ssp", b"sample_size", b"seed", b"lenient", b"true", b"lang", b"fr",
+    b"dict_format", b"mfa", b"jobs", b"word_col", b"corpus_format", b"custom",
+    b"\xff", b"\xc3", b"\xe2\x80", b"\r", b"\x00", b"\x0c", "\u2028".encode(),
+]
+hostile_files = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.binary(max_size=3)),
+                         max_size=40).map(b"".join)
+
+DICT = str(DATA / "mini_cmu.dict")
+PROMPTS = str(DATA / "plain_sentences.txt")
+# each command reads the fuzzed file F; outputs go to the scratch directory O
+COMMANDS = {
+    "prompt": ["annotate", "F", "--dict", DICT, "--corpus", str(DATA / "mini_syllables.txt")],
+    "dict": ["syllabify", "leaves", "ab", "a", "--dict", "F"],
+    "dict-lenient": ["syllabify", "leaves", "ab", "a", "--dict", "F", "--lenient"],
+    "corpus": ["syllabify", "leaves", "ab", "about", "--dict", DICT, "--corpus", "F"],
+    "secondary": ["annotate", PROMPTS, "--dict", DICT, "--secondary", "F"],
+    "annotation-report": ["report", "F"],
+    "annotation-histogram": ["histogram", "--annotations", "F"],
+    "config": ["histogram", "--dict", DICT, "--config", "F"],
+}
+
+
+@pytest.mark.parametrize("kind", COMMANDS)
+@given(data=hostile_files)
+@settings(max_examples=30, deadline=None)
+def test_cli_survives_hostile_input_file(kind, data):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        argv = [str(path) if arg == "F" else arg for arg in COMMANDS[kind]]
+        code = main(argv + ["--out", str(Path(tmp) / "out")])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    assert code == 0 or (code == 2 and err.splitlines()[-1].startswith("error: "))

@@ -1,4 +1,4 @@
-"""Batched external G2P: protocol checks, failure isolation and the per-run cache."""
+"""Batched external G2P: protocol checks, failure isolation and one batch per run."""
 
 import functools
 import shlex
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from syllab import pipeline
 from syllab.cli import main
-from syllab.lexicon import FallbackConfig, g2p_fallback
+from syllab.lexicon import FallbackConfig, g2p_fallback, lookup
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
+from syllab.textnorm import normalize
 
-from conftest import DATA
+from conftest import DATA, count_calls
 
 FAKE_G2P = DATA / "fake_g2p.py"
 DICT = str(DATA / "mini_cmu.dict")
@@ -160,6 +161,17 @@ class TestHostileG2p:
         assert calls == {"normalize": 3, "g2p": 1}
         assert [rec.word for _, rec in anns[1].records] == ["blorp", "and", "zzxq"]
 
+    def test_annotate_looks_up_each_distinct_word_once(self, mini_lexicon, arpabet,
+                                                       letters_en, monkeypatch):
+        lookups = count_calls(monkeypatch, lookup)
+        batches = count_calls(monkeypatch, g2p_fallback)
+        res = Resources(mini_lexicon, arpabet, letters_en, fallback=fake("ok"))
+        sents = ["the zzxq leaves", "blorp and zzxq", "The BLORP leaves a wug"]
+        annotate_corpus(sents, "en", res)
+        words = {tok.core.lower() for s in sents for tok in normalize(s, "en")}
+        assert sorted(args[1] for args in lookups) == sorted(words)
+        assert [args[0] for args in batches] == [["zzxq", "blorp", "wug"]]
+
     def test_summary_warning(self, mini_lexicon, arpabet, letters_en, caplog):
         res = Resources(mini_lexicon, arpabet, letters_en,
                         fallback=fake("poison", "glark"))
@@ -179,14 +191,13 @@ def test_batch_equals_single_word_calls(words):
 
 
 class TestRunCache:
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_annotate_runs_g2p_once(self, jobs, tmp_path, capsys):
+    def test_annotate_runs_g2p_once(self, tmp_path, capsys):
         count = tmp_path / "calls"
         prompts = tmp_path / "p.txt"
         prompts.write_text("the zzxq leaves\nzzxq and blorp\n"
                            "(arctic_a0001 \"blorp the wug\")\n")
         assert main(["annotate", str(prompts), "--dict", DICT, "--out",
-                     str(tmp_path / "a.tsv"), "--method", "ssp-dtw", "--jobs", jobs,
+                     str(tmp_path / "a.tsv"), "--method", "ssp-dtw",
                      "--fallback-cmd", shlex.join(fake_argv("ok", count=count))]) == 0
         assert invocations(count) == 1
 
@@ -214,13 +225,24 @@ class TestRunCache:
         assert [r[0] for r in rows] == ["zzxq", "leaves", "blorp", "zzxq"]
         assert rows[0][1] == "Z Z K S K"
 
-    def test_library_call_fills_cache(self, mini_lexicon, arpabet, letters_en, tmp_path):
+    def test_library_call_runs_g2p_once_per_call(self, mini_lexicon, arpabet,
+                                                 letters_en, tmp_path):
         count = tmp_path / "calls"
         res = Resources(mini_lexicon, arpabet, letters_en, fallback=fake("ok", count=count))
         first = syllabify_word("blorp", res, "ssp-dtw")
-        again = syllabify_word("BLORP", res, "ssp-dtw")
-        assert str(first.pronunciations[0]) == "B L AA1 R P" == str(again.pronunciations[0])
         assert invocations(count) == 1
+        again = syllabify_word("BLORP", res, "ssp-dtw")
+        assert invocations(count) == 2
+        assert str(first.pronunciations[0]) == "B L AA1 R P"
+        assert again == first
+
+    def test_syllabify_dumps_alignment_of_g2p_word(self, tmp_path, capsys):
+        dump = tmp_path / "aligns"
+        assert main(["syllabify", "blorp", "leaves", "'", "--dict", DICT,
+                     "--dump-alignment", str(dump),
+                     "--fallback-cmd", shlex.join(fake_argv("ok"))]) == 0
+        assert sorted(p.name for p in dump.iterdir()) == ["blorp.tsv", "leaves.tsv"]
+        assert (dump / "blorp.tsv").read_text().startswith("i\tj\t")
 
     def test_annotate_matches_per_word_results(self, mini_lexicon, arpabet, letters_en):
         sentences = ["the zzxq leaves", "blorp and zzxq", "a wug"]

@@ -254,14 +254,6 @@ class TestAnnotateCorpus:
         assert [a.index for a in anns] == [0, 1]
         assert anns[0].sentence == sentences[0]
 
-    def test_jobs_parallelism_preserves_order(self, mini_resources):
-        sentences = ["The author can write.", "Leaves come from the tree.",
-                     "People often want another beautiful picture."] * 4
-        serial = annotate_corpus(sentences, "en", mini_resources, jobs=1)
-        parallel = annotate_corpus(sentences, "en", mini_resources, jobs=4)
-        assert [[(i, r.word, r.flags) for i, r in a.records] for a in serial] == \
-            [[(i, r.word, r.flags) for i, r in a.records] for a in parallel]
-
     def test_permuting_sentences_permutes_output(self, mini_resources):
         sentences = ["The author can write.", "Leaves come from the tree.",
                      "She can spell every word."]
