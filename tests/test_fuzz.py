@@ -97,7 +97,8 @@ hostile_files = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.binary(max_siz
 
 DICT = str(DATA / "mini_cmu.dict")
 PROMPTS = str(DATA / "plain_sentences.txt")
-# each command reads the fuzzed file F; outputs go to the scratch directory O
+# each command reads the fuzzed file F; its --out is always given on the command
+# line, so a fuzzed config file cannot send output outside the temporary directory
 COMMANDS = {
     "prompt": ["annotate", "F", "--dict", DICT, "--corpus", str(DATA / "mini_syllables.txt")],
     "dict": ["syllabify", "leaves", "ab", "a", "--dict", "F"],
