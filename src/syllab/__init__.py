@@ -39,13 +39,12 @@ from .pipeline import (
 )
 from .sonority import (
     SonorityHierarchy,
-    SonorityPoint,
     SonoritySequence,
     hierarchy_for,
     load_hierarchy,
     sonority_sequence,
 )
-from .ssp import Syllabification, count_nuclei, ssp_breaks, syllabify_symbols
+from .ssp import Syllabification, ssp_breaks, syllabify_symbols
 from .textnorm import Token, expand_acronym, normalize, num_to_words, tokenize
 
 __version__ = "0.1.0"
@@ -53,15 +52,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationResult", "AlignmentPath", "ConfigurationError", "CorpusFormat",
     "DictParseError", "FallbackConfig", "Lexicon", "Phone", "Pronunciation",
-    "Resources", "SonorityHierarchy", "SonorityPoint", "SonoritySequence",
-    "SyllabError", "SyllabifiedLexicon", "Syllabification", "Token",
-    "UndefinedMetricError", "UnknownSymbolError", "UnsupportedNumeralError",
-    "WordRecord", "annotate_corpus", "consistency_report", "count_nuclei",
-    "dtw", "expand_acronym", "g2p_fallback", "hierarchy_for",
-    "juncture_accuracy", "load_hierarchy", "load_pron_dict",
-    "load_syllabified_corpus", "lookup", "merge_stress", "normalize",
-    "num_to_words", "project_breaks", "run_ablation", "sc_correction",
-    "sonority_sequence", "ssp_breaks", "ssp_dtw_syllabify",
+    "Resources", "SonorityHierarchy", "SonoritySequence", "SyllabError",
+    "SyllabifiedLexicon", "Syllabification", "Token", "UndefinedMetricError",
+    "UnknownSymbolError", "UnsupportedNumeralError", "WordRecord",
+    "annotate_corpus", "consistency_report", "dtw", "expand_acronym",
+    "g2p_fallback", "hierarchy_for", "juncture_accuracy", "load_hierarchy",
+    "load_pron_dict", "load_syllabified_corpus", "lookup", "merge_stress",
+    "normalize", "num_to_words", "project_breaks", "run_ablation",
+    "sc_correction", "sonority_sequence", "ssp_breaks", "ssp_dtw_syllabify",
     "syllabify_symbols", "syllabify_word", "syllable_histogram", "tokenize",
     "word_accuracy",
 ]

@@ -9,6 +9,7 @@ the letter whose expanded point is linked to the break's cut point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .sonority import (
     VOWEL_LEVEL,
@@ -42,39 +43,33 @@ def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
     if m == 0 or n == 0:
         raise ValueError("dtw requires two non-empty sequences")
 
-    big = float("inf")
-    acc = [[big] * n for _ in range(m)]
-    for i in range(m):
-        ai = la[i]
-        row = acc[i]
-        prev_row = acc[i - 1] if i else None
-        for j in range(n):
-            c = abs(ai - lb[j])
-            if i == 0 and j == 0:
-                row[j] = c
-            elif i == 0:
-                row[j] = c + row[j - 1]
-            elif j == 0:
-                row[j] = c + prev_row[j]
-            else:
-                row[j] = c + min(prev_row[j - 1], prev_row[j], row[j - 1])
+    # accumulated costs; the first row and column can only be reached straight
+    row = list(accumulate(abs(la[0] - y) for y in lb))
+    acc = [row]
+    for x in la[1:]:
+        prev, left = row, row[0] + abs(x - lb[0])
+        row = [left]
+        for y, diag, up in zip(lb[1:], prev, prev[1:]):
+            left = abs(x - y) + min(diag, up, left)
+            row.append(left)
+        acc.append(row)
 
     # backtrack, preferring diagonal, then a-advance, then b-advance
-    pairs = [(m - 1, n - 1)]
     i, j = m - 1, n - 1
-    while i or j:
-        if i and j:
-            candidates = ((acc[i - 1][j - 1], 0, (i - 1, j - 1)),
-                          (acc[i - 1][j], 1, (i - 1, j)),
-                          (acc[i][j - 1], 2, (i, j - 1)))
-            _, _, (i, j) = min(candidates)
-        elif i:
+    pairs = [(i, j)]
+    while i and j:
+        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        if diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif up <= left:
             i -= 1
         else:
             j -= 1
         pairs.append((i, j))
+    pairs += [(k, 0) for k in range(i - 1, -1, -1)]
+    pairs += [(0, k) for k in range(j - 1, -1, -1)]
     pairs.reverse()
-    return AlignmentPath(tuple(pairs), int(acc[m - 1][n - 1]))
+    return AlignmentPath(tuple(pairs), acc[-1][-1])
 
 
 def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
@@ -88,29 +83,22 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
     when any projected break had to be dropped (collapsed links, edge
     positions, or a tail left without a vowel letter).
     """
-    n_letters = len(letter_seq.symbols)
-    letter_levels = letter_seq.levels
-    n_points = len(letter_levels)
-
     cuts = []
     for brk in phone_syll.breaks:
-        c = phone_seq.first_point_of(brk)
+        c = phone_seq.sources.index(brk)
         j = min(j for i, j in path.pairs if i == c)
-        cuts.append(letter_seq.points[j].source)
+        cuts.append(letter_seq.sources[j])
 
+    # never strand a tail without a vowel letter (mirrors ssp_breaks)
+    last_vowel = max((s for s, level in zip(letter_seq.sources, letter_seq.levels)
+                      if level == VOWEL_LEVEL), default=-1)
     degenerate = len(set(cuts)) < len(cuts)
     kept: list[int] = []
     for cut in sorted(set(cuts)):
-        if not 0 < cut < n_letters:
+        if 0 < cut <= last_vowel:
+            kept.append(cut)
+        else:
             degenerate = True
-            continue
-        # never strand a tail without a vowel letter (mirrors ssp_breaks)
-        cut_expanded = letter_seq.first_point_of(cut)
-        if not any(letter_levels[j] == VOWEL_LEVEL
-                   for j in range(cut_expanded, n_points)):
-            degenerate = True
-            continue
-        kept.append(cut)
 
     return Syllabification(letter_seq.symbols, tuple(kept)), degenerate
 

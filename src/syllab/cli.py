@@ -9,6 +9,7 @@ outputs are UTF-8 TSV/JSON with LF line endings.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
@@ -205,9 +206,6 @@ def build_resources(args) -> Resources:
             raise ConfigurationError(f"syllabified corpus not found: {corpus_path}")
         syllabified = load_syllabified_corpus(corpus_path, _corpus_format(args),
                                               args.lang)
-    elif args.method.startswith("lkp"):
-        print(f"warning: method {args.method} without a syllabified corpus; "
-              "lookup step disabled", file=sys.stderr)
 
     secondary = None
     if args.secondary_path:
@@ -222,6 +220,31 @@ def build_resources(args) -> Resources:
                      secondary, label)
 
 
+def _warn_if_lookup_disabled(args, resources: Resources) -> None:
+    if resources.syllabified is None and args.method.startswith("lkp"):
+        print(f"warning: method {args.method} without a syllabified corpus; "
+              "lookup step disabled", file=sys.stderr)
+
+
+def _utf8_args(words: list[str]) -> list[str]:
+    """Command-line words; one whose bytes are not UTF-8 ends the run."""
+    for w in words:
+        try:
+            w.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SyllabError(f"argument {w!r}: not UTF-8 text") from None
+    return words
+
+
+def _stdin_lines() -> list[str]:
+    """Lines of stdin, decoded as strict UTF-8 whatever the locale."""
+    try:
+        text = sys.stdin.buffer.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SyllabError(f"<stdin>: not UTF-8 text ({exc.reason})") from None
+    return [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)]
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -234,7 +257,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def cmd_normalize(args) -> int:
-    lines = args.text if args.text else [ln.rstrip("\n") for ln in sys.stdin]
+    lines = _utf8_args(args.text) if args.text else _stdin_lines()
     for line in lines:
         print(" ".join(tok.core for tok in normalize(line, args.lang)))
     return 0
@@ -242,10 +265,11 @@ def cmd_normalize(args) -> int:
 
 def cmd_syllabify(args) -> int:
     resources = build_resources(args)
+    _warn_if_lookup_disabled(args, resources)
     if args.words:
-        words = list(args.words)
+        words = _utf8_args(args.words)
     else:
-        words = [w for line in sys.stdin for w in line.split()]
+        words = [w for line in _stdin_lines() for w in line.split()]
     usable = []
     for w in words:
         if "\t" in w or TEXT_SYL_SEP in w:
@@ -298,6 +322,7 @@ def read_corpus_file(path) -> list[tuple[str, str]]:
 
 def cmd_annotate(args) -> int:
     resources = build_resources(args)
+    _warn_if_lookup_disabled(args, resources)
     pairs = read_corpus_file(args.corpus_file)
     annotations = annotate_corpus([text for _, text in pairs], args.lang,
                                   resources, args.method)
@@ -349,13 +374,7 @@ def cmd_histogram(args) -> int:
         # the histogram reads only the phone-domain syllables of each analysis
         records = analyze_words(words, resources)
     hist = evaluate.syllable_histogram(records)
-    if args.format == "json":
-        out = evaluate.histogram_json(hist)
-    elif args.format == "csv":
-        out = evaluate.histogram_csv(hist)
-    else:
-        out = evaluate.histogram_tsv(hist)
-    _write_output(out, args.out)
+    _write_output(evaluate.format_histogram(hist, args.format), args.out)
     return 0
 
 

@@ -99,18 +99,11 @@ def ablation_json(result: AblationResult) -> str:
     }, ensure_ascii=False, indent=2) + "\n"
 
 
-def histogram_tsv(histogram: dict[int, float]) -> str:
-    lines = ["n_syllables\tpercentage"]
-    lines += [f"{k}\t{v:.2f}" for k, v in sorted(histogram.items())]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_csv(histogram: dict[int, float]) -> str:
-    lines = ["n_syllables,percentage"]
-    lines += [f"{k},{v:.2f}" for k, v in sorted(histogram.items())]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_json(histogram: dict[int, float]) -> str:
-    return json.dumps({str(k): round(v, 2) for k, v in sorted(histogram.items())},
-                      indent=2) + "\n"
+def format_histogram(histogram: dict[int, float], fmt: str) -> str:
+    """The histogram as `tsv`, `csv` or `json` text."""
+    rows = sorted(histogram.items())
+    if fmt == "json":
+        return json.dumps({str(k): round(v, 2) for k, v in rows}, indent=2) + "\n"
+    sep = {"tsv": "\t", "csv": ","}[fmt]
+    return f"n_syllables{sep}percentage\n" + "".join(
+        f"{k}{sep}{v:.2f}\n" for k, v in rows)

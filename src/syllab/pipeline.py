@@ -194,7 +194,7 @@ def analyze_word(word: str, resources: Resources,
                             None, frozenset(flags), resources.letter_hierarchy)
 
     phone_syll = ssp_breaks(phone_seq)
-    nuclei = sum(1 for p in phone_seq.points if p.level == VOWEL_LEVEL)
+    nuclei = phone_seq.levels.count(VOWEL_LEVEL)
     if nuclei == 0:
         flags.add("no-nucleus")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownSymbolError, open_utf8
 
@@ -137,28 +137,17 @@ class SonorityHierarchy:
         return None
 
 
-class SonorityPoint(NamedTuple):
-    level: int
-    source: int  # index into the originating symbol sequence
-
-
 @dataclass(frozen=True)
 class SonoritySequence:
-    """Expanded sonority curve: vowels contribute (5, 4), consonants one point."""
+    """Expanded sonority curve: vowels contribute (5, 4), consonants one point.
 
-    points: tuple[SonorityPoint, ...]
+    `levels[k]` is the level of point k and `sources[k]` the index of the
+    symbol that emitted it.
+    """
+
     symbols: tuple[str, ...]
-
-    @property
-    def levels(self) -> list[int]:
-        return [p.level for p in self.points]
-
-    def first_point_of(self, source: int) -> int:
-        """Expanded index of the first point emitted by symbol `source`."""
-        for i, p in enumerate(self.points):
-            if p.source == source:
-                return i
-        raise IndexError(f"no point with source {source}")
+    levels: tuple[int, ...]
+    sources: tuple[int, ...]
 
 
 def _table(classes: Mapping[str, Iterable[str]]) -> dict[str, str]:
@@ -218,15 +207,17 @@ def _read_table(path) -> dict[str, str]:
 def sonority_sequence(symbols: Sequence[str],
                       hierarchy: SonorityHierarchy) -> SonoritySequence:
     """Expand symbols into the sonority curve used by break detection."""
-    points: list[SonorityPoint] = []
+    levels: list[int] = []
+    sources: list[int] = []
     for i, sym in enumerate(symbols):
         level = hierarchy.level(sym)
         if level == VOWEL_LEVEL:
-            points.append(SonorityPoint(VOWEL_LEVEL, i))
-            points.append(SonorityPoint(VOWEL_LEVEL - 1, i))
+            levels += (VOWEL_LEVEL, VOWEL_LEVEL - 1)
+            sources += (i, i)
         else:
-            points.append(SonorityPoint(level, i))
-    return SonoritySequence(tuple(points), tuple(symbols))
+            levels.append(level)
+            sources.append(i)
+    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))
 
 
 def sequence_from_levels(levels: Sequence[int]) -> SonoritySequence:
@@ -235,7 +226,7 @@ def sequence_from_levels(levels: Sequence[int]) -> SonoritySequence:
     Every 5 must be followed by a 4; the pair is attributed to one source
     symbol, mirroring `sonority_sequence` output exactly.
     """
-    points: list[SonorityPoint] = []
+    sources: list[int] = []
     symbols: list[str] = []
     i = 0
     while i < len(levels):
@@ -243,15 +234,13 @@ def sequence_from_levels(levels: Sequence[int]) -> SonoritySequence:
         if lvl == VOWEL_LEVEL:
             if i + 1 >= len(levels) or levels[i + 1] != VOWEL_LEVEL - 1:
                 raise ValueError("level 5 must be followed by its level-4 half")
-            src = len(symbols)
-            points.append(SonorityPoint(5, src))
-            points.append(SonorityPoint(4, src))
+            sources += (len(symbols), len(symbols))
             symbols.append("V")
             i += 2
         else:
             if not 1 <= lvl < VOWEL_LEVEL:
                 raise ValueError(f"level out of range: {lvl}")
-            points.append(SonorityPoint(lvl, len(symbols)))
+            sources.append(len(symbols))
             symbols.append(f"C{lvl}")
             i += 1
-    return SonoritySequence(tuple(points), tuple(symbols))
+    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))

@@ -68,9 +68,8 @@ class Syllabification:
 
 def ssp_breaks(seq: SonoritySequence) -> Syllabification:
     """Place syllable breaks on an expanded sonority sequence."""
-    pts = seq.points
-    n = len(pts)
-    levels = [p.level for p in pts]
+    levels, sources = seq.levels, seq.sources
+    n = len(levels)
     breaks: list[int] = []
     last_cut = 0  # expanded index of the first point after the last break
 
@@ -85,17 +84,17 @@ def ssp_breaks(seq: SonoritySequence) -> Syllabification:
         if k == n or levels[k] < lvl:
             continue
         # a nucleus must sit between the previous break and the minimum
-        if not any(levels[j] == VOWEL_LEVEL for j in range(last_cut, i)):
+        if VOWEL_LEVEL not in levels[last_cut:i]:
             continue
-        if pts[i].source == pts[i - 1].source:
+        if sources[i] == sources[i - 1]:
             # second half of a vowel pair: break after the vowel
-            cut_source = pts[i].source + 1
+            cut_source = sources[i] + 1
             cut_expanded = i + 1
         else:
-            cut_source = pts[i].source
+            cut_source = sources[i]
             cut_expanded = i
         # the tail past the break must still contain a nucleus
-        if not any(levels[j] == VOWEL_LEVEL for j in range(cut_expanded, n)):
+        if VOWEL_LEVEL not in levels[cut_expanded:]:
             continue
         breaks.append(cut_source)
         last_cut = cut_expanded
@@ -106,12 +105,3 @@ def ssp_breaks(seq: SonoritySequence) -> Syllabification:
 def syllabify_symbols(symbols, hierarchy: SonorityHierarchy) -> Syllabification:
     """Convenience: expand and break in one call."""
     return ssp_breaks(sonority_sequence(symbols, hierarchy))
-
-
-def count_nuclei(symbols, hierarchy: SonorityHierarchy) -> int:
-    """Number of level-5 symbols; equals the SSP syllable count when >= 1."""
-    total = 0
-    for sym in symbols:
-        if hierarchy.level(sym) == VOWEL_LEVEL:
-            total += 1
-    return total

@@ -105,6 +105,32 @@ def recursive_min_cost(a, b):
     return abs(a[0] - b[0]) + suffix(0, 0)
 
 
+def enum_tie_path(a, b):
+    """Ground-truth DTW path and cost, tie order included.
+
+    Walks every monotone path backwards from the last cell to (0, 0),
+    keeps the minimum-cost ones and, among those, the one whose step codes
+    read from the end are lexicographically least (diagonal 0, a-advance 1,
+    b-advance 2).  Returns (pairs from (0, 0), cost).
+    """
+    steps = ((1, 1), (1, 0), (0, 1))  # indexed by step code
+    best = []
+
+    def walk(i, j, cost, codes, cells):
+        cost += abs(a[i] - b[j])
+        cells = cells + [(i, j)]
+        if i == 0 and j == 0:
+            best.append(((cost, codes), cells))
+            return
+        for code, (di, dj) in enumerate(steps):
+            if i >= di and j >= dj:
+                walk(i - di, j - dj, cost, codes + (code,), cells)
+
+    walk(len(a) - 1, len(b) - 1, 0, (), [])
+    (cost, _), cells = min(best)
+    return tuple(reversed(cells)), cost
+
+
 def random_expanded_levels(rng, max_points):
     """Random valid expanded level list with at most `max_points` points."""
     budget = rng.randint(1, max_points)

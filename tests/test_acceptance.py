@@ -63,7 +63,7 @@ class TestC1SspOracleEquivalence:
             valid += 1
             seq = sequence_from_levels(levels)
             got = list(ssp_breaks(seq).breaks)
-            want = oracle_breaks([(p.level, p.source) for p in seq.points])
+            want = oracle_breaks(list(zip(seq.levels, seq.sources)))
             assert got == want, f"divergence at levels={levels}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0

@@ -8,7 +8,7 @@ from syllab.align import AlignmentPath, dtw, project_breaks, ssp_dtw_syllabify, 
 from syllab.sonority import sequence_from_levels, sonority_sequence
 from syllab.ssp import ssp_breaks
 
-from oracles import enum_min_cost, random_expanded_levels, recursive_min_cost
+from oracles import enum_min_cost, enum_tie_path, random_expanded_levels, recursive_min_cost
 
 
 def check_path_shape(path: AlignmentPath, m, n):
@@ -44,6 +44,16 @@ class TestDtw:
         seq = sequence_from_levels([1, 1])
         assert dtw(seq, seq).pairs == ((0, 0), (1, 1))
 
+    def test_tie_order_matches_path_oracle(self):
+        # the tie order decides which letter a phone cut lands on
+        rng = random.Random(5)
+        cases = [([4, 2, 4, 4, 3, 5, 4], [5, 4, 5, 4, 1, 3])]  # a- vs b-advance tie
+        cases += [(random_expanded_levels(rng, 7), random_expanded_levels(rng, 7))
+                  for _ in range(600)]
+        for la, lb in cases:
+            path = dtw(sequence_from_levels(la), sequence_from_levels(lb))
+            assert (path.pairs, path.cost) == enum_tie_path(la, lb), (la, lb)
+
     def test_cost_consistent_with_pairs(self):
         a = sequence_from_levels([3, 5, 4, 2, 1])
         b = sequence_from_levels([3, 5, 4, 1])
@@ -64,7 +74,7 @@ class TestDtw:
             a = sequence_from_levels(random_expanded_levels(rng, 8))
             b = sequence_from_levels(random_expanded_levels(rng, 8))
             path = dtw(a, b)
-            check_path_shape(path, len(a.points), len(b.points))
+            check_path_shape(path, len(a.levels), len(b.levels))
             assert path.cost == enum_min_cost(a.levels, b.levels)
 
     def test_matches_recursive_oracle_larger(self):
@@ -86,8 +96,8 @@ class TestDtw:
     def test_sentence_cross_domain_cost(self, arpabet, letters_en):
         a = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
         b = sonority_sequence(list("sentence"), letters_en)
-        assert a.levels == [3, 5, 4, 2, 1, 5, 4, 2, 3]
-        assert b.levels == [3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4]
+        assert a.levels == (3, 5, 4, 2, 1, 5, 4, 2, 3)
+        assert b.levels == (3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4)
         path = dtw(a, b)
         assert path.cost == enum_min_cost(a.levels, b.levels)
         assert (4, 4) in path.pairs  # the T minimum aligns with the letter t

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +16,8 @@ from syllab.cli import (
 from syllab.pipeline import syllabify_word
 
 from conftest import DATA
+
+SRC = str(DATA.parent.parent / "src")
 
 DICT = str(DATA / "mini_cmu.dict")
 CORPUS = str(DATA / "mini_syllables.txt")
@@ -96,6 +102,12 @@ class TestSyllabifyCommand:
         assert code == 0
         assert (dump / "sentence.tsv").read_text().startswith("i\tj\t")
 
+    def test_lookup_method_without_corpus_warns(self, capsys):
+        _, _, err = run(capsys, "syllabify", "leaves", "--dict", DICT)
+        assert "lookup step disabled" in err
+        _, _, err = run(capsys, "syllabify", "leaves", "--dict", DICT, "--method", "ssp")
+        assert err == ""
+
     def test_method_choice(self, capsys):
         code, out, _ = run(capsys, "syllabify", "sentence", "--dict", DICT,
                            "--method", "ssp")
@@ -109,8 +121,7 @@ class TestSyllabifyCommand:
         assert "reserved separator" in err
 
     def test_words_from_stdin(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("leaves\nsentence oceanic\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"leaves\nsentence oceanic\n")))
         code, out, _ = run(capsys, "syllabify", "--dict", DICT)
         assert code == 0
         assert [ln.split("\t")[0] for ln in out.strip().split("\n")] == \
@@ -272,6 +283,11 @@ class TestHistogramCommand:
         hist = dict(line.split("\t") for line in out.splitlines()[1:])
         assert "1" in hist
 
+    def test_no_lookup_warning(self, capsys):
+        # the histogram does not depend on --method, so nothing to warn about
+        code, _, err = run(capsys, "histogram", "--dict", DICT)
+        assert code == 0 and err == ""
+
     def test_sampled(self, capsys):
         code, out, _ = run(capsys, "histogram", "--dict", DICT,
                            "--sample", "20", "--seed", "3")
@@ -392,3 +408,44 @@ class TestUnreadableInputs:
         cfg.write_text(f"dict_path = {DICT}\njobs = 2\n")
         expect_error(capsys, "annotate", str(DATA / "plain_sentences.txt"),
                      "--config", str(cfg), needle="unknown config key 'jobs'")
+
+
+class TestNonUtf8Words:
+    """Words on stdin or argv that are not UTF-8 end in `error:` and exit 2."""
+
+    @pytest.mark.parametrize("argv", [["normalize"], ["syllabify", "--dict", DICT]])
+    def test_stdin_not_utf8(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"leaves\ncaf\xe9\n")))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error: <stdin>: not UTF-8")
+
+    def test_stdin_line_endings(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"one\r\ntwo\rthree")))
+        code, out, _ = run(capsys, "normalize")
+        assert code == 0 and out == "one\ntwo\nthree\n"
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    @pytest.mark.parametrize("source", ["stdin", "argv"])
+    @pytest.mark.parametrize("command", ["normalize", "syllabify"])
+    def test_process_rejects_non_utf8(self, tmp_path, locale, source, command):
+        # the interpreter decodes stdin and argv by the locale, so pin it
+        env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": locale, "PYTHONPATH": SRC}
+        argv = [sys.executable, "-m", "syllab.cli", command]
+        if command == "syllabify":
+            argv += ["--dict", DICT, "--out", str(tmp_path / "out.tsv")]
+        word = "café".encode("latin-1")
+        if source == "argv":
+            argv.append(word)
+        proc = subprocess.run(argv, input=word + b"\n" if source == "stdin" else b"",
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.splitlines()[-1].startswith(b"error: ")
+        assert b"not UTF-8" in proc.stderr and b"Traceback" not in proc.stderr
+
+    def test_process_accepts_utf8(self, tmp_path):
+        env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-m", "syllab.cli", "normalize"],
+                              input="café\n".encode(), capture_output=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "café\n".encode()

@@ -4,8 +4,7 @@ from syllab.errors import UndefinedMetricError
 from syllab.evaluate import (
     ablation_json,
     ablation_tsv,
-    histogram_csv,
-    histogram_tsv,
+    format_histogram,
     juncture_accuracy,
     run_ablation,
     syllable_histogram,
@@ -80,8 +79,10 @@ class TestHistogram:
     def test_output_formats(self, mini_resources):
         recs = [syllabify_word(w, mini_resources) for w in ("the", "water")]
         hist = syllable_histogram(recs)
-        assert histogram_tsv(hist).splitlines()[0] == "n_syllables\tpercentage"
-        assert histogram_csv(hist).splitlines()[1] == "1,50.00"
+        assert format_histogram(hist, "tsv").splitlines()[0] == "n_syllables\tpercentage"
+        assert format_histogram(hist, "csv").splitlines()[1] == "1,50.00"
+        assert format_histogram(hist, "tsv") == "n_syllables\tpercentage\n1\t50.00\n2\t50.00\n"
+        assert format_histogram(hist, "json") == '{\n  "1": 50.0,\n  "2": 50.0\n}\n'
 
 
 class TestAblation:

@@ -1,5 +1,5 @@
 """Whole-pipeline robustness: random dictionaries must never break invariants,
-and no input file, however malformed, may crash the command line."""
+and no input file or stdin, however malformed, may crash the command line."""
 
 import contextlib
 import io
@@ -7,6 +7,7 @@ import random
 import string
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,3 +125,35 @@ def test_cli_survives_hostile_input_file(kind, data):
     err = stderr.getvalue()
     assert "Traceback" not in err
     assert code == 0 or (code == 2 and err.splitlines()[-1].startswith("error: "))
+
+
+# stdin is decoded as strict UTF-8 by the program itself, whatever the locale;
+# tests/test_cli.py runs the same checks in a real process under pinned locales
+STDIN_COMMANDS = {
+    "normalize": ["normalize"],
+    "syllabify": ["syllabify", "--dict", DICT],
+}
+
+
+@pytest.mark.parametrize("command", STDIN_COMMANDS)
+@given(data=hostile_files)
+@settings(max_examples=40, deadline=None)
+def test_cli_survives_hostile_stdin(command, data):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("sys.stdin", stdin), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        out = Path(tmp) / "out"
+        argv = STDIN_COMMANDS[command] + (["--out", str(out)] if command == "syllabify" else [])
+        code = main(argv)
+        written = out.read_bytes() if out.exists() else stdout.getvalue().encode("utf-8")
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2 and err.splitlines()[-1].startswith("error: <stdin>: not UTF-8")
+        assert written == b""
+    else:
+        assert code == 0 or (code == 2 and err.splitlines()[-1].startswith("error: "))
+        written.decode("utf-8")  # output stays UTF-8

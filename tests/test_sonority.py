@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from syllab.errors import ConfigurationError, UnknownSymbolError
 from syllab.sonority import (
     CLASS_LEVELS,
-    SonorityPoint,
     hierarchy_for,
     load_hierarchy,
     sequence_from_levels,
@@ -137,20 +136,20 @@ class TestHierarchies:
 class TestSonoritySequence:
     def test_rhythm_expansion(self, arpabet):
         seq = sonority_sequence(["R", "IH1", "DH", "AH0", "M"], arpabet)
-        assert seq.levels == [4, 5, 4, 3, 5, 4, 2]
-        assert [p.source for p in seq.points] == [0, 1, 1, 2, 3, 3, 4]
+        assert seq.levels == (4, 5, 4, 3, 5, 4, 2)
+        assert seq.sources == (0, 1, 1, 2, 3, 3, 4)
 
     def test_letters_sentence_expansion(self, letters_en):
         seq = sonority_sequence(list("sentence"), letters_en)
-        assert seq.levels == [3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4]
+        assert seq.levels == (3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4)
 
     def test_empty_sequence(self, arpabet):
         seq = sonority_sequence([], arpabet)
-        assert seq.points == () and seq.symbols == ()
+        assert seq.levels == seq.sources == seq.symbols == ()
 
     def test_vowel_contributes_two_points_same_source(self, arpabet):
         seq = sonority_sequence(["AY1"], arpabet)
-        assert seq.points == (SonorityPoint(5, 0), SonorityPoint(4, 0))
+        assert (seq.levels, seq.sources) == ((5, 4), (0, 0))
 
     def test_unknown_symbol_propagates(self, arpabet):
         with pytest.raises(UnknownSymbolError):
@@ -162,11 +161,11 @@ class TestSonoritySequence:
         h = hierarchy_for("cmu-arpabet")
         seq = sonority_sequence(phones, h)
         vowels = sum(1 for p in phones if h.is_vowel(p))
-        assert len(seq.points) == (len(phones) - vowels) + 2 * vowels
+        assert len(seq.levels) == len(seq.sources) == (len(phones) - vowels) + 2 * vowels
         # max level per source recovers the per-symbol sonority
         per_source = {}
-        for p in seq.points:
-            per_source[p.source] = max(per_source.get(p.source, 0), p.level)
+        for level, source in zip(seq.levels, seq.sources):
+            per_source[source] = max(per_source.get(source, 0), level)
         assert per_source == {i: h.level(ph) for i, ph in enumerate(phones)}
 
     def test_deterministic(self, arpabet):
@@ -177,8 +176,8 @@ class TestSonoritySequence:
 class TestSequenceFromLevels:
     def test_round_trip_with_expansion(self):
         seq = sequence_from_levels([3, 5, 4, 2])
-        assert seq.levels == [3, 5, 4, 2]
-        assert [p.source for p in seq.points] == [0, 1, 1, 2]
+        assert seq.levels == (3, 5, 4, 2)
+        assert seq.sources == (0, 1, 1, 2)
 
     def test_rejects_dangling_vowel_half(self):
         with pytest.raises(ValueError):
