@@ -1,6 +1,6 @@
 """Multilingual unified syllabification in the pronunciation and spelling domains."""
 
-from .align import AlignmentPath, dtw, project_breaks, ssp_dtw_syllabify
+from .align import AlignmentPath, dtw, project_breaks
 from .errors import (
     ConfigurationError,
     DictParseError,
@@ -11,7 +11,6 @@ from .errors import (
 )
 from .evaluate import (
     AblationResult,
-    juncture_accuracy,
     run_ablation,
     syllable_histogram,
     word_accuracy,
@@ -20,7 +19,6 @@ from .lexicon import (
     CorpusFormat,
     FallbackConfig,
     Lexicon,
-    Phone,
     Pronunciation,
     SyllabifiedLexicon,
     g2p_fallback,
@@ -41,7 +39,6 @@ from .sonority import (
     SonorityHierarchy,
     SonoritySequence,
     hierarchy_for,
-    load_hierarchy,
     sonority_sequence,
 )
 from .ssp import Syllabification, ssp_breaks, syllabify_symbols
@@ -51,15 +48,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationResult", "AlignmentPath", "ConfigurationError", "CorpusFormat",
-    "DictParseError", "FallbackConfig", "Lexicon", "Phone", "Pronunciation",
+    "DictParseError", "FallbackConfig", "Lexicon", "Pronunciation",
     "Resources", "SonorityHierarchy", "SonoritySequence", "SyllabError",
     "SyllabifiedLexicon", "Syllabification", "Token", "UndefinedMetricError",
     "UnknownSymbolError", "UnsupportedNumeralError", "WordRecord",
     "annotate_corpus", "consistency_report", "dtw", "expand_acronym",
-    "g2p_fallback", "hierarchy_for", "juncture_accuracy", "load_hierarchy",
-    "load_pron_dict", "load_syllabified_corpus", "lookup", "merge_stress",
-    "normalize", "num_to_words", "project_breaks", "run_ablation",
-    "sc_correction", "sonority_sequence", "ssp_breaks", "ssp_dtw_syllabify",
-    "syllabify_symbols", "syllabify_word", "syllable_histogram", "tokenize",
-    "word_accuracy",
+    "g2p_fallback", "hierarchy_for", "load_pron_dict",
+    "load_syllabified_corpus", "lookup", "merge_stress", "normalize",
+    "num_to_words", "project_breaks", "run_ablation", "sc_correction",
+    "sonority_sequence", "ssp_breaks", "syllabify_symbols", "syllabify_word",
+    "syllable_histogram", "tokenize", "word_accuracy",
 ]

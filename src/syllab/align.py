@@ -11,13 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .sonority import (
-    VOWEL_LEVEL,
-    SonorityHierarchy,
-    SonoritySequence,
-    sonority_sequence,
-)
-from .ssp import Syllabification, ssp_breaks
+from .sonority import VOWEL_LEVEL, SonoritySequence
+from .ssp import Syllabification
 
 
 @dataclass(frozen=True)
@@ -101,17 +96,6 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
             degenerate = True
 
     return Syllabification(letter_seq.symbols, tuple(kept)), degenerate
-
-
-def ssp_dtw_syllabify(word: str, pron_symbols, phone_h: SonorityHierarchy,
-                      letter_h: SonorityHierarchy,
-                      ) -> tuple[Syllabification, bool]:
-    """Full composition: phone SSP breaks projected onto the word's letters."""
-    if not word:
-        raise ValueError("empty word")
-    phone_seq = sonority_sequence(list(pron_symbols), phone_h)
-    letter_seq = sonority_sequence(list(word), letter_h)
-    return project_ssp(ssp_breaks(phone_seq), phone_seq, letter_seq)
 
 
 def project_ssp(phone_syll: Syllabification, phone_seq: SonoritySequence,

@@ -22,9 +22,9 @@ from .errors import ConfigurationError, DictParseError, SyllabError, open_utf8
 from .lexicon import (
     CorpusFormat,
     FallbackConfig,
+    Pronunciation,
     load_pron_dict,
     load_syllabified_corpus,
-    _parse_phones,
 )
 from .pipeline import (
     Resources,
@@ -50,7 +50,7 @@ _FESTIVAL_LINE = re.compile(r'^\(\s*(\S+)\s+"(.*)"\s*\)\s*$')
 
 
 def format_record_row(rec: WordRecord) -> str:
-    phones = str(rec.pronunciations[rec.chosen_variant]) if rec.pronunciations else "-"
+    phones = str(rec.pronunciations[0]) if rec.pronunciations else "-"
     return "\t".join((
         rec.word,
         phones,
@@ -68,9 +68,7 @@ def parse_record_row(row: str) -> WordRecord:
     if len(fields) != len(RECORD_COLUMNS):
         raise ValueError(f"expected {len(RECORD_COLUMNS)} columns, got {len(fields)}")
     word, phones, phone_syl, text_syl, stress, method, flags = fields
-    prons = []
-    if phones != "-":
-        prons = [_parse_phones(phones.split(), "cmu")]
+    prons = [] if phones == "-" else [Pronunciation(tuple(phones.split()))]
     phone_syll = _syll_from_groups(
         [] if phone_syl == "-" else
         [g.split(" ") for g in phone_syl.split(PHONE_SYL_SEP)])
@@ -78,7 +76,6 @@ def parse_record_row(row: str) -> WordRecord:
     return WordRecord(
         word=word,
         pronunciations=prons,
-        chosen_variant=0 if prons else None,
         phone_syll=phone_syll,
         text_syll=text_syll,
         stress_index=None if stress == "-" else int(stress),
@@ -99,8 +96,7 @@ def _syll_from_groups(groups) -> Syllabification:
 def record_to_json(rec: WordRecord) -> dict:
     return {
         "word": rec.word,
-        "phones": list(rec.pronunciations[rec.chosen_variant].raw)
-                  if rec.pronunciations else None,
+        "phones": list(rec.pronunciations[0].raw) if rec.pronunciations else None,
         "variants": [list(p.raw) for p in rec.pronunciations],
         "phone_syllables": [list(s) for s in rec.phone_syll.syllables()],
         "text_syllables": ["".join(s) for s in rec.text_syll.syllables()],
@@ -193,8 +189,7 @@ def build_resources(args) -> Resources:
     dict_path = _resource_path(args.dict_path)
     if not os.path.exists(dict_path):
         raise ConfigurationError(f"dictionary not found: {dict_path}")
-    lexicon = load_pron_dict(dict_path, args.dict_format, args.lang,
-                             strict=not args.lenient)
+    lexicon = load_pron_dict(dict_path, args.dict_format, strict=not args.lenient)
     phoneset = "cmu-arpabet" if args.dict_format == "cmu" else "mfa-ipa"
     phone_h = hierarchy_for(phoneset, args.lang, table_path=args.phone_table)
     letter_h = hierarchy_for("letters", args.lang, table_path=args.letter_table)
@@ -324,14 +319,15 @@ def cmd_annotate(args) -> int:
     resources = build_resources(args)
     _warn_if_lookup_disabled(args, resources)
     pairs = read_corpus_file(args.corpus_file)
-    annotations = annotate_corpus([text for _, text in pairs], args.lang,
-                                  resources, args.method)
+    sentence_keys, table = annotate_corpus([text for _, text in pairs], args.lang,
+                                           resources, args.method)
+    rows = {key: format_record_row(rec) for key, rec in table.items()}
     lines = ["\t".join(ANNOTATION_COLUMNS)]
     records = []
-    for (sid, _), ann in zip(pairs, annotations):
-        for token_index, rec in ann.records:
-            records.append(rec)
-            lines.append(f"{sid}\t{token_index}\t{format_record_row(rec)}")
+    for (sid, _), keys in zip(pairs, sentence_keys):
+        for token_index, key in enumerate(keys):
+            records.append(table[key])
+            lines.append(f"{sid}\t{token_index}\t{rows[key]}")
     _write_output("\n".join(lines) + "\n", args.out)
 
     report = consistency_report(records)
@@ -464,18 +460,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, by_name
 
 
-def _apply_config(args, sub_parser: argparse.ArgumentParser, argv) -> None:
-    """Fill in config-file values for options not given on the command line."""
-    defaults = _read_config_file(args.config)
-    actions = {a.dest: a for a in sub_parser._actions}
-    for key, value in defaults.items():
-        if key not in actions or key in ("help", "config", "func"):
+def _config_defaults(path, sub_parser: argparse.ArgumentParser) -> dict:
+    """The config file's values, checked and typed as defaults of `sub_parser`."""
+    # only options can be configured; positionals come from the command line
+    actions = {a.dest: a for a in sub_parser._actions if a.option_strings}
+    defaults = {}
+    for key, value in _read_config_file(path).items():
+        if key not in actions or key in ("help", "config"):
             raise ConfigurationError(f"unknown config key {key!r}")
         action = actions[key]
-        explicit = any(tok == opt or tok.startswith(opt + "=")
-                       for opt in action.option_strings for tok in argv)
-        if explicit:
-            continue
         if isinstance(action, argparse._StoreTrueAction):
             parsed = value.lower() in ("1", "true", "yes")
         elif action.type is int:
@@ -489,7 +482,8 @@ def _apply_config(args, sub_parser: argparse.ArgumentParser, argv) -> None:
             if action.choices and parsed not in action.choices:
                 raise ConfigurationError(
                     f"config key {key!r}: {value!r} not in {sorted(action.choices)}")
-        setattr(args, key, parsed)
+        defaults[key] = parsed
+    return defaults
 
 
 def main(argv=None) -> int:
@@ -498,7 +492,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, by_name[args.command], argv)
+            # config values become defaults, so every flag given, in any
+            # spelling argparse accepts, wins over them
+            sub_parser = by_name[args.command]
+            sub_parser.set_defaults(**_config_defaults(args.config, sub_parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (SyllabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Word/juncture accuracy, syllable-count histograms, and the method ablation.
+"""Word accuracy, syllable-count histograms, and the method ablation.
 
 The reference for word accuracy is the phone-domain SSP syllable count of
 the same record, so every number here is reproducible from the dictionaries
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
 from .pipeline import METHOD_CHOICES, Resources, analyze_words, word_record
-from .ssp import Syllabification
 
 
 def word_accuracy(records) -> float:
@@ -25,18 +24,6 @@ def word_accuracy(records) -> float:
     ok = sum(1 for r in records
              if r.text_syll.n_syllables == r.phone_syll.n_syllables)
     return 100.0 * ok / len(records)
-
-
-def juncture_accuracy(pred: Syllabification, gold: Syllabification) -> float:
-    """Fraction of inter-symbol positions where break/no-break agrees."""
-    if pred.symbols != gold.symbols:
-        raise ValueError("juncture accuracy needs identical symbol sequences")
-    positions = len(pred.symbols) - 1
-    if positions <= 0:
-        return 1.0
-    p, g = set(pred.breaks), set(gold.breaks)
-    agree = sum(1 for i in range(1, len(pred.symbols)) if (i in p) == (i in g))
-    return agree / positions
 
 
 def syllable_histogram(records) -> dict[int, float]:

@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DictParseError
 from .sonority import VOWEL_LETTERS
@@ -18,26 +18,13 @@ _CMU_VARIANT = re.compile(r"^(.*)\((\d+)\)$")
 _NUMERIC_FIELD = re.compile(r"^\d+(?:\.\d+)?$")
 
 
-class Phone(NamedTuple):
-    symbol: str
-    stress: int | None = None  # ARPABET vowel stress digit (0/1/2)
-
-    @property
-    def raw(self) -> str:
-        return self.symbol if self.stress is None else f"{self.symbol}{self.stress}"
-
-
 @dataclass(frozen=True)
 class Pronunciation:
-    phones: tuple[Phone, ...]
+    raw: tuple[str, ...]  # the phone symbols as written, stress digits included
 
     def __post_init__(self):
-        if not self.phones:
+        if not self.raw:
             raise ValueError("a pronunciation needs at least one phone")
-
-    @property
-    def raw(self) -> tuple[str, ...]:
-        return tuple(p.raw for p in self.phones)
 
     def __str__(self) -> str:
         return " ".join(self.raw)
@@ -47,20 +34,9 @@ class Pronunciation:
 class Lexicon:
     entries: dict[str, list[Pronunciation]] = field(default_factory=dict)
     phoneset: str = "cmu-arpabet"  # "cmu-arpabet" | "mfa-ipa"
-    language: str = "en"
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def _parse_phones(tokens: Sequence[str], fmt: str) -> Pronunciation:
-    phones = []
-    for tok in tokens:
-        if fmt == "cmu" and len(tok) > 1 and tok[-1].isdigit():
-            phones.append(Phone(tok[:-1], int(tok[-1])))
-        else:
-            phones.append(Phone(tok))
-    return Pronunciation(tuple(phones))
 
 
 def _read_text(path) -> list[str]:
@@ -73,8 +49,7 @@ def _read_text(path) -> list[str]:
         return data.decode("latin-1").splitlines()
 
 
-def load_pron_dict(path, format: str = "cmu", language: str = "en",
-                   strict: bool = True) -> Lexicon:
+def load_pron_dict(path, format: str = "cmu", strict: bool = True) -> Lexicon:
     """Load a pronunciation dictionary.
 
     `cmu` lines look like ``WORD  P1 P2 ...`` with ``WORD(1)`` variant
@@ -83,7 +58,7 @@ def load_pron_dict(path, format: str = "cmu", language: str = "en",
     """
     if format not in ("cmu", "mfa"):
         raise ValueError(f"unknown dictionary format {format!r}")
-    lex = Lexicon({}, "cmu-arpabet" if format == "cmu" else "mfa-ipa", language)
+    lex = Lexicon({}, "cmu-arpabet" if format == "cmu" else "mfa-ipa")
     skipped = 0
     for line_no, line in enumerate(_read_text(path), 1):
         line = line.rstrip()
@@ -112,7 +87,7 @@ def _parse_dict_line(line: str, fmt: str) -> tuple[str, Pronunciation]:
         m = _CMU_VARIANT.match(word)
         if m:
             word = m.group(1)
-        return word.lower(), _parse_phones(parts[1:], fmt)
+        return word.lower(), Pronunciation(tuple(parts[1:]))
     fields = line.split("\t")
     if len(fields) < 2 or not fields[0]:
         raise ValueError("expected 'word<TAB>phones'")
@@ -121,7 +96,7 @@ def _parse_dict_line(line: str, fmt: str) -> tuple[str, Pronunciation]:
     tokens = " ".join(phone_fields).split()
     if not tokens:
         raise ValueError("no phones on line")
-    return word.lower(), _parse_phones(tokens, fmt)
+    return word.lower(), Pronunciation(tuple(tokens))
 
 
 def lookup(lexicon: Lexicon, word: str) -> list[Pronunciation]:
@@ -146,7 +121,7 @@ class FallbackConfig:
 
 
 def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
-                 phone_format: str = "cmu") -> list[Pronunciation | None]:
+                 ) -> list[Pronunciation | None]:
     """Ask the configured external command for the pronunciations of `words`.
 
     Every distinct word goes to one invocation as one line on stdin.  The
@@ -164,20 +139,18 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
     if config is None or not distinct:
         return [None] * len(words)
-    found = dict(zip(distinct, _g2p_batch(distinct, config, phone_format)))
+    found = dict(zip(distinct, _g2p_batch(distinct, config)))
     return [found.get(w) for w in words]
 
 
-def _g2p_batch(words: list[str], config: FallbackConfig,
-               phone_format: str) -> list[Pronunciation | None]:
+def _g2p_batch(words: list[str], config: FallbackConfig) -> list[Pronunciation | None]:
     lines = _run_g2p(words, config)
     if lines is None:
         if len(words) == 1:
             return [None]
         mid = len(words) // 2
-        return (_g2p_batch(words[:mid], config, phone_format)
-                + _g2p_batch(words[mid:], config, phone_format))
-    return [_parse_phones(line.split(), phone_format) if line.split() else None
+        return _g2p_batch(words[:mid], config) + _g2p_batch(words[mid:], config)
+    return [Pronunciation(tuple(line.split())) if line.split() else None
             for line in lines]
 
 
@@ -279,7 +252,6 @@ class CorpusFormat:
 @dataclass
 class SyllabifiedLexicon:
     entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    language: str = "en"
     skipped_rows: int = 0
 
     def __len__(self) -> int:
@@ -294,7 +266,7 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
     columns) are skipped and counted in `skipped_rows`.
     """
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
-    out = SyllabifiedLexicon({}, language)
+    out = SyllabifiedLexicon({})
     for line_no, line in enumerate(_read_text(path), 1):
         if fmt.has_header and line_no == 1:
             continue

@@ -56,16 +56,11 @@ class Resources:
     secondary_stress: dict[str, tuple[int, int]] | None = None
     variant: str = ""  # label such as "CMU" or "en_US", used in reports
 
-    @property
-    def phone_format(self) -> str:
-        return "cmu" if self.lexicon.phoneset == "cmu-arpabet" else "mfa"
-
 
 @dataclass(frozen=True)
 class WordRecord:
     word: str
     pronunciations: list[Pronunciation]
-    chosen_variant: int | None
     phone_syll: Syllabification
     text_syll: Syllabification
     stress_index: int | None
@@ -84,8 +79,9 @@ def merge_stress(phone_syll: Syllabification, secondary_syll_count: int,
 
 
 def _arpabet_stress(pron: Pronunciation, phone_syll: Syllabification) -> int | None:
-    for pos, phone in enumerate(pron.phones):
-        if phone.stress == 1:
+    """Syllable of the first ARPABET phone that ends in the ASCII digit 1."""
+    for pos, symbol in enumerate(pron.raw):
+        if len(symbol) > 1 and symbol[-1] == "1":
             return phone_syll.syllable_of(pos)
     return None
 
@@ -156,7 +152,7 @@ def analyze_words(words: Iterable[str], resources: Resources,
     g2p = {}
     missing = [word for word, prons in found.items() if not prons]
     if resources.fallback is not None and missing:
-        results = g2p_fallback(missing, resources.fallback, resources.phone_format)
+        results = g2p_fallback(missing, resources.fallback)
         g2p = {word: [pron] for word, pron in zip(missing, results)
                if pron is not None}
         unresolved = len(missing) - len(g2p)
@@ -170,7 +166,7 @@ def analyze_words(words: Iterable[str], resources: Resources,
 def analyze_word(word: str, resources: Resources,
                  prons: list[Pronunciation] | None = None,
                  oov: bool = False) -> WordAnalysis:
-    """Phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
+    """The phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
 
     `prons` come from the lexicon or, for an `oov` word, from the G2P;
     without them the word goes through `analyze_words` alone.
@@ -204,7 +200,8 @@ def analyze_word(word: str, resources: Resources,
         if entry is not None and len(entry) == nuclei:
             corpus_syll = _syll_from_parts(word, entry)
 
-    stress = _arpabet_stress(prons[0], phone_syll)
+    stress = (_arpabet_stress(prons[0], phone_syll)
+              if resources.lexicon.phoneset == "cmu-arpabet" else None)
     if stress is None and resources.secondary_stress:
         sec = resources.secondary_stress.get(word)
         if sec is not None:
@@ -245,9 +242,8 @@ def word_record(analysis: WordAnalysis, method: str,
         flags.add("count-mismatch")
     else:
         flags.discard("count-mismatch")
-    return WordRecord(a.word, a.pronunciations, 0 if a.pronunciations else None,
-                      a.phone_syll, text_syll, a.stress_index, method_used,
-                      frozenset(flags))
+    return WordRecord(a.word, a.pronunciations, a.phone_syll, text_syll,
+                      a.stress_index, method_used, frozenset(flags))
 
 
 def syllabify_word(word: str, resources: Resources,
@@ -296,29 +292,17 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     return out
 
 
-@dataclass
-class SentenceAnnotation:
-    index: int
-    sentence: str
-    records: list[tuple[int, WordRecord]] = field(default_factory=list)
-
-
-def annotate_sentence(index: int, sentence: str, keys,
-                      records: dict) -> SentenceAnnotation:
-    """Assemble a sentence from the records of its (word, token flags) keys."""
-    return SentenceAnnotation(index, sentence,
-                              [(i, records[key]) for i, key in enumerate(keys)])
-
-
 def annotate_corpus(sentences, lang: str, resources: Resources,
-                    method: str = "lkp-ssp-dtw") -> list[SentenceAnnotation]:
+                    method: str = "lkp-ssp-dtw",
+                    ) -> tuple[list[list[tuple]], dict[tuple, WordRecord]]:
     """Annotate sentences in order, analyzing each distinct word once.
 
-    Each sentence is normalized once.  Every distinct (word, token flags)
-    key gets one record, which all its occurrences share; the records of a
-    word's keys are made from its analysis, which is then dropped.
+    Each sentence is normalized once into the (word, token flags) keys of
+    its tokens.  Returns those keys per sentence and the table of records:
+    every distinct key gets one record, which all its occurrences share.
+    The records of a word's keys are made from its analysis, which is then
+    dropped.
     """
-    sentences = list(sentences)
     sentence_keys = [[(tok.core, tok.flags) for tok in normalize(s, lang)]
                      for s in sentences]
     by_word: dict[str, list] = {}
@@ -328,8 +312,7 @@ def annotate_corpus(sentences, lang: str, resources: Resources,
                for keys, analysis in zip(by_word.values(),
                                          analyze_words(by_word, resources))
                for key in keys}
-    return [annotate_sentence(i, s, ks, records)
-            for i, (s, ks) in enumerate(zip(sentences, sentence_keys))]
+    return sentence_keys, records
 
 
 @dataclass

@@ -113,9 +113,6 @@ class SonorityHierarchy:
             level = self._levels[symbol] = CLASS_LEVELS[self.classify(symbol)]
             return level
 
-    def is_vowel(self, symbol: str) -> bool:
-        return self.classify(symbol) == "vowel"
-
     def _resolve(self, symbol: str) -> str | None:
         if symbol in self.class_of:
             return self.class_of[symbol]
@@ -183,11 +180,6 @@ def hierarchy_for(symbol_set: str, lang: str = "en",
     return SonorityHierarchy(symbol_set, table)
 
 
-def load_hierarchy(path, symbol_set: str = "custom") -> SonorityHierarchy:
-    """Hierarchy built purely from a `symbol<TAB>class` mapping file."""
-    return SonorityHierarchy(symbol_set, _read_table(path))
-
-
 def _read_table(path) -> dict[str, str]:
     table: dict[str, str] = {}
     with open_utf8(path) as fh:
@@ -217,30 +209,4 @@ def sonority_sequence(symbols: Sequence[str],
         else:
             levels.append(level)
             sources.append(i)
-    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))
-
-
-def sequence_from_levels(levels: Sequence[int]) -> SonoritySequence:
-    """Rebuild a sequence from raw expanded levels (testing/debug helper).
-
-    Every 5 must be followed by a 4; the pair is attributed to one source
-    symbol, mirroring `sonority_sequence` output exactly.
-    """
-    sources: list[int] = []
-    symbols: list[str] = []
-    i = 0
-    while i < len(levels):
-        lvl = levels[i]
-        if lvl == VOWEL_LEVEL:
-            if i + 1 >= len(levels) or levels[i + 1] != VOWEL_LEVEL - 1:
-                raise ValueError("level 5 must be followed by its level-4 half")
-            sources += (len(symbols), len(symbols))
-            symbols.append("V")
-            i += 2
-        else:
-            if not 1 <= lvl < VOWEL_LEVEL:
-                raise ValueError(f"level out of range: {lvl}")
-            sources.append(len(symbols))
-            symbols.append(f"C{lvl}")
-            i += 1
     return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))

@@ -7,6 +7,7 @@ import pytest
 from syllab import (
     CorpusFormat,
     Resources,
+    annotate_corpus,
     hierarchy_for,
     load_pron_dict,
     load_syllabified_corpus,
@@ -43,6 +44,12 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def sentence_records(sentences, resources, method="lkp-ssp-dtw") -> list:
+    """The records of each sentence's tokens, in order, from `annotate_corpus`."""
+    sentence_keys, records = annotate_corpus(sentences, "en", resources, method)
+    return [[records[key] for key in keys] for keys in sentence_keys]
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ line.  The other modes misbehave the way a broken G2P can:
   fewer           leave out the last line
   more            add one line at the end
   unknown-phones  print symbols no phone hierarchy knows
+  superscript-digit  mark primary stress with a superscript two (AO²)
   stderr-flood    write 1 MiB to stderr, then the good output
   non-utf8        print bytes that are not UTF-8
   poison WORD     exit with status 1 whenever WORD is in the batch
@@ -59,6 +60,8 @@ def main(argv: list[str]) -> int:
         lines.append("AH1")
     elif mode == "unknown-phones":
         lines = ["QQ1 XX" for _ in words]
+    elif mode == "superscript-digit":
+        lines = [line.replace("1", "\u00b2") for line in lines]
     elif mode == "stderr-flood":
         sys.stderr.write("x" * (1 << 20))
         sys.stderr.flush()

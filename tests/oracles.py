@@ -4,10 +4,14 @@ Everything here is deliberately built with different mechanics from the
 package code: the break oracle reasons per inter-nucleus gap instead of
 scanning with mutable state, and the alignment oracles search the path
 space top-down (exhaustively for small grids, with memoization above).
+`sequence_from_levels` builds the curves they are given straight from
+expanded levels, with placeholder symbols.
 """
 
 import itertools
 from functools import lru_cache
+
+from syllab.sonority import VOWEL_LEVEL, SonoritySequence
 
 
 def oracle_breaks(points):
@@ -143,3 +147,28 @@ def random_expanded_levels(rng, max_points):
             levels.append(rng.randint(1, 4))
             budget -= 1
     return levels
+
+
+def sequence_from_levels(levels):
+    """A sonority sequence with the given expanded levels.
+
+    Every 5 must be followed by a 4; the pair is attributed to one source
+    symbol, exactly as `sonority_sequence` emits a vowel.
+    """
+    sources, symbols = [], []
+    i = 0
+    while i < len(levels):
+        lvl = levels[i]
+        if lvl == VOWEL_LEVEL:
+            if i + 1 >= len(levels) or levels[i + 1] != VOWEL_LEVEL - 1:
+                raise ValueError("level 5 must be followed by its level-4 half")
+            sources += (len(symbols), len(symbols))
+            symbols.append("V")
+            i += 2
+        else:
+            if not 1 <= lvl < VOWEL_LEVEL:
+                raise ValueError(f"level out of range: {lvl}")
+            sources.append(len(symbols))
+            symbols.append(f"C{lvl}")
+            i += 1
+    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))

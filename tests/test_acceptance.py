@@ -16,9 +16,9 @@ from syllab.cli import main as cli_main
 from syllab.evaluate import run_ablation, syllable_histogram, word_accuracy
 from syllab.lexicon import CorpusFormat, load_pron_dict, load_syllabified_corpus
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
-from syllab.sonority import VOWEL_LETTERS, sequence_from_levels, sonority_sequence
+from syllab.sonority import VOWEL_LETTERS, sonority_sequence
 from syllab.ssp import ssp_breaks, syllabify_symbols
-from syllab.align import dtw, ssp_dtw_syllabify
+from syllab.align import dtw, project_ssp
 
 from conftest import DATA, real_resource
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
     oracle_breaks,
     random_expanded_levels,
     recursive_min_cost,
+    sequence_from_levels,
     valid_expansion,
 )
 
@@ -89,8 +90,9 @@ class TestC2PaperExamples:
         naive = syllabify_symbols(list("sentence"), letters_en)
         assert naive.text() == "sen|ten|ce"
 
-        projected, _ = ssp_dtw_syllabify("sentence", "S EH1 N T AH0 N S".split(),
-                                         arpabet, letters_en)
+        phones = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
+        projected, _ = project_ssp(ssp_breaks(phones), phones,
+                                   sonority_sequence(list("sentence"), letters_en))
         assert projected.text() == "sen|tence"
 
         elapsed = time.perf_counter() - t0
@@ -200,9 +202,9 @@ def _arctic_records():
     from syllab.cli import read_corpus_file
     pairs = read_corpus_file(prompts_path)
     assert len(pairs) == 1132, f"expected 1132 prompts, got {len(pairs)}"
-    annotations = annotate_corpus([text for _, text in pairs], "en",
-                                  resources, "lkp-ssp-dtw")
-    return [rec for ann in annotations for _, rec in ann.records]
+    sentence_keys, records = annotate_corpus([text for _, text in pairs], "en",
+                                             resources, "lkp-ssp-dtw")
+    return [records[key] for keys in sentence_keys for key in keys]
 
 
 class TestC6ArcticAnnotation:

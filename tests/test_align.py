@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllab.align import AlignmentPath, dtw, project_breaks, ssp_dtw_syllabify, alignment_debug_tsv
-from syllab.sonority import sequence_from_levels, sonority_sequence
+from syllab.align import AlignmentPath, alignment_debug_tsv, dtw, project_breaks, project_ssp
+from syllab.sonority import sonority_sequence
 from syllab.ssp import ssp_breaks
 
-from oracles import enum_min_cost, enum_tie_path, random_expanded_levels, recursive_min_cost
+from oracles import (
+    enum_min_cost,
+    enum_tie_path,
+    random_expanded_levels,
+    recursive_min_cost,
+    sequence_from_levels,
+)
 
 
 def check_path_shape(path: AlignmentPath, m, n):
@@ -137,20 +143,26 @@ class TestProjectBreaks:
         assert projected.n_syllables <= syl.n_syllables
 
 
+def ssp_dtw(word, phones, phone_h, letter_h):
+    """SSP breaks of `phones` projected onto the letters of `word`."""
+    phone_seq = sonority_sequence(phones, phone_h)
+    return project_ssp(ssp_breaks(phone_seq), phone_seq,
+                       sonority_sequence(list(word), letter_h))
+
+
 class TestSspDtwSyllabify:
     def test_sentence(self, arpabet, letters_en):
-        syl, _ = ssp_dtw_syllabify("sentence", "S EH1 N T AH0 N S".split(),
-                                   arpabet, letters_en)
+        syl, _ = ssp_dtw("sentence", "S EH1 N T AH0 N S".split(),
+                         arpabet, letters_en)
         assert syl.text() == "sen|tence"
 
     def test_leaves(self, arpabet, letters_en):
-        syl, _ = ssp_dtw_syllabify("leaves", "L IY1 V Z".split(),
-                                   arpabet, letters_en)
+        syl, _ = ssp_dtw("leaves", "L IY1 V Z".split(), arpabet, letters_en)
         assert syl.text() == "leaves"
 
     def test_rhythm_two_syllables(self, arpabet, letters_en):
-        syl, degen = ssp_dtw_syllabify("rhythm", "R IH1 DH AH0 M".split(),
-                                       arpabet, letters_en)
+        syl, degen = ssp_dtw("rhythm", "R IH1 DH AH0 M".split(),
+                             arpabet, letters_en)
         assert syl.n_syllables == 2
         assert "".join(sym for s in syl.syllables() for sym in s) == "rhythm"
         # regression pin for the derived cut: the schwa has no letter of its
@@ -159,21 +171,22 @@ class TestSspDtwSyllabify:
 
     def test_concatenation_always_preserved(self, arpabet, letters_en, mini_lexicon):
         for word, prons in mini_lexicon.entries.items():
-            syl, _ = ssp_dtw_syllabify(word, prons[0].raw, arpabet, letters_en)
+            syl, _ = ssp_dtw(word, prons[0].raw, arpabet, letters_en)
             assert "".join(sym for s in syl.syllables() for sym in s) == word
 
     def test_projected_count_never_exceeds_phone_count(self, arpabet, letters_en,
                                                        mini_lexicon):
         for word, prons in mini_lexicon.entries.items():
             phone_syl = ssp_breaks(sonority_sequence(prons[0].raw, arpabet))
-            syl, degen = ssp_dtw_syllabify(word, prons[0].raw, arpabet, letters_en)
+            syl, degen = ssp_dtw(word, prons[0].raw, arpabet, letters_en)
             assert syl.n_syllables <= phone_syl.n_syllables
             if not degen:
                 assert syl.n_syllables == phone_syl.n_syllables
 
     def test_empty_word_rejected(self, arpabet, letters_en):
+        # a break has no letters to land on
         with pytest.raises(ValueError):
-            ssp_dtw_syllabify("", ["AY1"], arpabet, letters_en)
+            ssp_dtw("", "S EH1 N T AH0 N S".split(), arpabet, letters_en)
 
 
 class TestDebugDump:

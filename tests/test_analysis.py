@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.align import dtw
-from syllab.cli import main
+from syllab.cli import format_record_row, main
 from syllab.evaluate import run_ablation, word_accuracy
 from syllab.pipeline import (
     METHOD_CHOICES,
@@ -21,7 +21,7 @@ from syllab.sonority import sonority_sequence
 from syllab.ssp import ssp_breaks
 from syllab.textnorm import normalize
 
-from conftest import DATA, count_calls
+from conftest import DATA, count_calls, sentence_records
 
 WORDS = ["sentence", "leaves", "beautiful", "rhythm", "the", "people",
          "oceanic", "qqqzz", "another", "picture"]
@@ -84,11 +84,10 @@ sentences = st.lists(
 @given(sentences, st.sampled_from(METHOD_CHOICES))
 def test_annotate_rows_equal_fresh_records(mini_resources, sents, method):
     sents = sents + sents[:2]  # repeats across sentences as well as within
-    anns = annotate_corpus(sents, "en", mini_resources, method)
-    for ann, sentence in zip(anns, sents):
+    for recs, sentence in zip(sentence_records(sents, mini_resources, method), sents):
         tokens = normalize(sentence, "en")
-        assert [i for i, _ in ann.records] == list(range(len(tokens)))
-        for (_, rec), tok in zip(ann.records, tokens):
+        assert len(recs) == len(tokens)
+        for rec, tok in zip(recs, tokens):
             assert rec == syllabify_word(tok.core, mini_resources, method,
                                          extra_flags=tok.flags)
 
@@ -112,10 +111,24 @@ class TestWorkCounts:
         calls = count_calls(monkeypatch, analyze_word)
         sents = ["The author can write 3.5 words.", "the AUTHOR can write",
                  "write 3.5 words the author"] * 3
-        anns = annotate_corpus(sents, "en", mini_resources)
+        sentence_keys, _ = annotate_corpus(sents, "en", mini_resources)
         words = {tok.core.lower() for s in sents for tok in normalize(s, "en")}
-        assert sum(len(a.records) for a in anns) > len(words)
+        assert sum(len(keys) for keys in sentence_keys) > len(words)
         assert sorted(args[0] for args in calls) == sorted(words)
+
+    def test_annotate_formats_each_distinct_key_once(self, tmp_path, monkeypatch,
+                                                     capsys):
+        rows = count_calls(monkeypatch, format_record_row)
+        prompts = tmp_path / "p.txt"
+        sents = ["The author can write 3.5 words.", "the AUTHOR can write",
+                 "write 3.5 words the author"] * 3
+        prompts.write_text("".join(s + "\n" for s in sents))
+        out = tmp_path / "a.tsv"
+        assert main(["annotate", str(prompts), "--dict", str(DATA / "mini_cmu.dict"),
+                     "--out", str(out)]) == 0
+        keys = [(tok.core, tok.flags) for s in sents for tok in normalize(s, "en")]
+        assert len(out.read_text().splitlines()) == 1 + len(keys)
+        assert len(rows) == len(set(keys)) < len(keys)
 
     def test_syllabify_command_analyzes_a_repeated_word_once(self, monkeypatch,
                                                             capsys):

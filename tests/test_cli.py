@@ -145,6 +145,15 @@ class TestSyllabifyCommand:
         assert preset_out == custom_out
         assert preset_out.split("\t")[5] == "corpus-lookup"
 
+    def test_non_ascii_stress_digit_kept_and_flagged(self, capsys, tmp_path):
+        # ARPABET stress digits are ASCII; an Arabic-Indic one is not stress
+        lexicon = tmp_path / "d.dict"
+        lexicon.write_text("BLORP  B L AO\u0661\n", encoding="utf-8")
+        code, out, _ = run(capsys, "syllabify", "blorp", "--dict", str(lexicon))
+        assert code == 0
+        assert out == ("blorp\tB L AO\u0661\t-\tblorp\t-\toov-unresolved\t"
+                       "count-mismatch,no-stress,oov\n")
+
     def test_lenient_dictionary_loading(self, capsys, tmp_path):
         bad = tmp_path / "bad.dict"
         bad.write_text("CAT  K AE1 T\nJUNK\n")
@@ -321,11 +330,33 @@ class TestConfigFile:
         assert code == 0
         assert out.split("\t")[3] == "sen|tence"
 
+    @pytest.mark.parametrize("flag", [["--meth", "ssp-dtw"], ["--meth=ssp-dtw"],
+                                      ["--method=ssp-dtw"]])
+    def test_abbreviated_flags_win_over_config(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\nmethod = ssp\n")
+        code, out, _ = run(capsys, "syllabify", "sentence", "--config", str(cfg),
+                           *flag)
+        assert code == 0
+        assert out.split("\t")[3:6] == ["sen|tence", "0", "ssp-dtw"]
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_key = 1\n")
         code, _, err = run(capsys, "syllabify", "x", "--config", str(cfg))
         assert code == 2 and "no_such_key" in err
+
+    def test_positional_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\nwords = leaves\n")
+        code, out, err = run(capsys, "syllabify", "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown config key 'words'" in err
+
+    def test_value_outside_choices_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\nmethod = dtw\n")
+        code, _, err = run(capsys, "syllabify", "x", "--config", str(cfg))
+        assert code == 2 and "config key 'method': 'dtw' not in" in err
 
 
 class TestResourceRootEnv:

@@ -5,13 +5,11 @@ from syllab.evaluate import (
     ablation_json,
     ablation_tsv,
     format_histogram,
-    juncture_accuracy,
     run_ablation,
     syllable_histogram,
     word_accuracy,
 )
 from syllab.pipeline import syllabify_word
-from syllab.ssp import Syllabification
 
 
 class TestWordAccuracy:
@@ -27,37 +25,6 @@ class TestWordAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             word_accuracy([])
-
-
-class TestJunctureAccuracy:
-    def test_sentence_six_of_seven(self):
-        pred = Syllabification(tuple("sentence"), (3,))       # sen|tence
-        gold = Syllabification(tuple("sentence"), (3, 6))     # sen|ten|ce
-        assert juncture_accuracy(pred, gold) == pytest.approx(6 / 7)
-
-    def test_identical(self):
-        syl = Syllabification(tuple("sentence"), (3,))
-        assert juncture_accuracy(syl, syl) == 1.0
-
-    def test_fully_disagreeing(self):
-        pred = Syllabification(tuple("abcd"), ())
-        gold = Syllabification(tuple("abcd"), (1, 2, 3))
-        assert juncture_accuracy(pred, gold) == 0.0
-
-    def test_symmetry(self):
-        a = Syllabification(tuple("abcdef"), (2,))
-        b = Syllabification(tuple("abcdef"), (2, 4))
-        assert juncture_accuracy(a, b) == juncture_accuracy(b, a)
-
-    def test_equals_one_iff_equal_breaks(self):
-        a = Syllabification(tuple("abcdef"), (2,))
-        b = Syllabification(tuple("abcdef"), (3,))
-        assert juncture_accuracy(a, b) < 1.0
-
-    def test_symbol_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            juncture_accuracy(Syllabification(tuple("ab")),
-                              Syllabification(tuple("cd")))
 
 
 class TestHistogram:

@@ -16,7 +16,7 @@ LEXIQUE_FMT = CorpusFormat(syllable_separator="-", column_separator="\t",
 @pytest.fixture(scope="module")
 def french():
     return Resources(
-        lexicon=load_pron_dict(DATA / "mini_mfa_fr.dict", "mfa", "fr"),
+        lexicon=load_pron_dict(DATA / "mini_mfa_fr.dict", "mfa"),
         phone_hierarchy=hierarchy_for("mfa-ipa", "fr"),
         letter_hierarchy=hierarchy_for("letters", "fr"),
         syllabified=load_syllabified_corpus(DATA / "mini_lexique.tsv",
@@ -30,7 +30,7 @@ def spanish():
     # Spanish runs without any syllabified corpus: everything falls through
     # to the sonority-based methods
     return Resources(
-        lexicon=load_pron_dict(DATA / "mini_mfa_es.dict", "mfa", "es"),
+        lexicon=load_pron_dict(DATA / "mini_mfa_es.dict", "mfa"),
         phone_hierarchy=hierarchy_for("mfa-ipa", "es"),
         letter_hierarchy=hierarchy_for("letters", "es"),
         variant="es_ES",

@@ -14,7 +14,7 @@ from syllab.pipeline import (
 from syllab.sonority import hierarchy_for
 from syllab.ssp import Syllabification
 
-from conftest import DATA
+from conftest import DATA, sentence_records
 
 
 class TestSingleVowelShortCircuit:
@@ -65,8 +65,8 @@ class TestMethodVariants:
 
     def test_first_variant_drives_syllabification(self, mini_resources):
         rec = syllabify_word("the", mini_resources, "lkp-ssp-dtw")
-        assert rec.chosen_variant == 0
         assert str(rec.pronunciations[0]) == "DH AH0"
+        assert rec.stress_index is None  # DH AH0 has no primary stress
         assert len(rec.pronunciations) == 3
 
 
@@ -75,7 +75,7 @@ class TestOovHandling:
         rec = syllabify_word("zzxq", mini_resources, "lkp-ssp-dtw")
         assert rec.method == "oov-unresolved"
         assert "oov" in rec.flags
-        assert rec.pronunciations == [] and rec.chosen_variant is None
+        assert rec.pronunciations == []
         assert rec.phone_syll.n_syllables == 0
         assert "".join(rec.text_syll.symbols) == "zzxq"
 
@@ -219,50 +219,42 @@ class TestConsistencyReport:
 
 class TestAnnotateCorpus:
     def test_toy_sentence(self, mini_resources):
-        anns = annotate_corpus(["I saw leaves."], "en", mini_resources)
-        assert len(anns) == 1
-        words = [rec.word for _, rec in anns[0].records]
-        assert words == ["i", "saw", "leaves"]
-        assert all(not rec.flags for _, rec in anns[0].records)
+        [recs] = sentence_records(["I saw leaves."], mini_resources)
+        assert [rec.word for rec in recs] == ["i", "saw", "leaves"]
+        assert all(not rec.flags for rec in recs)
 
     def test_empty_corpus(self, mini_resources):
-        assert annotate_corpus([], "en", mini_resources) == []
+        assert annotate_corpus([], "en", mini_resources) == ([], {})
 
     def test_oov_isolation(self, mini_resources):
-        anns = annotate_corpus(["the qqqzz leaves"], "en", mini_resources)
-        recs = [rec for _, rec in anns[0].records]
+        [recs] = sentence_records(["the qqqzz leaves"], mini_resources)
         assert "oov" in recs[1].flags
         assert not (recs[2].flags - {"no-stress"})
 
     def test_numeral_flag_propagates(self, mini_resources):
-        anns = annotate_corpus(["worth 3.5 points"], "en", mini_resources)
-        flagged = [rec for _, rec in anns[0].records
-                   if "numeral-unsupported" in rec.flags]
+        [recs] = sentence_records(["worth 3.5 points"], mini_resources)
+        flagged = [rec for rec in recs if "numeral-unsupported" in rec.flags]
         assert len(flagged) == 1
 
     def test_numerals_and_acronyms_resolved(self, mini_resources):
-        anns = annotate_corpus(["I saw 2 cats and the BBC show."], "en",
-                               mini_resources)
-        words = [rec.word for _, rec in anns[0].records]
-        assert words == ["i", "saw", "two", "cats", "and", "the",
-                         "b", "b", "c", "show"]
-        assert all(rec.pronunciations for _, rec in anns[0].records)
+        [recs] = sentence_records(["I saw 2 cats and the BBC show."],
+                                  mini_resources)
+        assert [rec.word for rec in recs] == ["i", "saw", "two", "cats", "and",
+                                              "the", "b", "b", "c", "show"]
+        assert all(rec.pronunciations for rec in recs)
 
     def test_order_is_input_order(self, mini_resources):
         sentences = ["The author can write.", "Leaves come from the tree."]
-        anns = annotate_corpus(sentences, "en", mini_resources)
-        assert [a.index for a in anns] == [0, 1]
-        assert anns[0].sentence == sentences[0]
+        sentence_keys, records = annotate_corpus(sentences, "en", mini_resources)
+        assert [[word for word, _ in keys] for keys in sentence_keys] == \
+            [["the", "author", "can", "write"], ["leaves", "come", "from", "the", "tree"]]
+        assert all(key in records for keys in sentence_keys for key in keys)
 
     def test_permuting_sentences_permutes_output(self, mini_resources):
         sentences = ["The author can write.", "Leaves come from the tree.",
                      "She can spell every word."]
 
-        def rows(anns):
-            return {a.sentence: [(i, r.word, r.method, r.flags)
-                                 for i, r in a.records] for a in anns}
+        def rows(sentences):
+            return dict(zip(sentences, sentence_records(sentences, mini_resources)))
 
-        forward = annotate_corpus(sentences, "en", mini_resources)
-        backward = annotate_corpus(list(reversed(sentences)), "en", mini_resources)
-        assert [a.sentence for a in backward] == list(reversed(sentences))
-        assert rows(forward) == rows(backward)
+        assert rows(sentences) == rows(list(reversed(sentences)))

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllab.lexicon import Lexicon, _parse_phones
+from syllab.lexicon import Lexicon, Pronunciation
 from syllab.pipeline import Resources, analyze_word
-from syllab.sonority import hierarchy_for, sequence_from_levels
+from syllab.sonority import hierarchy_for
 from syllab.ssp import Syllabification, ssp_breaks, syllabify_symbols
 
-from oracles import all_expanded_sequences, oracle_breaks
+from oracles import all_expanded_sequences, oracle_breaks, sequence_from_levels
 
 
 def expanded_levels(max_symbols=6):
@@ -51,7 +51,7 @@ class TestPaperExamples:
 
 def nuclei(phones, arpabet):
     """The pipeline's nucleus count of a word pronounced `phones`."""
-    lexicon = Lexicon({"w": [_parse_phones(phones, "cmu")]}, "cmu-arpabet", "en")
+    lexicon = Lexicon({"w": [Pronunciation(tuple(phones))]}, "cmu-arpabet")
     resources = Resources(lexicon, arpabet, hierarchy_for("letters", "en"))
     return analyze_word("w", resources).nuclei
 
