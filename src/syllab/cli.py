@@ -254,7 +254,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 def cmd_normalize(args) -> int:
     lines = _utf8_args(args.text) if args.text else _stdin_lines()
     for line in lines:
-        print(" ".join(tok.core for tok in normalize(line, args.lang)))
+        print(" ".join(word for word, _ in normalize(line, args.lang)))
     return 0
 
 

@@ -40,13 +40,20 @@ class Lexicon:
 
 
 def _read_text(path) -> list[str]:
-    # CMU dict releases are Latin-1; MFA dictionaries are UTF-8.
+    """The lines of a file, broken only at LF, CRLF and CR.
+
+    CMU dict releases are Latin-1; MFA dictionaries are UTF-8.  Unlike
+    `str.splitlines`, form feeds, NEL and the Unicode separators stay
+    inside their line, so they neither split an entry nor shift the line
+    numbers after it.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
-        return data.decode("latin-1").splitlines()
+        text = data.decode("latin-1")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def load_pron_dict(path, format: str = "cmu", strict: bool = True) -> Lexicon:

@@ -40,9 +40,6 @@ log = logging.getLogger(__name__)
 
 METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
 
-FLAG_NAMES = ("oov", "count-mismatch", "degenerate-projection",
-              "no-nucleus", "no-stress", "numeral-unsupported")
-
 
 @dataclass(frozen=True)
 class Resources:
@@ -164,15 +161,11 @@ def analyze_words(words: Iterable[str], resources: Resources,
 
 
 def analyze_word(word: str, resources: Resources,
-                 prons: list[Pronunciation] | None = None,
-                 oov: bool = False) -> WordAnalysis:
+                 prons: list[Pronunciation], oov: bool) -> WordAnalysis:
     """The phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
 
-    `prons` come from the lexicon or, for an `oov` word, from the G2P;
-    without them the word goes through `analyze_words` alone.
+    `prons` come from the lexicon or, for an `oov` word, from the G2P.
     """
-    if prons is None:
-        return next(analyze_words([word], resources))
     flags = {"oov"} if oov else set()
 
     phone_seq = None
@@ -250,7 +243,8 @@ def syllabify_word(word: str, resources: Resources,
                    method: str = "lkp-ssp-dtw",
                    extra_flags=()) -> WordRecord:
     """Produce the unified annotation record for one word token."""
-    return word_record(analyze_word(word, resources), method, extra_flags)
+    return word_record(next(analyze_words([word], resources)), method,
+                       extra_flags)
 
 
 def load_secondary_stress(path, hierarchy: SonorityHierarchy,
@@ -303,11 +297,10 @@ def annotate_corpus(sentences, lang: str, resources: Resources,
     The records of a word's keys are made from its analysis, which is then
     dropped.
     """
-    sentence_keys = [[(tok.core, tok.flags) for tok in normalize(s, lang)]
-                     for s in sentences]
+    sentence_keys = [normalize(s, lang) for s in sentences]
     by_word: dict[str, list] = {}
     for key in dict.fromkeys(key for ks in sentence_keys for key in ks):
-        by_word.setdefault(key[0].lower(), []).append(key)
+        by_word.setdefault(key[0], []).append(key)
     records = {key: word_record(analysis, method, key[1])
                for keys, analysis in zip(by_word.values(),
                                          analyze_words(by_word, resources))

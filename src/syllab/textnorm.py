@@ -1,19 +1,19 @@
-"""Sentence text to dictionary-ready word tokens.
+"""Sentence text to the (word, flags) keys of its dictionary-ready tokens.
 
-Whitespace units keep their punctuation in leading/trailing fields so the
-original line can be reconstructed; normalization then expands acronyms
-letter by letter, verbalizes integer numerals, splits hyphenated words and
-drops punctuation-only tokens.
+Each whitespace unit loses the punctuation at its ends (apostrophes stay)
+and is dropped if nothing alphanumeric is left.  Acronyms are spelled out
+letter by letter, integer numerals are verbalized (en/fr/es cardinals),
+other numerals and ordinals are kept and flagged, and words split on
+hyphens.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
 from .errors import UnsupportedNumeralError
 
-# apostrophes stay inside the core: clitics like "don't" are dictionary entries
+# apostrophes stay inside the word: clitics like "don't" are dictionary entries
 _KEEP = {"'", "’"}
 
 _NUMERAL = re.compile(r"^[0-9]+(?:[.,][0-9]+)*$")
@@ -21,31 +21,9 @@ _ORDINAL = re.compile(r"^[0-9]+(?:st|nd|rd|th)$", re.IGNORECASE)
 _GROUPED_INT = re.compile(r"^[0-9]{1,3}(?:,[0-9]{3})+$")
 
 MAX_NUMERAL = 999_999_999
-NUMERAL_LANGUAGES = ("en", "fr", "es")
 
-
-@dataclass(frozen=True)
-class Token:
-    raw: str
-    core: str  # case-folded lookup key
-    leading: str = ""
-    trailing: str = ""
-    kind: str = "word"  # word | acronym | numeral | punctuation-only
-    flags: frozenset[str] = frozenset()
-
-    @property
-    def core_as_written(self) -> str:
-        return self.raw[len(self.leading):len(self.raw) - len(self.trailing)]
-
-
-def _classify(core_w: str) -> str:
-    if not core_w or not any(ch.isalnum() for ch in core_w):
-        return "punctuation-only"
-    if len(core_w) >= 2 and core_w.isalpha() and core_w.isupper():
-        return "acronym"
-    if _NUMERAL.match(core_w):
-        return "numeral"
-    return "word"
+_PLAIN: frozenset[str] = frozenset()
+_UNSUPPORTED = frozenset({"numeral-unsupported"})
 
 
 def _edge_span(raw: str) -> tuple[int, int]:
@@ -55,29 +33,6 @@ def _edge_span(raw: str) -> tuple[int, int]:
     while end > start and not raw[end - 1].isalnum() and raw[end - 1] not in _KEEP:
         end -= 1
     return start, end
-
-
-def tokenize(text: str, lang: str = "en") -> list[Token]:
-    """Split on whitespace and peel punctuation off both ends of each unit."""
-    tokens = []
-    for raw in text.split():
-        start, end = _edge_span(raw)
-        core_w = raw[start:end]
-        tokens.append(Token(
-            raw=raw,
-            core=core_w.lower(),
-            leading=raw[:start],
-            trailing=raw[end:],
-            kind=_classify(core_w),
-        ))
-    return tokens
-
-
-def expand_acronym(token: Token) -> list[Token]:
-    """One single-letter word token per capital of the acronym."""
-    if token.kind != "acronym":
-        raise ValueError(f"not an acronym token: {token.raw!r}")
-    return [Token(raw=ch, core=ch.lower()) for ch in token.core_as_written]
 
 
 # --- cardinal number verbalization ------------------------------------------
@@ -258,31 +213,37 @@ def _numeral_value(core: str) -> int:
     raise UnsupportedNumeralError(f"unsupported numeral shape: {core!r}")
 
 
-def normalize(text: str, lang: str = "en") -> list[Token]:
-    """Tokenize, then expand acronyms/numerals, split hyphens, drop punctuation."""
-    out: list[Token] = []
-    for tok in tokenize(text, lang):
-        if tok.kind == "punctuation-only":
+def normalize(text: str, lang: str = "en") -> list[tuple[str, frozenset[str]]]:
+    """The (word, flags) keys of the tokens of `text`, in order.
+
+    Words are lower-cased.  The flags are empty, or `numeral-unsupported`
+    for a numeral or ordinal that stays as written.  A unit holding `|`
+    is dropped: the output format reserves it as the syllable separator.
+    """
+    keys: list[tuple[str, frozenset[str]]] = []
+    for unit in text.split():
+        start, end = _edge_span(unit)
+        core = unit[start:end]
+        if "|" in core or not any(ch.isalnum() for ch in core):
             continue
-        if "|" in tok.core or "\t" in tok.core:
-            continue  # separator characters are reserved by the output format
-        if tok.kind == "acronym":
-            out.extend(expand_acronym(tok))
-        elif tok.kind == "numeral":
+        if len(core) >= 2 and core.isalpha() and core.isupper():
+            keys.extend((ch.lower(), _PLAIN) for ch in core)  # acronym
+            continue
+        word = core.lower()
+        if _NUMERAL.match(core):
             try:
-                words = num_to_words(_numeral_value(tok.core), lang)
+                words = num_to_words(_numeral_value(word), lang)
             except UnsupportedNumeralError:
-                out.append(replace(tok, flags=tok.flags | {"numeral-unsupported"}))
+                keys.append((word, _UNSUPPORTED))
             else:
-                out.extend(Token(raw=w, core=w) for w in words)
-        elif _ORDINAL.match(tok.core):
+                keys.extend((w, _PLAIN) for w in words)
+        elif _ORDINAL.match(word):
             # ordinals ("2nd") are digit-led words we cannot verbalize yet
-            out.append(replace(tok, flags=tok.flags | {"numeral-unsupported"}))
+            keys.append((word, _UNSUPPORTED))
         else:
-            for part in tok.core.split("-"):
+            for part in word.split("-"):
                 start, end = _edge_span(part)
                 part = part[start:end]
-                if part and any(ch.isalnum() for ch in part):
-                    out.append(replace(tok, core=part) if part == tok.core
-                               else Token(raw=part, core=part))
-    return out
+                if any(ch.isalnum() for ch in part):
+                    keys.append((part, _PLAIN))
+    return keys

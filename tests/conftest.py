@@ -4,14 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from syllab import (
-    CorpusFormat,
-    Resources,
-    annotate_corpus,
-    hierarchy_for,
-    load_pron_dict,
-    load_syllabified_corpus,
-)
+from syllab import Resources, annotate_corpus, hierarchy_for, load_pron_dict
+from syllab.lexicon import CorpusFormat, load_syllabified_corpus
 
 DATA = Path(__file__).parent / "data"
 REPO_RESOURCES = Path(__file__).parent.parent / "resources"

@@ -13,6 +13,7 @@ from syllab.evaluate import run_ablation, word_accuracy
 from syllab.pipeline import (
     METHOD_CHOICES,
     analyze_word,
+    analyze_words,
     annotate_corpus,
     syllabify_word,
     word_record,
@@ -65,14 +66,14 @@ class TestRecords:
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_one_analysis_serves_every_method(self, mini_resources, method):
         for word in WORDS:
-            analysis = analyze_word(word, mini_resources)
+            analysis = next(analyze_words([word], mini_resources))
             for flags in ((), ("numeral-unsupported",)):
                 assert word_record(analysis, method, flags) == \
                     syllabify_word(word, mini_resources, method, extra_flags=flags)
 
     def test_unknown_method_rejected(self, mini_resources):
         with pytest.raises(ValueError):
-            word_record(analyze_word("sentence", mini_resources), "dtw")
+            word_record(next(analyze_words(["sentence"], mini_resources)), "dtw")
 
 
 sentences = st.lists(
@@ -85,11 +86,11 @@ sentences = st.lists(
 def test_annotate_rows_equal_fresh_records(mini_resources, sents, method):
     sents = sents + sents[:2]  # repeats across sentences as well as within
     for recs, sentence in zip(sentence_records(sents, mini_resources, method), sents):
-        tokens = normalize(sentence, "en")
-        assert len(recs) == len(tokens)
-        for rec, tok in zip(recs, tokens):
-            assert rec == syllabify_word(tok.core, mini_resources, method,
-                                         extra_flags=tok.flags)
+        keys = normalize(sentence, "en")
+        assert len(recs) == len(keys)
+        for rec, (word, flags) in zip(recs, keys):
+            assert rec == syllabify_word(word, mini_resources, method,
+                                         extra_flags=flags)
 
 
 class TestWorkCounts:
@@ -112,7 +113,7 @@ class TestWorkCounts:
         sents = ["The author can write 3.5 words.", "the AUTHOR can write",
                  "write 3.5 words the author"] * 3
         sentence_keys, _ = annotate_corpus(sents, "en", mini_resources)
-        words = {tok.core.lower() for s in sents for tok in normalize(s, "en")}
+        words = {word for s in sents for word, _ in normalize(s, "en")}
         assert sum(len(keys) for keys in sentence_keys) > len(words)
         assert sorted(args[0] for args in calls) == sorted(words)
 
@@ -126,7 +127,7 @@ class TestWorkCounts:
         out = tmp_path / "a.tsv"
         assert main(["annotate", str(prompts), "--dict", str(DATA / "mini_cmu.dict"),
                      "--out", str(out)]) == 0
-        keys = [(tok.core, tok.flags) for s in sents for tok in normalize(s, "en")]
+        keys = [key for s in sents for key in normalize(s, "en")]
         assert len(out.read_text().splitlines()) == 1 + len(keys)
         assert len(rows) == len(set(keys)) < len(keys)
 

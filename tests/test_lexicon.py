@@ -66,6 +66,19 @@ class TestCmuFormat:
         lex = load_pron_dict(p, "cmu", strict=False)
         assert sorted(lex.entries) == ["cat", "dog"]
 
+    def test_only_newlines_end_a_line(self, tmp_path, caplog):
+        # a form feed inside a line is not a line break: no entry "e", and
+        # the bad line after it is reported as line 3
+        p = tmp_path / "ff.dict"
+        p.write_text("CAF\fE  K AE1 F\r\nCAT  K AE1 T\rJUNKLINE\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            lex = load_pron_dict(p, "cmu", strict=False)
+        assert sorted(lex.entries) == ["caf", "cat"]
+        assert "ff.dict:3: skipped" in caplog.text
+        with pytest.raises(DictParseError) as exc:
+            load_pron_dict(p, "cmu")
+        assert exc.value.line_no == 3
+
     def test_latin1_fallback(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_bytes(b";;; caf\xe9 comment\nCAT  K AE1 T\n")
@@ -233,6 +246,18 @@ class TestSyllabifiedCorpus:
         corpus = load_syllabified_corpus(DATA / "mini_lexique.tsv", fmt, "fr")
         assert "eau" not in corpus.entries  # syllables do not re-concatenate
         assert corpus.skipped_rows == 1
+
+    def test_only_newlines_end_a_line(self, tmp_path):
+        # NEL (Latin-1 byte 0x85) and U+2028 stay inside their line
+        p = tmp_path / "nel.txt"
+        p.write_bytes(b"xy\x85z-zy\r\nba-na-na\n")
+        corpus = load_syllabified_corpus(p, CorpusFormat.preset("gutenberg"))
+        assert corpus.entries == {"xy\x85zzy": ("xy\x85z", "zy"),
+                                  "banana": ("ba", "na", "na")}
+        p.write_text("word\u2028\tsyll\nbateau\tba-teau\n", encoding="utf-8")
+        corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
+        assert corpus.entries == {"bateau": ("ba", "teau")}
+        assert corpus.skipped_rows == 0
 
     def test_lexique_preset_matches_extracted_layout(self, tmp_path):
         p = tmp_path / "lexique_syllables.tsv"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.lexicon import Lexicon, Pronunciation
-from syllab.pipeline import Resources, analyze_word
+from syllab.pipeline import Resources, analyze_words
 from syllab.sonority import hierarchy_for
 from syllab.ssp import Syllabification, ssp_breaks, syllabify_symbols
 
@@ -53,7 +53,7 @@ def nuclei(phones, arpabet):
     """The pipeline's nucleus count of a word pronounced `phones`."""
     lexicon = Lexicon({"w": [Pronunciation(tuple(phones))]}, "cmu-arpabet")
     resources = Resources(lexicon, arpabet, hierarchy_for("letters", "en"))
-    return analyze_word("w", resources).nuclei
+    return next(analyze_words(["w"], resources)).nuclei
 
 
 class TestCountNuclei:

@@ -3,86 +3,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.errors import UnsupportedNumeralError
-from syllab.textnorm import (
-    Token,
-    expand_acronym,
-    normalize,
-    num_to_words,
-    tokenize,
-)
+from syllab.textnorm import normalize, num_to_words
+
+PLAIN = frozenset()
+UNSUPPORTED = frozenset({"numeral-unsupported"})
+
+
+def words(text, lang="en"):
+    return [word for word, _ in normalize(text, lang)]
 
 
 class TestTokenize:
+    """How `normalize` splits text into word tokens."""
+
     def test_punctuation_attached_to_words(self):
-        toks = tokenize("Hello, world.")
-        assert [t.core for t in toks] == ["hello", "world"]
-        assert toks[0].trailing == "," and toks[1].trailing == "."
-        assert toks[0].leading == ""
+        assert normalize("Hello, world.") == [("hello", PLAIN), ("world", PLAIN)]
 
     def test_kind_classification(self):
-        toks = tokenize("The BBC aired 42 shows")
-        assert [t.kind for t in toks] == ["word", "acronym", "word", "numeral", "word"]
+        assert words("The BBC aired 42 shows") == \
+            ["the", "b", "b", "c", "aired", "forty", "two", "shows"]
 
     def test_empty_text(self):
-        assert tokenize("") == []
+        assert normalize("") == []
 
     def test_leading_punctuation(self):
-        tok = tokenize('"Quote')[0]
-        assert tok.leading == '"' and tok.core == "quote"
+        assert normalize('"Quote (42 times).') == \
+            [("quote", PLAIN), ("forty", PLAIN), ("two", PLAIN), ("times", PLAIN)]
 
     def test_apostrophes_stay_in_core(self):
-        toks = tokenize("don't stop, it's o'clock")
-        assert [t.core for t in toks] == ["don't", "stop", "it's", "o'clock"]
+        assert words("don't stop, it's o'clock") == ["don't", "stop", "it's", "o'clock"]
 
     def test_punctuation_only_token(self):
-        toks = tokenize("stop -- now")
-        assert toks[1].kind == "punctuation-only"
+        assert words("stop -- now") == ["stop", "now"]
 
     def test_single_capital_is_a_word(self):
-        assert tokenize("I a A")[2].kind == "word"
+        assert words("I a A") == ["i", "a", "a"]
 
     def test_numeral_kind_implies_digit_pattern(self):
-        import re
-        pattern = re.compile(r"^[0-9]+(?:[.,][0-9]+)*$")
-        for tok in tokenize("2nd 42 3.5 1,000 a1 9"):
-            if tok.kind == "numeral":
-                assert pattern.match(tok.core_as_written)
-        assert tokenize("2nd")[0].kind == "word"
+        # only ASCII digit runs joined by . or , are numerals; "a1" is a word
+        assert normalize("2nd 42 3.5 1,000 a1 9") == [
+            ("2nd", UNSUPPORTED), ("forty", PLAIN), ("two", PLAIN),
+            ("3.5", UNSUPPORTED), ("one", PLAIN), ("thousand", PLAIN),
+            ("a1", PLAIN), ("nine", PLAIN)]
 
     def test_dotted_abbreviation_is_not_acronym(self):
         # internal dots disqualify: only solid capital runs count
-        assert tokenize("U.S.A.")[0].kind == "word"
-
-    def test_raw_round_trip(self):
-        text = '  "Hello,  world!"  said   the 2nd  BBC-reporter. '
-        toks = tokenize(text)
-        assert " ".join(t.raw for t in toks) == " ".join(text.split())
-
-    def test_invariant_leading_core_trailing(self):
-        for tok in tokenize('"Wait!" she said... (42 times).'):
-            assert tok.leading + tok.core_as_written + tok.trailing == tok.raw
-
-    @given(st.text(max_size=80))
-    @settings(max_examples=200)
-    def test_round_trip_property(self, text):
-        toks = tokenize(text)
-        assert " ".join(t.raw for t in toks) == " ".join(text.split())
+        assert normalize("U.S.A.") == [("u.s.a", PLAIN)]
 
 
 class TestExpandAcronym:
     def test_bbc(self):
-        toks = tokenize("BBC")
-        assert [t.core for t in expand_acronym(toks[0])] == ["b", "b", "c"]
+        assert normalize("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
 
     def test_usa(self):
-        toks = tokenize("USA")
-        out = expand_acronym(toks[0])
-        assert [t.core for t in out] == ["u", "s", "a"]
-        assert all(t.kind == "word" for t in out)
+        assert words("USA.") == ["u", "s", "a"]
 
     def test_non_acronym_rejected(self):
-        with pytest.raises(ValueError):
-            expand_acronym(tokenize("Hello")[0])
+        assert words("Hello McDonald Ok NASA's") == ["hello", "mcdonald", "ok", "nasa's"]
 
 
 # Hand-verified cardinal spellings; the grammar-level cross-check lives in
@@ -320,46 +297,60 @@ class TestNumToWords:
 
 class TestNormalize:
     def test_numeral_expansion(self):
-        assert [t.core for t in normalize("I saw 2 cats.")] == \
-            ["i", "saw", "two", "cats"]
+        assert words("I saw 2 cats.") == ["i", "saw", "two", "cats"]
 
     def test_acronym_expansion(self):
-        assert [t.core for t in normalize("OK")] == ["o", "k"]
+        assert words("OK") == ["o", "k"]
 
     def test_plain_word_identity(self):
-        assert [t.core for t in normalize("word")] == ["word"]
+        assert normalize("word") == [("word", PLAIN)]
 
     def test_punctuation_dropped(self):
-        assert [t.core for t in normalize("well -- yes !")] == ["well", "yes"]
+        assert words("well -- yes !") == ["well", "yes"]
 
     def test_hyphenated_words_split(self):
-        assert [t.core for t in normalize("well-known fact")] == \
-            ["well", "known", "fact"]
+        assert words("well-known fact") == ["well", "known", "fact"]
 
     def test_case_folding(self):
-        assert [t.core for t in normalize("The Debate")] == ["the", "debate"]
+        assert words("The Debate") == ["the", "debate"]
 
     def test_unsupported_numeral_flagged_not_fatal(self):
-        toks = normalize("worth 3.5 points")
-        flagged = [t for t in toks if "numeral-unsupported" in t.flags]
-        assert len(flagged) == 1 and flagged[0].core == "3.5"
-        assert [t.core for t in toks] == ["worth", "3.5", "points"]
+        assert normalize("worth 3.5 points") == \
+            [("worth", PLAIN), ("3.5", UNSUPPORTED), ("points", PLAIN)]
 
     def test_ordinal_flagged(self):
-        toks = normalize("the 2nd time")
-        assert any("numeral-unsupported" in t.flags for t in toks)
+        assert normalize("the 2nd time") == \
+            [("the", PLAIN), ("2nd", UNSUPPORTED), ("time", PLAIN)]
 
     def test_thousands_separator(self):
-        assert [t.core for t in normalize("1,000 men")] == ["one", "thousand", "men"]
+        assert words("1,000 men") == ["one", "thousand", "men"]
 
     def test_decimal_comma_not_misread(self):
-        toks = normalize("3,5 points", "fr")
-        assert toks[0].core == "3,5"
-        assert "numeral-unsupported" in toks[0].flags
+        assert normalize("3,5 points", "fr")[0] == ("3,5", UNSUPPORTED)
+
+    def test_mixed_sentence_keys(self):
+        # acronym, hyphen, ordinal, grouped thousands, decimal and quotes
+        text = '"The BBC aired its well-known 2nd report," said 1,250 viewers -- 3.5 stars!'
+        assert normalize(text, "en") == [
+            ("the", PLAIN), ("b", PLAIN), ("b", PLAIN), ("c", PLAIN),
+            ("aired", PLAIN), ("its", PLAIN), ("well", PLAIN), ("known", PLAIN),
+            ("2nd", UNSUPPORTED), ("report", PLAIN), ("said", PLAIN),
+            ("one", PLAIN), ("thousand", PLAIN), ("two", PLAIN),
+            ("hundred", PLAIN), ("fifty", PLAIN), ("viewers", PLAIN),
+            ("3.5", UNSUPPORTED), ("stars", PLAIN),
+        ]
+
+    @pytest.mark.parametrize("lang", ["en", "fr", "es"])
+    @given(text=st.text(max_size=80))
+    @settings(max_examples=200)
+    def test_keys_are_dictionary_ready(self, lang, text):
+        for word, flags in normalize(text, lang):
+            assert word and any(ch.isalnum() for ch in word) and word == word.lower()
+            assert "|" not in word and not any(ch.isspace() for ch in word)
+            assert flags in (PLAIN, UNSUPPORTED)
 
     @given(st.text(alphabet=st.sampled_from("abc def' -."), max_size=60))
     @settings(max_examples=200)
     def test_idempotent_without_numerals_acronyms(self, text):
-        once = [t.core for t in normalize(text)]
-        twice = [t.core for t in normalize(" ".join(once))]
-        assert once == twice
+        once = words(text)
+        assert words(" ".join(once)) == once
