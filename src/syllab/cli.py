@@ -9,6 +9,7 @@ outputs are UTF-8 TSV/JSON with LF line endings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -36,11 +37,8 @@ from .pipeline import (
     word_record,
 )
 from .sonority import hierarchy_for
-from .ssp import Syllabification
+from .ssp import PHONE_SYL_SEP, TEXT_SYL_SEP, Syllabification
 from .textnorm import normalize
-
-PHONE_SYL_SEP = " . "
-TEXT_SYL_SEP = "|"
 
 RECORD_COLUMNS = ("word", "phones", "phone_syllables", "text_syllables",
                   "stress", "method", "flags")
@@ -54,8 +52,8 @@ def format_record_row(rec: WordRecord) -> str:
     return "\t".join((
         rec.word,
         phones,
-        rec.phone_syll.phone_text(PHONE_SYL_SEP) if rec.phone_syll.symbols else "-",
-        rec.text_syll.text(TEXT_SYL_SEP),
+        rec.phone_syll.phone_text() if rec.phone_syll.symbols else "-",
+        rec.text_syll.text(),
         "-" if rec.stress_index is None else str(rec.stress_index),
         rec.method,
         ",".join(sorted(rec.flags)) if rec.flags else "-",
@@ -69,10 +67,10 @@ def parse_record_row(row: str) -> WordRecord:
         raise ValueError(f"expected {len(RECORD_COLUMNS)} columns, got {len(fields)}")
     word, phones, phone_syl, text_syl, stress, method, flags = fields
     prons = [] if phones == "-" else [Pronunciation(tuple(phones.split()))]
-    phone_syll = _syll_from_groups(
+    phone_syll = Syllabification.from_parts(
         [] if phone_syl == "-" else
         [g.split(" ") for g in phone_syl.split(PHONE_SYL_SEP)])
-    text_syll = _syll_from_groups([list(p) for p in text_syl.split(TEXT_SYL_SEP)])
+    text_syll = Syllabification.from_parts(text_syl.split(TEXT_SYL_SEP))
     return WordRecord(
         word=word,
         pronunciations=prons,
@@ -82,15 +80,6 @@ def parse_record_row(row: str) -> WordRecord:
         method=method,
         flags=frozenset() if flags == "-" else frozenset(flags.split(",")),
     )
-
-
-def _syll_from_groups(groups) -> Syllabification:
-    symbols, breaks = [], []
-    for group in groups:
-        if symbols:
-            breaks.append(len(symbols))
-        symbols.extend(group)
-    return Syllabification(tuple(symbols), tuple(breaks))
 
 
 def record_to_json(rec: WordRecord) -> dict:
@@ -109,15 +98,14 @@ def record_to_json(rec: WordRecord) -> dict:
 # --- configuration ------------------------------------------------------------
 
 
-def _resource_path(path: str | None) -> str | None:
-    if path is None:
+def _resource_path(path: str | None, what: str) -> str | None:
+    """`path` as given, or else under $SYLLAB_RESOURCES; None when not given."""
+    if not path:
         return None
-    root = os.environ.get("SYLLAB_RESOURCES")
-    if root and not os.path.isabs(path) and not os.path.exists(path):
-        candidate = os.path.join(root, path)
+    for candidate in (path, os.path.join(os.environ.get("SYLLAB_RESOURCES", ""), path)):
         if os.path.exists(candidate):
             return candidate
-    return path
+    raise ConfigurationError(f"{what} not found: {path}")
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -134,83 +122,77 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _add_resource_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("resources")
+def _add_dictionary_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("dictionary")
     group.add_argument("--dict", dest="dict_path", help="pronunciation dictionary file")
     group.add_argument("--dict-format", choices=("cmu", "mfa"), default="cmu")
+    group.add_argument("--phone-table", default=None,
+                       help="symbol<TAB>class overrides for the phone hierarchy")
+    group.add_argument("--lenient", action="store_true",
+                       help="skip unparseable dictionary lines instead of failing")
+    group.add_argument("--config", default=None,
+                       help="key=value file of defaults (flags win)")
+
+
+def _add_spelling_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("spelling")
     group.add_argument("--lang", default="en", help="letter-domain language (en/fr/es)")
-    group.add_argument("--label", default=None,
-                       help="language/variant label for reports (default: derived)")
+    group.add_argument("--letter-table", default=None,
+                       help="symbol<TAB>class overrides for the letter hierarchy")
     group.add_argument("--corpus", dest="corpus_path",
                        help="syllabified-words corpus file")
-    group.add_argument("--corpus-format", choices=("gutenberg", "lexique", "custom"),
-                       default="gutenberg")
-    group.add_argument("--word-col", type=int, default=0)
-    group.add_argument("--syll-col", type=int, default=1)
-    group.add_argument("--col-sep", default="\t")
-    group.add_argument("--syll-sep", default="-")
+    group.add_argument("--corpus-format", choices=("gutenberg", "lexique"),
+                       default="gutenberg",
+                       help="corpus layout; each layout flag given overrides its field")
+    group.add_argument("--word-col", type=int)
+    group.add_argument("--syll-col", type=int)
+    group.add_argument("--col-sep", help="'' if the whole line is the syllabified word")
+    group.add_argument("--syll-sep")
     group.add_argument("--corpus-header", action="store_true",
                        help="skip the first corpus line (column header)")
+
+
+def _add_annotation_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("annotation")
     group.add_argument("--fallback-cmd", default=None,
                        help="external G2P command for OOV words")
     group.add_argument("--secondary", dest="secondary_path",
                        help="word<TAB>stress-marked-phones file for stress merging")
-    group.add_argument("--phone-table", default=None,
-                       help="symbol<TAB>class overrides for the phone hierarchy")
-    group.add_argument("--letter-table", default=None,
-                       help="symbol<TAB>class overrides for the letter hierarchy")
-    group.add_argument("--lenient", action="store_true",
-                       help="skip unparseable dictionary lines instead of failing")
-    parser.add_argument("--method", choices=pipeline.METHOD_CHOICES,
-                        default="lkp-ssp-dtw")
-    parser.add_argument("--config", default=None,
-                        help="key=value file of defaults (flags win)")
-
-
-def _corpus_format(args) -> CorpusFormat:
-    if args.corpus_format != "custom":
-        fmt = CorpusFormat.preset(args.corpus_format)
-        if args.corpus_header:
-            fmt = CorpusFormat(fmt.syllable_separator, fmt.column_separator,
-                               fmt.word_column, fmt.syllable_column, True)
-        return fmt
-    return CorpusFormat(
-        syllable_separator=args.syll_sep,
-        column_separator=args.col_sep if args.col_sep else None,
-        word_column=args.word_col,
-        syllable_column=args.syll_col,
-        has_header=args.corpus_header,
-    )
+    group.add_argument("--method", choices=pipeline.METHOD_CHOICES,
+                       default="lkp-ssp-dtw")
 
 
 def build_resources(args) -> Resources:
+    """The resources `args` name; an option the subcommand lacks counts as unset."""
+    opt = vars(args).get
     if not args.dict_path:
         raise ConfigurationError("a pronunciation dictionary is required (--dict)")
-    dict_path = _resource_path(args.dict_path)
-    if not os.path.exists(dict_path):
-        raise ConfigurationError(f"dictionary not found: {dict_path}")
+    dict_path = _resource_path(args.dict_path, "dictionary")
+    corpus_path = _resource_path(opt("corpus_path"), "syllabified corpus")
+    sec_path = _resource_path(opt("secondary_path"), "secondary transcription file")
+    phone_table = _resource_path(args.phone_table, "phone table")
+    letter_table = _resource_path(opt("letter_table"), "letter table")
+    lang = opt("lang", "en")
     lexicon = load_pron_dict(dict_path, args.dict_format, strict=not args.lenient)
     phoneset = "cmu-arpabet" if args.dict_format == "cmu" else "mfa-ipa"
-    phone_h = hierarchy_for(phoneset, args.lang, table_path=args.phone_table)
-    letter_h = hierarchy_for("letters", args.lang, table_path=args.letter_table)
+    phone_h = hierarchy_for(phoneset, lang, phone_table)
+    letter_h = hierarchy_for("letters", lang, letter_table)
 
     syllabified = None
-    if args.corpus_path:
-        corpus_path = _resource_path(args.corpus_path)
-        if not os.path.exists(corpus_path):
-            raise ConfigurationError(f"syllabified corpus not found: {corpus_path}")
-        syllabified = load_syllabified_corpus(corpus_path, _corpus_format(args),
-                                              args.lang)
+    if corpus_path:
+        layout = {"syllable_separator": args.syll_sep, "column_separator": args.col_sep,
+                  "word_column": args.word_col, "syllable_column": args.syll_col,
+                  "has_header": args.corpus_header or None}
+        fmt = dataclasses.replace(CorpusFormat.preset(args.corpus_format),
+                                  **{k: v for k, v in layout.items() if v is not None})
+        if not fmt.syllable_separator:
+            raise ConfigurationError("--syll-sep must not be empty")
+        syllabified = load_syllabified_corpus(corpus_path, fmt, lang)
 
-    secondary = None
-    if args.secondary_path:
-        sec_path = _resource_path(args.secondary_path)
-        if not os.path.exists(sec_path):
-            raise ConfigurationError(f"secondary transcription file not found: {sec_path}")
-        secondary = load_secondary_stress(sec_path, hierarchy_for("mfa-ipa", args.lang))
-
-    fallback = FallbackConfig(args.fallback_cmd) if args.fallback_cmd else None
-    label = args.label or ("CMU" if args.dict_format == "cmu" else args.lang)
+    secondary = (load_secondary_stress(sec_path, hierarchy_for("mfa-ipa", lang))
+                 if sec_path else None)
+    fallback = FallbackConfig(opt("fallback_cmd")) if opt("fallback_cmd") else None
+    label = opt("label") or ("CMU" if args.dict_format == "cmu" else lang)
     return Resources(lexicon, phone_h, letter_h, syllabified, fallback,
                      secondary, label)
 
@@ -416,7 +398,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = by_name["syllabify"] = sub.add_parser(
         "syllabify", help="annotate words given on argv or stdin")
     p.add_argument("words", nargs="*")
-    _add_resource_args(p)
+    _add_dictionary_args(p)
+    _add_spelling_args(p)
+    _add_annotation_args(p)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", default=None)
     p.add_argument("--dump-alignment", default=None, metavar="DIR",
@@ -426,14 +410,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = by_name["annotate"] = sub.add_parser(
         "annotate", help="annotate a sentence corpus file")
     p.add_argument("corpus_file")
-    _add_resource_args(p)
+    _add_dictionary_args(p)
+    _add_spelling_args(p)
+    _add_annotation_args(p)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_annotate)
 
     p = by_name["ablate"] = sub.add_parser(
         "ablate", help="per-method word accuracies on a dictionary sample")
-    _add_resource_args(p)
+    _add_dictionary_args(p)
+    _add_spelling_args(p)
+    p.add_argument("--label", default=None,
+                   help="language/variant label for the report "
+                        "(default: CMU for a cmu dictionary, else --lang)")
     p.add_argument("--sample-size", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -444,7 +434,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "histogram", help="syllable-count distribution")
     p.add_argument("--annotations", default=None,
                    help="existing annotation TSV (otherwise the dictionary is used)")
-    _add_resource_args(p)
+    _add_dictionary_args(p)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")

@@ -228,10 +228,10 @@ def sc_correction(syllables: Sequence[str],
 class CorpusFormat:
     """Column/separator layout of a syllabified-word corpus file.
 
-    With `column_separator` None the whole line is the syllabified form and
-    the word is its concatenation (Gutenberg hyphenation list style); with a
-    separator the word and syllabification columns are indexed fields
-    (Lexique383 style).
+    With `column_separator` None or empty the whole line is the syllabified
+    form and the word is its concatenation (Gutenberg hyphenation list
+    style); with a separator the word and syllabification columns are
+    indexed fields (Lexique383 style).
     """
 
     syllable_separator: str = "-"
@@ -279,7 +279,7 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
             continue
         if not line.strip():
             continue
-        if fmt.column_separator is None:
+        if not fmt.column_separator:
             syl_field = line.strip()
             word = syl_field.replace(fmt.syllable_separator, "")
         else:
@@ -295,4 +295,7 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
             out.skipped_rows += 1
             continue
         out.entries[word] = tuple(sc_correction(syllables, vowels))
+    if out.skipped_rows:
+        log.warning("%s: skipped %d rows with missing columns or syllables that "
+                    "do not rejoin to the word", path, out.skipped_rows)
     return out

@@ -51,7 +51,7 @@ class Resources:
     syllabified: SyllabifiedLexicon | None = None
     fallback: FallbackConfig | None = None
     secondary_stress: dict[str, tuple[int, int]] | None = None
-    variant: str = ""  # label such as "CMU" or "en_US", used in reports
+    variant: str = ""  # label such as "CMU" or "en_US", printed only by the ablation
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,6 @@ def _arpabet_stress(pron: Pronunciation, phone_syll: Syllabification) -> int | N
         if len(symbol) > 1 and symbol[-1] == "1":
             return phone_syll.syllable_of(pos)
     return None
-
-
-def _syll_from_parts(word: str, parts) -> Syllabification | None:
-    if "".join(parts) != word:
-        return None
-    breaks, pos = [], 0
-    for part in parts[:-1]:
-        pos += len(part)
-        breaks.append(pos)
-    return Syllabification(tuple(word), tuple(breaks))
 
 
 @dataclass(frozen=True)
@@ -189,9 +179,10 @@ def analyze_word(word: str, resources: Resources,
 
     corpus_syll = None
     if nuclei > 1 and resources.syllabified is not None:
-        entry = resources.syllabified.entries.get(word)
-        if entry is not None and len(entry) == nuclei:
-            corpus_syll = _syll_from_parts(word, entry)
+        # a caller's SyllabifiedLexicon may hold entries with empty or wrong syllables
+        entry = resources.syllabified.entries.get(word, ())
+        if len(entry) == nuclei and all(entry) and "".join(entry) == word:
+            corpus_syll = Syllabification.from_parts(entry)
 
     stress = (_arpabet_stress(prons[0], phone_syll)
               if resources.lexicon.phoneset == "cmu-arpabet" else None)

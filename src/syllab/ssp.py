@@ -25,6 +25,9 @@ from .sonority import (
     sonority_sequence,
 )
 
+TEXT_SYL_SEP = "|"     # between syllables in text()
+PHONE_SYL_SEP = " . "  # between syllables in phone_text()
+
 
 @dataclass(frozen=True)
 class Syllabification:
@@ -43,6 +46,16 @@ class Syllabification:
                 raise ValueError(f"break {b} out of range or out of order")
             prev = b
 
+    @classmethod
+    def from_parts(cls, parts) -> "Syllabification":
+        """The syllabification whose syllables are `parts`, each a symbol sequence."""
+        symbols, breaks = [], []
+        for part in parts:
+            if symbols:
+                breaks.append(len(symbols))
+            symbols.extend(part)
+        return cls(tuple(symbols), tuple(breaks))
+
     @property
     def n_syllables(self) -> int:
         if not self.symbols:
@@ -59,11 +72,11 @@ class Syllabification:
             raise IndexError(position)
         return bisect_right(self.breaks, position)
 
-    def text(self, sep: str = "|") -> str:
-        return sep.join("".join(s) for s in self.syllables())
+    def text(self) -> str:
+        return TEXT_SYL_SEP.join("".join(s) for s in self.syllables())
 
-    def phone_text(self, syllable_sep: str = " . ") -> str:
-        return syllable_sep.join(" ".join(s) for s in self.syllables())
+    def phone_text(self) -> str:
+        return PHONE_SYL_SEP.join(" ".join(s) for s in self.syllables())
 
 
 def ssp_breaks(seq: SonoritySequence) -> Syllabification:

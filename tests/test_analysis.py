@@ -141,7 +141,7 @@ class TestWorkCounts:
         assert [args[0] for args in calls] == ["a", "b"]
 
 
-# `histogram` of the fixture dictionary, for every method alike
+# `histogram` of the fixture dictionary
 HISTOGRAM = {
     "tsv": "n_syllables\tpercentage\n1\t74.15\n2\t20.75\n3\t4.42\n4\t0.68\n",
     "csv": "n_syllables,percentage\n1,74.15\n2,20.75\n3,4.42\n4,0.68\n",
@@ -150,11 +150,9 @@ HISTOGRAM = {
 
 
 @pytest.mark.parametrize("fmt", HISTOGRAM)
-@pytest.mark.parametrize("method", ["ssp", "lkp-ssp-dtw"])
-def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, method, monkeypatch, capsys):
+def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, monkeypatch, capsys):
     alignments = count_calls(monkeypatch, dtw)
     assert main(["histogram", "--dict", str(DATA / "mini_cmu.dict"),
-                 "--corpus", str(DATA / "mini_syllables.txt"),
-                 "--method", method, "--format", fmt]) == 0
+                 "--format", fmt]) == 0
     assert capsys.readouterr().out == HISTOGRAM[fmt]
     assert alignments == []

@@ -21,6 +21,7 @@ SRC = str(DATA.parent.parent / "src")
 
 DICT = str(DATA / "mini_cmu.dict")
 CORPUS = str(DATA / "mini_syllables.txt")
+PROMPTS = str(DATA / "plain_sentences.txt")
 
 
 def run(capsys, *argv):
@@ -137,13 +138,36 @@ class TestSyllabifyCommand:
         assert patched.split("\t")[3] == "w|a|ter"
 
     def test_custom_corpus_format_matches_preset(self, capsys):
+        # the gutenberg preset spelled out as layout flags
         base = ("syllabify", "beautiful", "--dict", DICT, "--corpus", CORPUS,
                 "--method", "lkp-ssp-dtw")
         _, preset_out, _ = run(capsys, *base, "--corpus-format", "gutenberg")
-        _, custom_out, _ = run(capsys, *base, "--corpus-format", "custom",
-                               "--col-sep", "", "--syll-sep", "-")
+        _, custom_out, _ = run(capsys, *base, "--col-sep", "", "--syll-sep", "-")
         assert preset_out == custom_out
         assert preset_out.split("\t")[5] == "corpus-lookup"
+
+    @pytest.mark.parametrize("rows, layout", [
+        ("beau.ti.ful\n", ["--syll-sep", "."]),
+        ("beautiful,beau-ti-ful\n", ["--col-sep", ","]),
+        ("beau-ti-ful\tx\tbeautiful\n", ["--col-sep", "\t", "--word-col", "2",
+                                           "--syll-col", "0"]),
+        ("word\tsyll\nbeautiful\tbeau-ti-ful\n", ["--corpus-format", "lexique"]),
+        ("word|syll\nbeautiful|beau-ti-ful\n", ["--corpus-format", "lexique",
+                                               "--col-sep", "|"]),
+        ("word\nbeau-ti-ful\n", ["--corpus-header"]),
+    ], ids=["syll-sep", "col-sep", "columns", "lexique", "lexique-col-sep", "header"])
+    def test_layout_flags_override_the_preset(self, capsys, tmp_path, rows, layout):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(rows, encoding="utf-8")
+        code, out, _ = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                           "--corpus", str(corpus), *layout)
+        assert code == 0
+        assert out.split("\t")[3:6] == ["beau|ti|ful", "0", "corpus-lookup"]
+
+    def test_empty_syllable_separator_exits_2(self, capsys):
+        code, _, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                           "--corpus", CORPUS, "--syll-sep", "")
+        assert code == 2 and "--syll-sep must not be empty" in err
 
     def test_non_ascii_stress_digit_kept_and_flagged(self, capsys, tmp_path):
         # ARPABET stress digits are ASCII; an Arabic-Indic one is not stress
@@ -262,8 +286,7 @@ class TestAblateCommand:
 
     def test_absent_cells_without_corpus(self, capsys):
         code, out, _ = run(capsys, "ablate", "--dict", DICT,
-                           "--sample-size", "10", "--seed", "1",
-                           "--method", "ssp")
+                           "--sample-size", "10", "--seed", "1")
         assert code == 0
         assert "lkp-ssp\t-" in out and "lkp-ssp-dtw\t-" in out
 
@@ -365,6 +388,80 @@ class TestResourceRootEnv:
         code, out, _ = run(capsys, "syllabify", "leaves",
                            "--dict", "mini_cmu.dict")
         assert code == 0 and out.startswith("leaves\t")
+
+    @pytest.mark.parametrize("option, row, column, value", [
+        ("--letter-table", "w\tvowel\n", 3, "w|a|ter"),
+        ("--phone-table", "W\tvowel\n", 2, "W . AO1 . T ER0"),
+    ], ids=["letter-table", "phone-table"])
+    def test_symbol_tables_resolve_against_env(self, capsys, monkeypatch, tmp_path,
+                                               option, row, column, value):
+        (tmp_path / "table.tsv").write_text(row)
+        monkeypatch.setenv("SYLLAB_RESOURCES", str(tmp_path))
+        monkeypatch.chdir(DATA)
+        code, out, _ = run(capsys, "syllabify", "water", "--dict", "mini_cmu.dict",
+                           "--method", "ssp", option, "table.tsv")
+        assert code == 0 and out.split("\t")[column] == value
+
+    @pytest.mark.parametrize("option, what", [
+        ("--dict", "dictionary"),
+        ("--corpus", "syllabified corpus"),
+        ("--secondary", "secondary transcription file"),
+        ("--phone-table", "phone table"),
+        ("--letter-table", "letter table"),
+    ])
+    def test_missing_resource_names_it(self, capsys, monkeypatch, tmp_path,
+                                       option, what):
+        monkeypatch.setenv("SYLLAB_RESOURCES", str(tmp_path))
+        argv = ["syllabify", "water", "--dict", DICT, option, "absent.tsv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} not found: absent.tsv\n"
+
+
+# options of other subcommands that would not change this one's output, each with
+# a value the subcommands that take it accept
+REMOVED_OPTIONS = {
+    "histogram": {
+        "--lang": "en", "--label": "Z", "--corpus": CORPUS,
+        "--corpus-format": "gutenberg", "--word-col": "0", "--syll-col": "1",
+        "--col-sep": "\t", "--syll-sep": "-", "--corpus-header": None,
+        "--fallback-cmd": "false", "--secondary": str(DATA / "secondary_espeak.tsv"),
+        "--letter-table": os.devnull, "--method": "ssp"},
+    "ablate": {"--method": "ssp", "--fallback-cmd": "false",
+               "--secondary": str(DATA / "secondary_espeak.tsv")},
+    "syllabify": {"--label": "Q"},
+    "annotate": {"--label": "Q"},
+}
+COMMAND_ARGV = {"histogram": ["histogram"], "ablate": ["ablate", "--sample-size", "5"],
+                "syllabify": ["syllabify", "leaves"], "annotate": ["annotate", PROMPTS]}
+REMOVED = [(command, option) for command, options in REMOVED_OPTIONS.items()
+           for option in options]
+
+
+class TestOptionsPerSubcommand:
+    """A subcommand takes only the options that can change its output."""
+
+    @pytest.mark.parametrize("command, option", REMOVED)
+    def test_removed_option_exits_2(self, capsys, tmp_path, command, option):
+        value = REMOVED_OPTIONS[command][option]
+        argv = COMMAND_ARGV[command] + ["--dict", DICT, "--out", str(tmp_path / "o"),
+                                        option] + ([] if value is None else [value])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", REMOVED)
+    def test_removed_option_config_key_exits_2(self, capsys, tmp_path, command, option):
+        key = {"--corpus": "corpus_path", "--secondary": "secondary_path"}.get(
+            option, option[2:].replace("-", "_"))
+        value = REMOVED_OPTIONS[command][option]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {DICT}\n{key} = {value or 'true'}\n")
+        code, out, err = run(capsys, *COMMAND_ARGV[command], "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err == f"error: unknown config key {key!r}\n"
 
 
 NOT_UTF8 = b"leaves\t\xff\xfe sentence\n"

@@ -247,6 +247,17 @@ class TestSyllabifiedCorpus:
         assert "eau" not in corpus.entries  # syllables do not re-concatenate
         assert corpus.skipped_rows == 1
 
+    def test_skipped_rows_logged_once(self, tmp_path, caplog):
+        p = tmp_path / "lexique_syllables.tsv"
+        p.write_text("word\tsyll\nbateau\tba-teau\nbeautiful\tbeau-ti-fool\nshort\n",
+                     encoding="utf-8")
+        with caplog.at_level("WARNING", logger="syllab.lexicon"):
+            corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
+        assert list(corpus.entries) == ["bateau"] and corpus.skipped_rows == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 2 rows with missing columns or syllables that do not "
+            "rejoin to the word"]
+
     def test_only_newlines_end_a_line(self, tmp_path):
         # NEL (Latin-1 byte 0x85) and U+2028 stay inside their line
         p = tmp_path / "nel.txt"

@@ -1,8 +1,9 @@
+import dataclasses
 import sys
 
 import pytest
 
-from syllab.lexicon import FallbackConfig, load_pron_dict
+from syllab.lexicon import FallbackConfig, SyllabifiedLexicon, load_pron_dict
 from syllab.pipeline import (
     Resources,
     annotate_corpus,
@@ -58,6 +59,15 @@ class TestMethodVariants:
         rec = syllabify_word("rhythm", mini_resources, "lkp-ssp-dtw")
         assert rec.method == "ssp-dtw"
         assert rec.text_syll.n_syllables == 2
+
+    @pytest.mark.parametrize("entry", [("beau", "ti", "fool"), ("beau", "", "tiful")],
+                             ids=["not-rejoining", "empty-syllable"])
+    def test_malformed_library_corpus_entry_ignored(self, mini_resources, entry):
+        corpus = SyllabifiedLexicon({"beautiful": entry})
+        resources = dataclasses.replace(mini_resources, syllabified=corpus)
+        rec = syllabify_word("beautiful", resources, "lkp-ssp-dtw")
+        assert rec.method == "ssp-dtw"
+        assert rec.text_syll.n_syllables == 3
 
     def test_lkp_method_without_corpus_degrades(self, mini_resources_nocorpus):
         rec = syllabify_word("beautiful", mini_resources_nocorpus, "lkp-ssp-dtw")
