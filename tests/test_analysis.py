@@ -150,9 +150,15 @@ HISTOGRAM = {
 
 
 @pytest.mark.parametrize("fmt", HISTOGRAM)
-def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, monkeypatch, capsys):
+@pytest.mark.parametrize("method", ["ssp", "lkp-ssp-dtw"])
+def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, method, monkeypatch, capsys):
     alignments = count_calls(monkeypatch, dtw)
-    assert main(["histogram", "--dict", str(DATA / "mini_cmu.dict"),
-                 "--format", fmt]) == 0
+    command = ["histogram", "--dict", str(DATA / "mini_cmu.dict"), "--format", fmt]
+    assert main(command) == 0
     assert capsys.readouterr().out == HISTOGRAM[fmt]
+    # the counts are the same for every method, so histogram offers none
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--method", method])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
     assert alignments == []
