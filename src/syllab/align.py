@@ -38,14 +38,23 @@ def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
     if m == 0 or n == 0:
         raise ValueError("dtw requires two non-empty sequences")
 
-    # accumulated costs; the first row and column can only be reached straight
-    row = list(accumulate(abs(la[0] - y) for y in lb))
+    # accumulated costs; the first row and column can only be reached
+    # straight.  Levels are 1-5, so there are at most five cost rows, and a
+    # cell needs only the cheapest predecessor's value: ties matter only to
+    # the backtrack.
+    costs = {x: [abs(x - y) for y in lb] for x in set(la)}
+    row = list(accumulate(costs[la[0]]))
     acc = [row]
     for x in la[1:]:
-        prev, left = row, row[0] + abs(x - lb[0])
+        cost = costs[x]
+        prev, left = row, row[0] + cost[0]
         row = [left]
-        for y, diag, up in zip(lb[1:], prev, prev[1:]):
-            left = abs(x - y) + min(diag, up, left)
+        for c, diag, up in zip(cost[1:], prev, prev[1:]):
+            if up < diag:
+                diag = up
+            if left < diag:
+                diag = left
+            left = diag + c
             row.append(left)
         acc.append(row)
 
@@ -78,11 +87,10 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
     when any projected break had to be dropped (collapsed links, edge
     positions, or a tail left without a vowel letter).
     """
-    cuts = []
-    for brk in phone_syll.breaks:
-        c = phone_seq.sources.index(brk)
-        j = min(j for i, j in path.pairs if i == c)
-        cuts.append(letter_seq.sources[j])
+    # the path is monotone: over its reversal, a row's last link is its leftmost
+    leftmost = dict(reversed(path.pairs))
+    cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
+            for brk in phone_syll.breaks]
 
     # never strand a tail without a vowel letter (mirrors ssp_breaks)
     last_vowel = max((s for s, level in zip(letter_seq.sources, letter_seq.levels)

@@ -187,6 +187,9 @@ def build_resources(args) -> Resources:
                                   **{k: v for k, v in layout.items() if v is not None})
         if not fmt.syllable_separator:
             raise ConfigurationError("--syll-sep must not be empty")
+        if not fmt.column_separator and (args.word_col, args.syll_col) != (None, None):
+            raise ConfigurationError("--word-col/--syll-col need a column separator "
+                                     "(--col-sep or --corpus-format lexique)")
         syllabified = load_syllabified_corpus(corpus_path, fmt, lang)
 
     secondary = (load_secondary_stress(sec_path, hierarchy_for("mfa-ipa", lang))
@@ -303,6 +306,10 @@ def cmd_annotate(args) -> int:
     pairs = read_corpus_file(args.corpus_file)
     sentence_keys, table = annotate_corpus([text for _, text in pairs], args.lang,
                                            resources, args.method)
+    # normalize drops a unit whose core holds the reserved separator
+    dropped = sum(1 for _, text in pairs if TEXT_SYL_SEP in text
+                  for unit in text.split()
+                  if TEXT_SYL_SEP in unit and not normalize(unit, args.lang))
     rows = {key: format_record_row(rec) for key, rec in table.items()}
     lines = ["\t".join(ANNOTATION_COLUMNS)]
     records = []
@@ -318,6 +325,9 @@ def cmd_annotate(args) -> int:
         report_path = args.out + ".report.tsv"
     _write_output(report.to_tsv(), report_path)
 
+    if dropped:
+        print(f"warning: dropped {dropped} prompt units holding the reserved "
+              f"{TEXT_SYL_SEP!r}", file=sys.stderr)
     if records:
         acc = evaluate.word_accuracy(records)
         print(f"word_accuracy\t{acc:.2f}\twords\t{len(records)}", file=sys.stderr)

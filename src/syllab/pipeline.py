@@ -247,6 +247,7 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     engine's own break detection on the stripped phone sequence.
     """
     out: dict[str, tuple[int, int]] = {}
+    skipped: list[tuple[int, str]] = []  # (line number, reason)
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -254,7 +255,7 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
-                log.warning("%s:%d: expected word<TAB>phones", path, line_no)
+                skipped.append((line_no, "expected word<TAB>phones"))
                 continue
             word = fields[0].lower()
             symbols, stress_pos = [], None
@@ -271,9 +272,13 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
             try:
                 syll = syllabify_symbols(symbols, hierarchy)
             except UnknownSymbolError as exc:
-                log.warning("%s:%d: %s", path, line_no, exc)
+                skipped.append((line_no, str(exc)))
                 continue
             out[word] = (syll.n_syllables, syll.syllable_of(stress_pos))
+    if skipped:
+        line_no, reason = skipped[0]
+        log.warning("%s: skipped %d lines (first at line %d: %s)",
+                    path, len(skipped), line_no, reason)
     return out
 
 

@@ -135,6 +135,18 @@ def enum_tie_path(a, b):
     return tuple(reversed(cells)), cost
 
 
+def leftmost_links(pairs):
+    """The leftmost b point linked to each a row of an alignment path.
+
+    Pass the pairs of `enum_tie_path`: the projection oracle carries a
+    phone cut at row i to the letter point leftmost_links(pairs)[i].
+    """
+    rows = {}
+    for i, j in pairs:
+        rows[i] = min(rows.get(i, j), j)
+    return rows
+
+
 def random_expanded_levels(rng, max_points):
     """Random valid expanded level list with at most `max_points` points."""
     budget = rng.randint(1, max_points)

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.align import AlignmentPath, alignment_debug_tsv, dtw, project_breaks, project_ssp
-from syllab.sonority import sonority_sequence
-from syllab.ssp import ssp_breaks
+from syllab.sonority import VOWEL_LEVEL, sonority_sequence
+from syllab.ssp import Syllabification, ssp_breaks
 
 from oracles import (
     enum_min_cost,
     enum_tie_path,
+    leftmost_links,
     random_expanded_levels,
     recursive_min_cost,
     sequence_from_levels,
@@ -141,6 +142,32 @@ class TestProjectBreaks:
         projected, degen = project_breaks(syl, dtw(phone, letters), phone, letters)
         assert degen
         assert projected.n_syllables <= syl.n_syllables
+
+
+def oracle_projection(phone, letters):
+    """SSP breaks of `phone` carried onto `letters` along the brute-force path."""
+    path, _ = enum_tie_path(phone.levels, letters.levels)
+    links = leftmost_links(path)
+    cuts = [letters.sources[links[phone.sources.index(brk)]]
+            for brk in ssp_breaks(phone).breaks]
+    vowels = [s for s, lvl in zip(letters.sources, letters.levels) if lvl == VOWEL_LEVEL]
+    kept = sorted({c for c in cuts if vowels and 0 < c <= vowels[-1]})
+    return Syllabification(letters.symbols, tuple(kept)), len(kept) < len(cuts)
+
+
+class TestProjectionOracle:
+    def test_project_ssp_matches_brute_force_path(self):
+        # the leftmost and rightmost links of the cut row land on different letters
+        cases = [([5, 4, 1, 5, 4, 3], [2, 5, 4, 1, 2, 5, 4])]
+        rng = random.Random(17)
+        while len(cases) < 601:
+            la = random_expanded_levels(rng, 7)
+            if ssp_breaks(sequence_from_levels(la)).breaks:  # else no DTW runs
+                cases.append((la, random_expanded_levels(rng, 7)))
+        for la, lb in cases:
+            phone, letters = sequence_from_levels(la), sequence_from_levels(lb)
+            got = project_ssp(ssp_breaks(phone), phone, letters)
+            assert got == oracle_projection(phone, letters), (la, lb)
 
 
 def ssp_dtw(word, phones, phone_h, letter_h):

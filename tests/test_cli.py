@@ -164,6 +164,27 @@ class TestSyllabifyCommand:
         assert code == 0
         assert out.split("\t")[3:6] == ["beau|ti|ful", "0", "corpus-lookup"]
 
+    @pytest.mark.parametrize("layout", [
+        ["--word-col", "3", "--syll-col", "7"],
+        ["--syll-col", "1"],
+        ["--col-sep", "", "--corpus-format", "lexique", "--word-col", "0"],
+    ], ids=["gutenberg", "syll-col", "empty-col-sep"])
+    def test_column_flags_without_separator_exit_2(self, capsys, layout):
+        code, out, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                             "--corpus", CORPUS, *layout)
+        assert code == 2 and out == ""
+        assert err == ("error: --word-col/--syll-col need a column separator "
+                       "(--col-sep or --corpus-format lexique)\n")
+
+    def test_config_column_key_without_separator_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus_path = {CORPUS}\ncorpus_format = gutenberg\n"
+                       "word_col = 2\n")
+        code, out, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "--word-col/--syll-col need a column separator" in err
+
     def test_empty_syllable_separator_exits_2(self, capsys):
         code, _, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
                            "--corpus", CORPUS, "--syll-sep", "")
@@ -235,6 +256,25 @@ class TestAnnotateCommand:
         code, _, err = run(capsys, "annotate", str(empty), "--dict", DICT,
                            "--out", str(out_path))
         assert code == 0 and "undefined" in err
+
+    def test_units_with_reserved_separator_counted_on_stderr(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a|b cat |a\nx||y. cat the|\n")
+        out_path = tmp_path / "ann.tsv"
+        code, _, err = run(capsys, "annotate", str(corpus), "--dict", DICT,
+                           "--method", "ssp", "--out", str(out_path))
+        assert code == 0
+        words = [ln.split("\t")[2] for ln in out_path.read_text().splitlines()[1:]]
+        assert words == ["cat", "a", "cat", "the"]  # "|a" and "the|" still yield words
+        warning, accuracy = err.splitlines()
+        assert warning == "warning: dropped 2 prompt units holding the reserved '|'"
+        assert accuracy.startswith("word_accuracy\t")
+
+    def test_clean_prompt_prints_only_word_accuracy(self, capsys, tmp_path):
+        code, _, err = run(capsys, "annotate", PROMPTS, "--dict", DICT,
+                           "--method", "ssp", "--out", str(tmp_path / "ann.tsv"))
+        assert code == 0
+        assert len(err.splitlines()) == 1 and err.startswith("word_accuracy\t")
 
     def test_oov_token_isolated(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -178,6 +178,18 @@ class TestMergeStress:
         rec = syllabify_word("hello", res, "ssp-dtw")
         assert rec.stress_index == 1
 
+    def test_secondary_skipped_lines_one_summary_warning(self, tmp_path, caplog):
+        ipa = hierarchy_for("mfa-ipa")
+        good = (DATA / "secondary_espeak.tsv").read_text(encoding="utf-8")
+        bad = tmp_path / "secondary.tsv"
+        bad.write_text("no-tab-here\n" + good + "zzz\tˈ☃ a\nalso missing\n",
+                       encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            loaded = load_secondary_stress(bad, ipa)
+        assert loaded == load_secondary_stress(DATA / "secondary_espeak.tsv", ipa)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{bad}: skipped 3 lines (first at line 1: expected word<TAB>phones)"]
+
     def test_secondary_count_mismatch_flagged(self, arpabet, letters_en):
         mfa = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")
         ipa = hierarchy_for("mfa-ipa")
