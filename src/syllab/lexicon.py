@@ -6,8 +6,8 @@ import logging
 import re
 import shlex
 import subprocess
+from collections.abc import Callable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import DictParseError
 from .sonority import VOWEL_LETTERS
@@ -30,9 +30,46 @@ class Pronunciation:
         return " ".join(self.raw)
 
 
+class ParsedOnAccess(Mapping):
+    """Read-only mapping that keeps each key's raw value and parses it on access.
+
+    A loader fills `raw` in one pass over its file, with every check that
+    can reject a line, so a malformed file still fails or warns at load;
+    `parse` turns one raw value into the entry a caller sees.  Nothing is
+    memoized: each access parses again, and every subcommand reads each
+    distinct word once.
+    """
+
+    def __init__(self, raw: dict, parse: Callable):
+        self._raw = raw
+        self._parse = parse
+
+    def __getitem__(self, key):
+        return self._parse(self._raw[key])
+
+    def get(self, key, default=None):
+        raw = self._raw.get(key)  # the loaders store no None
+        return default if raw is None else self._parse(raw)
+
+    def __contains__(self, key) -> bool:
+        return key in self._raw
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+
 @dataclass
 class Lexicon:
-    entries: dict[str, list[Pronunciation]] = field(default_factory=dict)
+    """Pronunciation variants per lower-cased word, in file order.
+
+    A loaded lexicon's `entries` is a `ParsedOnAccess` over each word's
+    phone text; a caller may pass any mapping.
+    """
+
+    entries: Mapping[str, list[Pronunciation]] = field(default_factory=dict)
     phoneset: str = "cmu-arpabet"  # "cmu-arpabet" | "mfa-ipa"
 
     def __len__(self) -> int:
@@ -61,49 +98,59 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True) -> Lexicon:
 
     `cmu` lines look like ``WORD  P1 P2 ...`` with ``WORD(1)`` variant
     suffixes and ``;;;`` comments; `mfa` lines are ``word<TAB>phones``
-    where extra numeric tab fields (probabilities) are ignored.
+    where extra numeric tab fields (probabilities) are ignored.  Load checks
+    every line and keeps its phone text; a word's `Pronunciation`s are
+    built when it is looked up.  A malformed line raises `DictParseError`,
+    or with `strict` off is skipped and counted in one warning per file.
     """
     if format not in ("cmu", "mfa"):
         raise ValueError(f"unknown dictionary format {format!r}")
-    lex = Lexicon({}, "cmu-arpabet" if format == "cmu" else "mfa-ipa")
-    skipped = 0
+    phones_of: dict[str, str] = {}  # word -> phone text of each variant, one per line
+    skipped: list[tuple[int, str]] = []  # (line number, reason)
     for line_no, line in enumerate(_read_text(path), 1):
         line = line.rstrip()
         if not line or line.startswith(";;;"):
             continue
         try:
-            word, pron = _parse_dict_line(line, format)
+            word, phones = _split_dict_line(line, format)
         except ValueError as exc:
             if strict:
                 raise DictParseError(path, line_no, str(exc)) from exc
-            skipped += 1
-            log.warning("%s:%d: skipped (%s)", path, line_no, exc)
+            skipped.append((line_no, str(exc)))
             continue
-        lex.entries.setdefault(word, []).append(pron)
+        known = phones_of.get(word)
+        phones_of[word] = phones if known is None else f"{known}\n{phones}"
     if skipped:
-        log.warning("%s: skipped %d unparseable lines", path, skipped)
-    return lex
+        line_no, reason = skipped[0]
+        log.warning("%s:%d: skipped %d unparseable lines (first: %s)",
+                    path, line_no, len(skipped), reason)
+    return Lexicon(ParsedOnAccess(phones_of, _pronunciations),
+                   "cmu-arpabet" if format == "cmu" else "mfa-ipa")
 
 
-def _parse_dict_line(line: str, fmt: str) -> tuple[str, Pronunciation]:
+def _split_dict_line(line: str, fmt: str) -> tuple[str, str]:
+    """The lower-cased word of a dictionary line and its phone text."""
     if fmt == "cmu":
-        parts = line.split()
+        parts = line.split(None, 1)
         if len(parts) < 2:
             raise ValueError("expected 'WORD  PHONES...'")
-        word = parts[0]
-        m = _CMU_VARIANT.match(word)
-        if m:
-            word = m.group(1)
-        return word.lower(), Pronunciation(tuple(parts[1:]))
+        word, phones = parts
+        if word[-1] == ")":  # run the regex only on a possible (N) suffix
+            m = _CMU_VARIANT.match(word)
+            if m:
+                word = m.group(1)
+        return word.lower(), phones
     fields = line.split("\t")
     if len(fields) < 2 or not fields[0]:
         raise ValueError("expected 'word<TAB>phones'")
-    word = fields[0]
-    phone_fields = [f for f in fields[1:] if f and not _NUMERIC_FIELD.match(f)]
-    tokens = " ".join(phone_fields).split()
-    if not tokens:
+    phones = " ".join(f for f in fields[1:] if f and not _NUMERIC_FIELD.match(f))
+    if not phones.strip():
         raise ValueError("no phones on line")
-    return word.lower(), Pronunciation(tuple(tokens))
+    return fields[0].lower(), phones
+
+
+def _pronunciations(phone_lines: str) -> list[Pronunciation]:
+    return [Pronunciation(tuple(text.split())) for text in phone_lines.split("\n")]
 
 
 def lookup(lexicon: Lexicon, word: str) -> list[Pronunciation]:
@@ -194,7 +241,7 @@ def _run_g2p(words: list[str], config: FallbackConfig) -> list[str] | None:
 
 
 def sc_correction(syllables: Sequence[str],
-                  vowels: set[str] | None = None) -> list[str]:
+                  vowels: Set[str] | None = None) -> list[str]:
     """Merge vowel-less syllables into their neighbour until none remain.
 
     A syllable with no vowel letter joins the following syllable (the
@@ -206,15 +253,11 @@ def sc_correction(syllables: Sequence[str],
     if vowels is None:
         vowels = VOWEL_LETTERS["en"]
     syls = [s for s in syllables if s]
-
-    def vowelless(s: str) -> bool:
-        return not any(ch in vowels for ch in s.lower())
-
     changed = True
     while changed and len(syls) > 1:
         changed = False
         for i, syl in enumerate(syls):
-            if vowelless(syl):
+            if vowels.isdisjoint(syl.lower()):
                 if i + 1 < len(syls):
                     syls[i:i + 2] = [syl + syls[i + 1]]
                 else:
@@ -258,7 +301,14 @@ class CorpusFormat:
 
 @dataclass
 class SyllabifiedLexicon:
-    entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    """Syllables per lower-cased word, for the corpus lookup.
+
+    A loaded one's `entries` is a `ParsedOnAccess` that applies
+    `sc_correction` to a word's syllables when it is looked up; a caller may
+    pass any mapping.
+    """
+
+    entries: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     skipped_rows: int = 0
 
     def __len__(self) -> int:
@@ -267,13 +317,14 @@ class SyllabifiedLexicon:
 
 def load_syllabified_corpus(path, fmt: CorpusFormat,
                             language: str = "en") -> SyllabifiedLexicon:
-    """Load manually syllabified words, applying `sc_correction` to each.
+    """Load manually syllabified words; `sc_correction` applies on access.
 
     Rows whose syllables do not re-concatenate to the word (or with missing
-    columns) are skipped and counted in `skipped_rows`.
+    columns) are skipped at load and counted in `skipped_rows`.
     """
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
-    out = SyllabifiedLexicon({})
+    syllables_of: dict[str, str] = {}  # word -> lower-cased syllabified form
+    skipped = 0
     for line_no, line in enumerate(_read_text(path), 1):
         if fmt.has_header and line_no == 1:
             continue
@@ -285,17 +336,20 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
         else:
             fields = line.split(fmt.column_separator)
             if len(fields) <= max(fmt.word_column, fmt.syllable_column):
-                out.skipped_rows += 1
+                skipped += 1
                 continue
             word = fields[fmt.word_column].strip()
             syl_field = fields[fmt.syllable_column].strip()
-        word = word.lower()
-        syllables = [s for s in syl_field.lower().split(fmt.syllable_separator) if s]
-        if not word or not syllables or "".join(syllables) != word:
-            out.skipped_rows += 1
+        word, syl_field = word.lower(), syl_field.lower()
+        if not word or "".join(syl_field.split(fmt.syllable_separator)) != word:
+            skipped += 1
             continue
-        out.entries[word] = tuple(sc_correction(syllables, vowels))
-    if out.skipped_rows:
+        syllables_of[word] = syl_field
+    if skipped:
         log.warning("%s: skipped %d rows with missing columns or syllables that "
-                    "do not rejoin to the word", path, out.skipped_rows)
-    return out
+                    "do not rejoin to the word", path, skipped)
+
+    def corrected(syl_field: str) -> tuple[str, ...]:
+        return tuple(sc_correction(syl_field.split(fmt.syllable_separator), vowels))
+
+    return SyllabifiedLexicon(ParsedOnAccess(syllables_of, corrected), skipped)

@@ -13,7 +13,7 @@ of any method.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +22,7 @@ from .errors import UnknownSymbolError, open_utf8
 from .lexicon import (
     FallbackConfig,
     Lexicon,
+    ParsedOnAccess,
     Pronunciation,
     SyllabifiedLexicon,
     g2p_fallback,
@@ -50,7 +51,7 @@ class Resources:
     letter_hierarchy: SonorityHierarchy
     syllabified: SyllabifiedLexicon | None = None
     fallback: FallbackConfig | None = None
-    secondary_stress: dict[str, tuple[int, int]] | None = None
+    secondary_stress: Mapping[str, tuple[int, int]] | None = None
     variant: str = ""  # label such as "CMU" or "en_US", printed only by the ablation
 
 
@@ -239,14 +240,17 @@ def syllabify_word(word: str, resources: Resources,
 
 
 def load_secondary_stress(path, hierarchy: SonorityHierarchy,
-                          ) -> dict[str, tuple[int, int]]:
+                          ) -> Mapping[str, tuple[int, int]]:
     """Read `word<TAB>phones-with-stress-marks` transcriptions.
 
     A token prefixed with ˈ (or ') carries primary stress; the entry maps
     the word to (syllable count, stressed syllable index) computed by the
-    engine's own break detection on the stripped phone sequence.
+    engine's own break detection on the stripped phone sequence, when the
+    word is looked up.  Lines without a tab or a primary-stress mark, or
+    with a symbol the hierarchy does not classify, are skipped at load and
+    counted in one warning per file.
     """
-    out: dict[str, tuple[int, int]] = {}
+    phones_of: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []  # (line number, reason)
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -257,29 +261,43 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
             if len(fields) < 2:
                 skipped.append((line_no, "expected word<TAB>phones"))
                 continue
-            word = fields[0].lower()
-            symbols, stress_pos = [], None
-            for tok in fields[1].split():
-                marked = tok[0] in "ˈ'"
-                tok = tok.lstrip("ˈˌ',")
-                if not tok:
-                    continue
-                if marked and stress_pos is None:
-                    stress_pos = len(symbols)
-                symbols.append(tok)
-            if stress_pos is None or not symbols:
+            symbols, stress_pos = _marked_symbols(fields[1])
+            if stress_pos is None:
+                skipped.append((line_no, "no primary stress mark"))
                 continue
             try:
-                syll = syllabify_symbols(symbols, hierarchy)
+                for symbol in symbols:
+                    hierarchy.level(symbol)
             except UnknownSymbolError as exc:
                 skipped.append((line_no, str(exc)))
                 continue
-            out[word] = (syll.n_syllables, syll.syllable_of(stress_pos))
+            phones_of[fields[0].lower()] = fields[1]
     if skipped:
         line_no, reason = skipped[0]
         log.warning("%s: skipped %d lines (first at line %d: %s)",
                     path, len(skipped), line_no, reason)
-    return out
+
+    def stress(phones: str) -> tuple[int, int]:
+        symbols, stress_pos = _marked_symbols(phones)
+        syll = syllabify_symbols(symbols, hierarchy)
+        return syll.n_syllables, syll.syllable_of(stress_pos)
+
+    return ParsedOnAccess(phones_of, stress)
+
+
+def _marked_symbols(phones: str) -> tuple[list[str], int | None]:
+    """The phone symbols without stress marks, and the index of the first
+    one marked for primary stress (None when none is)."""
+    symbols, stress_pos = [], None
+    for tok in phones.split():
+        primary = tok[0] in "ˈ'"
+        tok = tok.lstrip("ˈˌ',")
+        if not tok:
+            continue
+        if primary and stress_pos is None:
+            stress_pos = len(symbols)
+        symbols.append(tok)
+    return symbols, stress_pos
 
 
 def annotate_corpus(sentences, lang: str, resources: Resources,

@@ -5,13 +5,19 @@ package code: the break oracle reasons per inter-nucleus gap instead of
 scanning with mutable state, and the alignment oracles search the path
 space top-down (exhaustively for small grids, with memoization above).
 `sequence_from_levels` builds the curves they are given straight from
-expanded levels, with placeholder symbols.
+expanded levels, with placeholder symbols.  The loader oracles parse every
+line of a resource file at once, the way the loaders did before they
+deferred parsing to lookup.
 """
 
 import itertools
+import re
 from functools import lru_cache
 
-from syllab.sonority import VOWEL_LEVEL, SonoritySequence
+from syllab.errors import DictParseError, UnknownSymbolError
+from syllab.lexicon import Pronunciation, sc_correction
+from syllab.sonority import VOWEL_LETTERS, VOWEL_LEVEL, SonoritySequence
+from syllab.ssp import syllabify_symbols
 
 
 def oracle_breaks(points):
@@ -184,3 +190,98 @@ def sequence_from_levels(levels):
             symbols.append(f"C{lvl}")
             i += 1
     return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))
+
+
+def _file_lines(path):
+    """Lines broken at LF, CRLF and CR only; UTF-8, else Latin-1."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = data.decode("latin-1")
+    return re.split("\r\n|\r|\n", text)
+
+
+def eager_pron_dict(path, fmt="cmu", strict=True):
+    """{word: [Pronunciation, ...]} with every line parsed at load."""
+    entries = {}
+    for line_no, line in enumerate(_file_lines(path), 1):
+        line = line.rstrip()
+        if not line or line.startswith(";;;"):
+            continue
+        if fmt == "cmu":
+            parts = line.split()
+            ok = len(parts) >= 2
+            if ok:
+                m = re.match(r"^(.*)\((\d+)\)$", parts[0])
+                word, tokens = (m.group(1) if m else parts[0]), parts[1:]
+            reason = "expected 'WORD  PHONES...'"
+        else:
+            fields = line.split("\t")
+            ok = len(fields) >= 2 and bool(fields[0])
+            reason = "expected 'word<TAB>phones'"
+            if ok:
+                word = fields[0]
+                tokens = " ".join(f for f in fields[1:] if f and not
+                                  re.match(r"^\d+(?:\.\d+)?$", f)).split()
+                ok, reason = bool(tokens), "no phones on line"
+        if not ok:
+            if strict:
+                raise DictParseError(path, line_no, reason)
+            continue
+        entries.setdefault(word.lower(), []).append(Pronunciation(tuple(tokens)))
+    return entries
+
+
+def eager_syllabified_corpus(path, fmt, language="en"):
+    """({word: syllables}, skipped rows) with `sc_correction` applied at load."""
+    vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
+    entries, skipped = {}, 0
+    for line_no, line in enumerate(_file_lines(path), 1):
+        if (fmt.has_header and line_no == 1) or not line.strip():
+            continue
+        if not fmt.column_separator:
+            syl_field = line.strip()
+            word = syl_field.replace(fmt.syllable_separator, "")
+        else:
+            fields = line.split(fmt.column_separator)
+            if len(fields) <= max(fmt.word_column, fmt.syllable_column):
+                skipped += 1
+                continue
+            word = fields[fmt.word_column].strip()
+            syl_field = fields[fmt.syllable_column].strip()
+        word = word.lower()
+        syllables = [s for s in syl_field.lower().split(fmt.syllable_separator) if s]
+        if not word or not syllables or "".join(syllables) != word:
+            skipped += 1
+            continue
+        entries[word] = tuple(sc_correction(syllables, vowels))
+    return entries, skipped
+
+
+def eager_secondary_stress(path, hierarchy):
+    """{word: (syllable count, stressed syllable)} with every line syllabified."""
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            fields = line.split("\t")
+            if not line or line.startswith("#") or len(fields) < 2:
+                continue
+            symbols, stress_pos = [], None
+            for tok in fields[1].split():
+                marked = tok[0] in "ˈ'"
+                tok = tok.lstrip("ˈˌ',")
+                if tok and marked and stress_pos is None:
+                    stress_pos = len(symbols)
+                if tok:
+                    symbols.append(tok)
+            if stress_pos is None:
+                continue
+            try:
+                syll = syllabify_symbols(symbols, hierarchy)
+            except UnknownSymbolError:
+                continue
+            entries[fields[0].lower()] = (syll.n_syllables, syll.syllable_of(stress_pos))
+    return entries

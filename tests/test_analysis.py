@@ -10,16 +10,25 @@ from hypothesis import strategies as st
 from syllab.align import dtw
 from syllab.cli import format_record_row, main
 from syllab.evaluate import run_ablation, word_accuracy
+from syllab.lexicon import (
+    CorpusFormat,
+    Pronunciation,
+    load_pron_dict,
+    load_syllabified_corpus,
+    sc_correction,
+)
 from syllab.pipeline import (
     METHOD_CHOICES,
+    Resources,
     analyze_word,
     analyze_words,
     annotate_corpus,
+    load_secondary_stress,
     syllabify_word,
     word_record,
 )
-from syllab.sonority import sonority_sequence
-from syllab.ssp import ssp_breaks
+from syllab.sonority import hierarchy_for, sonority_sequence
+from syllab.ssp import ssp_breaks, syllabify_symbols
 from syllab.textnorm import normalize
 
 from conftest import DATA, count_calls, sentence_records
@@ -130,6 +139,35 @@ class TestWorkCounts:
         keys = [key for s in sents for key in normalize(s, "en")]
         assert len(out.read_text().splitlines()) == 1 + len(keys)
         assert len(rows) == len(set(keys)) < len(keys)
+
+    def test_resources_parse_only_the_words_a_run_uses(self, monkeypatch):
+        built = []
+        post_init = Pronunciation.__post_init__
+
+        def counting_post_init(pron):
+            built.append(pron.raw)
+            post_init(pron)
+
+        monkeypatch.setattr(Pronunciation, "__post_init__", counting_post_init)
+        corrections = count_calls(monkeypatch, sc_correction)
+        stress_parses = count_calls(monkeypatch, syllabify_symbols)
+        ipa = hierarchy_for("mfa-ipa")
+        lexicon = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")
+        corpus = load_syllabified_corpus(DATA / "mini_syllables.txt",
+                                         CorpusFormat.preset("gutenberg"))
+        secondary = load_secondary_stress(DATA / "secondary_espeak.tsv", ipa)
+        assert built == corrections == stress_parses == []
+
+        resources = Resources(lexicon, ipa, hierarchy_for("letters", "en"), corpus,
+                              secondary_stress=secondary)
+        annotate_corpus(["Hello water.", "water, hello over the rhythm"], "en",
+                        resources)
+        assert sorted(" ".join(raw) for raw in built) == [
+            "h ə l ow", "ow v ɚ", "w ɑ ɾ ɚ", "ɹ ɪ ð ə m"]
+        assert sorted("".join(args[0]) for args in corrections) == [
+            "hello", "over", "rhythm", "water"]
+        assert sorted("".join(args[0]) for args in stress_parses) == ["həloʊ", "wɔtə"]
+        assert len(lexicon) > 4 and len(corpus) > 4 and len(secondary) > 2
 
     def test_syllabify_command_analyzes_a_repeated_word_once(self, monkeypatch,
                                                             capsys):

@@ -3,7 +3,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from syllab.errors import DictParseError
@@ -17,9 +17,11 @@ from syllab.lexicon import (
     lookup,
     sc_correction,
 )
-from syllab.sonority import VOWEL_LETTERS
+from syllab.pipeline import load_secondary_stress
+from syllab.sonority import VOWEL_LETTERS, hierarchy_for
 
 from conftest import DATA
+from oracles import eager_pron_dict, eager_secondary_stress, eager_syllabified_corpus
 
 
 class TestCmuFormat:
@@ -78,6 +80,14 @@ class TestCmuFormat:
         with pytest.raises(DictParseError) as exc:
             load_pron_dict(p, "cmu")
         assert exc.value.line_no == 3
+
+    def test_lenient_skips_one_summary_line(self, tmp_path, caplog):
+        p = tmp_path / "d.dict"
+        p.write_text("CAT  K AE1 T\nJUNKLINE\nDOG  D AO1 G\nBAD\n")
+        with caplog.at_level("WARNING"):
+            load_pron_dict(p, "cmu", strict=False)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}:2: skipped 2 unparseable lines (first: expected 'WORD  PHONES...')"]
 
     def test_latin1_fallback(self, tmp_path):
         p = tmp_path / "d.dict"
@@ -286,3 +296,104 @@ class TestSyllabifiedCorpus:
                 continue
             for syl in syls:
                 assert any(ch in vowels for ch in syl), syls
+
+
+# -- loaders against the eager parsers of tests/oracles.py ----------------------
+
+SPACE = st.sampled_from([" ", "  ", "\t", "\u3000", "\x0c", "\xa0", "\x85"])
+EDGE = st.sampled_from(["", " ", "\t", "\u3000"])  # before or after a line's text
+END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def dict_lines(draw):
+    """A CMU-style, MFA-style, comment, blank or junk dictionary line."""
+    word = draw(st.sampled_from(["read", "READ", "Read", "é", "İ", "ΑΣ", "a-b", "'n", ""])
+                | st.text(alphabet="abAé'İΣ-", max_size=5)) + draw(st.sampled_from(
+        ["", "(1)", "(12)", "(\u0661)", "()", "(x)", ")", "(1)(2)"]))
+    phones = [draw(SPACE).join(draw(st.lists(st.sampled_from(
+        ["K", "AE1", "T", "AO\u0661", "a1", "ɹ", "0.5", "1", "\u0663"]), max_size=3)))
+        for _ in range(draw(st.integers(0, 3)))]
+    kind = draw(st.sampled_from(["cmu", "mfa", "other"]))
+    if kind == "cmu":
+        return draw(EDGE) + word + draw(SPACE) + " ".join(phones) + draw(EDGE)
+    if kind == "mfa":
+        numbers = draw(st.lists(st.sampled_from(
+            ["0.99", "1", "2.5", "\u0661", "", " "]), max_size=2))
+        return "\t".join([word] + numbers + phones)
+    return draw(st.sampled_from([";;; note", " ;;; x", ";;;", "", " ", "\t", "\u3000",
+                                 "\x0c", "JUNK", "(1)", "x\t", "\tK", "1.0\t2.0"]))
+
+
+def write_lines(path, rows, encoding="utf-8"):
+    """Write (line, line end) rows; text that `encoding` cannot hold goes as UTF-8."""
+    text = "".join(line + end for line, end in rows)
+    try:
+        path.write_bytes(text.encode(encoding))
+    except UnicodeEncodeError:
+        path.write_bytes(text.encode("utf-8"))
+
+
+class TestLoaderOracle:
+    @seed(1010)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(dict_lines(), END), max_size=12),
+           st.sampled_from(["utf-8", "latin-1"]))
+    def test_dictionary(self, tmp_path, lines, encoding):
+        p = tmp_path / "d.dict"
+        write_lines(p, lines, encoding)
+        for fmt in ("cmu", "mfa"):
+            for strict in (True, False):
+                try:
+                    expected = eager_pron_dict(p, fmt, strict)
+                except DictParseError as exc:
+                    with pytest.raises(DictParseError) as got:
+                        load_pron_dict(p, fmt, strict)
+                    assert str(got.value) == str(exc)
+                    assert got.value.line_no == exc.line_no
+                    continue
+                lex = load_pron_dict(p, fmt, strict)
+                assert list(lex.entries.items()) == list(expected.items())
+
+    @seed(1010)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(
+               ["ba", "S", "tar", "na", "", " ", "ΑΣ", "σ", "İ", "i", "x\x85y", "Teau"]),
+               max_size=4), st.sampled_from(["", "ok", "=", "tar", "\t"]),
+               st.integers(1, 3), END), max_size=10),
+           st.sampled_from([CorpusFormat.preset("gutenberg"), CorpusFormat.preset("lexique"),
+                            CorpusFormat("·", "\t", 0, 2), CorpusFormat("-", ";", 1, 0)]),
+           st.sampled_from(["en", "fr"]))
+    def test_corpus(self, tmp_path, rows, fmt, language):
+        lines = []
+        for syllables, word, n_columns, end in rows:
+            syl = fmt.syllable_separator.join(syllables)
+            if word == "=":  # the word the syllables rejoin to
+                word = syl.replace(fmt.syllable_separator, "")
+            columns = [word, syl, "x"] if fmt.syllable_column == 2 else [syl, word]
+            if fmt.column_separator:  # rows with too few columns included
+                syl = fmt.column_separator.join(columns[:n_columns])
+            lines.append((syl, end))
+        p = tmp_path / "corpus.txt"
+        write_lines(p, lines)
+        corpus = load_syllabified_corpus(p, fmt, language)
+        expected, skipped = eager_syllabified_corpus(p, fmt, language)
+        assert list(corpus.entries.items()) == list(expected.items())
+        assert corpus.skipped_rows == skipped
+
+    @seed(1010)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.text(alphabet="abAé", max_size=3), st.lists(
+               st.sampled_from(["ˈa", "'a", "ˌb", "b", "ˈ", "ˈ☃", "t", "ə", "ˈoʊ", "oʊ",
+                                ",", "'", "ˈˈt"]), max_size=4),
+               st.sampled_from(["\t", " ", "\t\t", "#"]), END), max_size=10))
+    def test_secondary(self, tmp_path, rows):
+        p = tmp_path / "secondary.tsv"
+        write_lines(p, [(f"#{word}" if sep == "#" else word + sep + " ".join(tokens), end)
+                        for word, tokens, sep, end in rows])
+        ipa = hierarchy_for("mfa-ipa")
+        loaded = load_secondary_stress(p, ipa)
+        assert list(loaded.items()) == list(eager_secondary_stress(p, ipa).items())

@@ -190,6 +190,15 @@ class TestMergeStress:
         assert [r.getMessage() for r in caplog.records] == [
             f"{bad}: skipped 3 lines (first at line 1: expected word<TAB>phones)"]
 
+    def test_secondary_line_without_primary_stress_counted(self, tmp_path, caplog):
+        p = tmp_path / "secondary.tsv"
+        p.write_text("hello\th ə l oʊ\nworld\tw ˈɝ l d\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            loaded = load_secondary_stress(p, hierarchy_for("mfa-ipa"))
+        assert list(loaded) == ["world"]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 1 lines (first at line 1: no primary stress mark)"]
+
     def test_secondary_count_mismatch_flagged(self, arpabet, letters_en):
         mfa = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")
         ipa = hierarchy_for("mfa-ipa")
