@@ -6,25 +6,23 @@ a-advance / b-advance).  Each phone-domain break is then carried over to
 the letter whose expanded point is linked to the break's cut point.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
+from .errors import CheckedFields
 from .sonority import VOWEL_LEVEL, SonoritySequence
 from .ssp import Syllabification
 
 
-@dataclass(frozen=True)
-class AlignmentPath:
+class AlignmentPath(CheckedFields, namedtuple("AlignmentPath", "pairs cost")):
     """Monotone warping path between two expanded sequences."""
 
-    pairs: tuple[tuple[int, int], ...]
-    cost: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __new__(cls, pairs: tuple[tuple[int, int], ...], cost: int):
+        if not pairs:
             raise ValueError("empty alignment path")
+        return tuple.__new__(cls, (pairs, cost))
 
 
 def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:

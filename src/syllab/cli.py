@@ -6,14 +6,9 @@ collected in a key=value config file (explicit flags always win).  All
 outputs are UTF-8 TSV/JSON with LF line endings.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import io
-import json
 import os
-import random
 import re
 import sys
 
@@ -172,6 +167,12 @@ def build_resources(args) -> Resources:
     sec_path = _resource_path(opt("secondary_path"), "secondary transcription file")
     phone_table = _resource_path(args.phone_table, "phone table")
     letter_table = _resource_path(opt("letter_table"), "letter table")
+    fallback = None
+    if opt("fallback_cmd"):
+        try:
+            fallback = FallbackConfig(opt("fallback_cmd"))
+        except ValueError as exc:
+            raise ConfigurationError(f"--fallback-cmd: {exc}") from None
     lang = opt("lang", "en")
     lexicon = load_pron_dict(dict_path, args.dict_format, strict=not args.lenient)
     phoneset = "cmu-arpabet" if args.dict_format == "cmu" else "mfa-ipa"
@@ -183,8 +184,8 @@ def build_resources(args) -> Resources:
         layout = {"syllable_separator": args.syll_sep, "column_separator": args.col_sep,
                   "word_column": args.word_col, "syllable_column": args.syll_col,
                   "has_header": args.corpus_header or None}
-        fmt = dataclasses.replace(CorpusFormat.preset(args.corpus_format),
-                                  **{k: v for k, v in layout.items() if v is not None})
+        fmt = CorpusFormat.preset(args.corpus_format)._replace(
+            **{k: v for k, v in layout.items() if v is not None})
         if not fmt.syllable_separator:
             raise ConfigurationError("--syll-sep must not be empty")
         if not fmt.column_separator and (args.word_col, args.syll_col) != (None, None):
@@ -194,7 +195,6 @@ def build_resources(args) -> Resources:
 
     secondary = (load_secondary_stress(sec_path, hierarchy_for("mfa-ipa", lang))
                  if sec_path else None)
-    fallback = FallbackConfig(opt("fallback_cmd")) if opt("fallback_cmd") else None
     label = opt("label") or ("CMU" if args.dict_format == "cmu" else lang)
     return Resources(lexicon, phone_h, letter_h, syllabified, fallback,
                      secondary, label)
@@ -260,6 +260,7 @@ def cmd_syllabify(args) -> int:
     analyses = {a.word: a for a in analyze_words(usable, resources)}
     records = [word_record(analyses[w.lower()], args.method) for w in usable]
     if args.format == "json":
+        import json
         out = json.dumps([record_to_json(r) for r in records],
                          ensure_ascii=False, indent=2) + "\n"
     else:
@@ -358,6 +359,7 @@ def cmd_histogram(args) -> int:
             if not 0 < args.sample <= len(words):
                 raise ConfigurationError(
                     f"sample must be in [1, {len(words)}], got {args.sample}")
+            import random
             words = random.Random(args.seed).sample(words, args.sample)
         # the histogram reads only the phone-domain syllables of each analysis
         records = analyze_words(words, resources)

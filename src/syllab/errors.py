@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and a UTF-8 reader that raises one."""
+"""Exception types shared across the package, a UTF-8 reader that raises one,
+and the base of the value types that check their fields."""
 
 from contextlib import contextmanager
 
@@ -35,6 +36,17 @@ class UnsupportedNumeralError(SyllabError):
 
 class UndefinedMetricError(SyllabError):
     """A metric was requested over an empty record set."""
+
+
+class CheckedFields:
+    """Base of a named tuple whose `__new__` checks its fields: `_make`, and
+    so `_replace`, build through `__new__` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @contextmanager

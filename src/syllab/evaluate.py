@@ -5,12 +5,7 @@ the same record, so every number here is reproducible from the dictionaries
 alone, without human-annotated gold syllabifications.
 """
 
-from __future__ import annotations
-
-import json
-import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import UndefinedMetricError
 from .pipeline import METHOD_CHOICES, Resources, analyze_words, word_record
@@ -35,12 +30,10 @@ def syllable_histogram(records) -> dict[int, float]:
     return {k: 100.0 * v / total for k, v in sorted(counts.items())}
 
 
-@dataclass
-class AblationResult:
-    language_variant: str
-    accuracies: dict[str, float | None]  # method -> %, None when unavailable
-    sample_size: int
-    seed: int
+AblationResult = namedtuple("AblationResult",
+                            "language_variant accuracies sample_size seed")
+AblationResult.__doc__ = ("Word accuracy per method over a seeded dictionary "
+                          "sample: method -> %, None when unavailable.")
 
 
 def run_ablation(resources: Resources, sample_size: int, seed: int,
@@ -54,6 +47,7 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
     if not 0 < sample_size <= len(lexicon):
         raise ValueError(
             f"sample_size must be in [1, {len(lexicon)}], got {sample_size}")
+    import random
     words = random.Random(seed).sample(sorted(lexicon.entries), sample_size)
     # each word is analyzed once and scored under every active method
     hits = {m: 0 for m in methods
@@ -77,6 +71,7 @@ def ablation_tsv(result: AblationResult) -> str:
 
 
 def ablation_json(result: AblationResult) -> str:
+    import json
     return json.dumps({
         "language_variant": result.language_variant,
         "sample_size": result.sample_size,
@@ -90,6 +85,7 @@ def format_histogram(histogram: dict[int, float], fmt: str) -> str:
     """The histogram as `tsv`, `csv` or `json` text."""
     rows = sorted(histogram.items())
     if fmt == "json":
+        import json
         return json.dumps({str(k): round(v, 2) for k, v in rows}, indent=2) + "\n"
     sep = {"tsv": "\t", "csv": ","}[fmt]
     return f"n_syllables{sep}percentage\n" + "".join(

@@ -1,30 +1,29 @@
 """Pronunciation dictionaries, syllabified-word corpora, and the G2P fallback hook."""
 
-from __future__ import annotations
-
 import logging
 import re
-import shlex
-import subprocess
+from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence, Set
-from dataclasses import dataclass, field
 
-from .errors import DictParseError
+from .errors import CheckedFields, DictParseError
 from .sonority import VOWEL_LETTERS
 
 log = logging.getLogger(__name__)
 
 _CMU_VARIANT = re.compile(r"^(.*)\((\d+)\)$")
-_NUMERIC_FIELD = re.compile(r"^\d+(?:\.\d+)?$")
+# a probability column; ASCII only, so a phone written in other digits stays
+_NUMERIC_FIELD = re.compile(r"^[0-9]+(?:\.[0-9]+)?$")
 
 
-@dataclass(frozen=True)
-class Pronunciation:
-    raw: tuple[str, ...]  # the phone symbols as written, stress digits included
+class Pronunciation(CheckedFields, namedtuple("Pronunciation", "raw")):
+    """The phone symbols of one pronunciation as written, stress digits included."""
 
-    def __post_init__(self):
-        if not self.raw:
+    __slots__ = ()
+
+    def __new__(cls, raw: tuple[str, ...]):
+        if not raw:
             raise ValueError("a pronunciation needs at least one phone")
+        return tuple.__new__(cls, (raw,))
 
     def __str__(self) -> str:
         return " ".join(self.raw)
@@ -61,7 +60,6 @@ class ParsedOnAccess(Mapping):
         return len(self._raw)
 
 
-@dataclass
 class Lexicon:
     """Pronunciation variants per lower-cased word, in file order.
 
@@ -69,8 +67,10 @@ class Lexicon:
     phone text; a caller may pass any mapping.
     """
 
-    entries: Mapping[str, list[Pronunciation]] = field(default_factory=dict)
-    phoneset: str = "cmu-arpabet"  # "cmu-arpabet" | "mfa-ipa"
+    def __init__(self, entries: Mapping[str, list[Pronunciation]] | None = None,
+                 phoneset: str = "cmu-arpabet"):
+        self.entries = {} if entries is None else entries
+        self.phoneset = phoneset  # "cmu-arpabet" | "mfa-ipa"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -158,20 +158,24 @@ def lookup(lexicon: Lexicon, word: str) -> list[Pronunciation]:
     return lexicon.entries.get(word.lower(), [])
 
 
-@dataclass(frozen=True)
-class FallbackConfig:
+class FallbackConfig(CheckedFields, namedtuple("FallbackConfig", "command timeout")):
     """External G2P command: words on stdin, one phone sequence per line out.
 
+    `command`, a shell-style string or an argument sequence, is split here,
+    once; an unbalanced quote or an empty command raises `ValueError`.
     `timeout` (seconds) applies to each invocation of the command.
     """
 
-    command: str | tuple[str, ...]
-    timeout: float = 30.0
+    __slots__ = ()
 
-    def argv(self) -> list[str]:
-        if isinstance(self.command, str):
-            return shlex.split(self.command)
-        return list(self.command)
+    def __new__(cls, command: str | Sequence[str], timeout: float = 30.0):
+        if isinstance(command, str):
+            import shlex
+            command = shlex.split(command)
+        command = tuple(command)
+        if not command:
+            raise ValueError("empty G2P command")
+        return tuple.__new__(cls, (command, timeout))
 
 
 def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
@@ -214,9 +218,10 @@ def _run_g2p(words: list[str], config: FallbackConfig) -> list[str] | None:
     A batch of n > 1 words must print exactly n lines; for a single word the
     first non-empty line is its answer.
     """
+    import subprocess
     try:
         proc = subprocess.run(
-            config.argv(), input="".join(w + "\n" for w in words).encode("utf-8"),
+            config.command, input="".join(w + "\n" for w in words).encode("utf-8"),
             capture_output=True, timeout=config.timeout)
         if proc.returncode != 0:
             stderr = proc.stderr.decode("utf-8", "replace").strip()
@@ -267,8 +272,10 @@ def sc_correction(syllables: Sequence[str],
     return syls
 
 
-@dataclass(frozen=True)
-class CorpusFormat:
+class CorpusFormat(namedtuple(
+        "CorpusFormat",
+        "syllable_separator column_separator word_column syllable_column has_header",
+        defaults=("-", None, 0, 1, False))):
     """Column/separator layout of a syllabified-word corpus file.
 
     With `column_separator` None or empty the whole line is the syllabified
@@ -277,11 +284,7 @@ class CorpusFormat:
     indexed fields (Lexique383 style).
     """
 
-    syllable_separator: str = "-"
-    column_separator: str | None = None
-    word_column: int = 0
-    syllable_column: int = 1
-    has_header: bool = False
+    __slots__ = ()
 
     @classmethod
     def preset(cls, name: str) -> "CorpusFormat":
@@ -299,7 +302,6 @@ class CorpusFormat:
         raise ValueError(f"unknown corpus preset {name!r}")
 
 
-@dataclass
 class SyllabifiedLexicon:
     """Syllables per lower-cased word, for the corpus lookup.
 
@@ -308,8 +310,10 @@ class SyllabifiedLexicon:
     pass any mapping.
     """
 
-    entries: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    skipped_rows: int = 0
+    def __init__(self, entries: Mapping[str, tuple[str, ...]] | None = None,
+                 skipped_rows: int = 0):
+        self.entries = {} if entries is None else entries
+        self.skipped_rows = skipped_rows
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -10,11 +10,9 @@ into one `WordAnalysis` each, from which `word_record` derives the record
 of any method.
 """
 
-from __future__ import annotations
-
 import logging
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .align import project_ssp
@@ -42,28 +40,15 @@ log = logging.getLogger(__name__)
 METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
 
 
-@dataclass(frozen=True)
-class Resources:
-    """Loaded inputs shared by every word of a run."""
+Resources = namedtuple(
+    "Resources", "lexicon phone_hierarchy letter_hierarchy syllabified fallback "
+    "secondary_stress variant", defaults=(None, None, None, ""))
+Resources.__doc__ = ("Loaded inputs shared by every word of a run; `variant` is a "
+                     'label such as "CMU" or "en_US", printed only by the ablation.')
 
-    lexicon: Lexicon
-    phone_hierarchy: SonorityHierarchy
-    letter_hierarchy: SonorityHierarchy
-    syllabified: SyllabifiedLexicon | None = None
-    fallback: FallbackConfig | None = None
-    secondary_stress: Mapping[str, tuple[int, int]] | None = None
-    variant: str = ""  # label such as "CMU" or "en_US", printed only by the ablation
-
-
-@dataclass(frozen=True)
-class WordRecord:
-    word: str
-    pronunciations: list[Pronunciation]
-    phone_syll: Syllabification
-    text_syll: Syllabification
-    stress_index: int | None
-    method: str
-    flags: frozenset[str]
+WordRecord = namedtuple("WordRecord", "word pronunciations phone_syll text_syll "
+                        "stress_index method flags")
+WordRecord.__doc__ = "The annotation of a word under the method it names."
 
 
 def merge_stress(phone_syll: Syllabification, secondary_syll_count: int,
@@ -84,7 +69,6 @@ def _arpabet_stress(pron: Pronunciation, phone_syll: Syllabification) -> int | N
     return None
 
 
-@dataclass(frozen=True)
 class WordAnalysis:
     """The method-independent part of a word's annotation.
 
@@ -94,15 +78,20 @@ class WordAnalysis:
     the DTW projection are each computed on first use, at most once.
     """
 
-    word: str
-    pronunciations: list[Pronunciation]
-    phone_seq: SonoritySequence | None
-    phone_syll: Syllabification
-    nuclei: int
-    corpus_syll: Syllabification | None
-    stress_index: int | None
-    flags: frozenset[str]
-    letter_hierarchy: SonorityHierarchy = field(compare=False, repr=False)
+    def __init__(self, word: str, pronunciations: list[Pronunciation],
+                 phone_seq: SonoritySequence | None, phone_syll: Syllabification,
+                 nuclei: int, corpus_syll: Syllabification | None,
+                 stress_index: int | None, flags: frozenset[str],
+                 letter_hierarchy: SonorityHierarchy):
+        self.word = word
+        self.pronunciations = pronunciations
+        self.phone_seq = phone_seq
+        self.phone_syll = phone_syll
+        self.nuclei = nuclei
+        self.corpus_syll = corpus_syll
+        self.stress_index = stress_index
+        self.flags = flags
+        self.letter_hierarchy = letter_hierarchy
 
     @cached_property
     def letter_seq(self) -> SonoritySequence | None:
@@ -322,12 +311,11 @@ def annotate_corpus(sentences, lang: str, resources: Resources,
     return sentence_keys, records
 
 
-@dataclass
-class Report:
-    """Flagged records grouped by flag, with per-flag counts."""
+class Report(namedtuple("Report", "counts groups")):
+    """Flagged records grouped by flag (`groups`: flag -> list of
+    `WordRecord`s), with per-flag counts (`counts`: flag -> int)."""
 
-    counts: dict[str, int]
-    groups: dict[str, list[WordRecord]]
+    __slots__ = ()
 
     def to_tsv(self) -> str:
         lines = ["# flag counts"]

@@ -7,11 +7,9 @@ adjacent points (5 then 4) so that vowel-vowel contacts (hiatus) expose a
 local minimum between the nuclei; consonants contribute one point each.
 """
 
-from __future__ import annotations
-
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownSymbolError, open_utf8
 
@@ -90,15 +88,26 @@ _LETTER_CLASSES = {
 }
 
 
-@dataclass(frozen=True)
 class SonorityHierarchy:
-    """Immutable symbol -> class table with set-specific normalization."""
+    """Symbol -> class table with set-specific normalization.
 
-    symbol_set: str  # "cmu-arpabet" | "mfa-ipa" | "letters" | "custom"
-    class_of: Mapping[str, str]
-    # level of each symbol resolved so far; unknown symbols are never stored
-    _levels: dict[str, int] = field(default_factory=dict, init=False,
-                                    compare=False, repr=False)
+    Equality and repr ignore the memo of resolved levels.
+    """
+
+    def __init__(self, symbol_set: str, class_of: Mapping[str, str]):
+        self.symbol_set = symbol_set  # "cmu-arpabet" | "mfa-ipa" | "letters" | "custom"
+        self.class_of = class_of
+        # level of each symbol resolved so far; unknown symbols are never stored
+        self._levels: dict[str, int] = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, SonorityHierarchy):
+            return NotImplemented
+        return (self.symbol_set, self.class_of) == (other.symbol_set, other.class_of)
+
+    def __repr__(self) -> str:
+        return (f"SonorityHierarchy(symbol_set={self.symbol_set!r}, "
+                f"class_of={self.class_of!r})")
 
     def classify(self, symbol: str) -> str:
         cls = self._resolve(symbol)
@@ -134,17 +143,12 @@ class SonorityHierarchy:
         return None
 
 
-@dataclass(frozen=True)
-class SonoritySequence:
-    """Expanded sonority curve: vowels contribute (5, 4), consonants one point.
+SonoritySequence = namedtuple("SonoritySequence", "symbols levels sources")
+SonoritySequence.__doc__ = """Expanded sonority curve: vowels contribute (5, 4), consonants one point.
 
-    `levels[k]` is the level of point k and `sources[k]` the index of the
-    symbol that emitted it.
-    """
-
-    symbols: tuple[str, ...]
-    levels: tuple[int, ...]
-    sources: tuple[int, ...]
+`symbols` are the symbols expanded; `levels[k]` is the level of point k
+and `sources[k]` the index of the symbol that emitted it.
+"""
 
 
 def _table(classes: Mapping[str, Iterable[str]]) -> dict[str, str]:

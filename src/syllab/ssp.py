@@ -13,11 +13,10 @@ Breaks are the qualifying local minima of the expanded curve:
   which is what keeps sibilant-stop clusters attached to their vowel.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
+from .errors import CheckedFields
 from .sonority import (
     VOWEL_LEVEL,
     SonorityHierarchy,
@@ -29,22 +28,21 @@ TEXT_SYL_SEP = "|"     # between syllables in text()
 PHONE_SYL_SEP = " . "  # between syllables in phone_text()
 
 
-@dataclass(frozen=True)
-class Syllabification:
+class Syllabification(CheckedFields, namedtuple("Syllabification", "symbols breaks")):
     """A symbol sequence plus strictly increasing break positions.
 
     A break `b` marks a boundary immediately before `symbols[b]`.
     """
 
-    symbols: tuple[str, ...]
-    breaks: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, symbols: tuple[str, ...], breaks: tuple[int, ...] = ()):
         prev = 0
-        for b in self.breaks:
-            if not prev < b < len(self.symbols):
+        for b in breaks:
+            if not prev < b < len(symbols):
                 raise ValueError(f"break {b} out of range or out of order")
             prev = b
+        return tuple.__new__(cls, (symbols, breaks))
 
     @classmethod
     def from_parts(cls, parts) -> "Syllabification":

@@ -7,8 +7,6 @@ other numerals and ordinals are kept and flagged, and words split on
 hyphens.
 """
 
-from __future__ import annotations
-
 import re
 
 from .errors import UnsupportedNumeralError

@@ -224,7 +224,7 @@ def eager_pron_dict(path, fmt="cmu", strict=True):
             if ok:
                 word = fields[0]
                 tokens = " ".join(f for f in fields[1:] if f and not
-                                  re.match(r"^\d+(?:\.\d+)?$", f)).split()
+                                  re.match(r"^[0-9]+(?:\.[0-9]+)?$", f)).split()
                 ok, reason = bool(tokens), "no phones on line"
         if not ok:
             if strict:

@@ -1,6 +1,5 @@
 """One analysis per word: records equal the per-call path, and the work done is bounded."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from syllab.cli import format_record_row, main
 from syllab.evaluate import run_ablation, word_accuracy
 from syllab.lexicon import (
     CorpusFormat,
+    FallbackConfig,
     Pronunciation,
     load_pron_dict,
     load_syllabified_corpus,
@@ -23,6 +23,7 @@ from syllab.pipeline import (
     analyze_word,
     analyze_words,
     annotate_corpus,
+    consistency_report,
     load_secondary_stress,
     syllabify_word,
     word_record,
@@ -66,11 +67,37 @@ class TestAblationEquivalence:
             run_ablation(mini_resources, 5, 0, ("ssp", "bogus"))
 
 
+def immutable_values(resources) -> dict:
+    """One instance of each immutable value type, by type name."""
+    rec = syllabify_word("sentence", resources, "ssp")
+    analysis = next(analyze_words(["sentence"], resources))
+    values = (rec.pronunciations[0], rec.phone_syll, analysis.phone_seq,
+              dtw(analysis.phone_seq, analysis.letter_seq), rec, resources,
+              FallbackConfig("g2p --batch"), CorpusFormat.preset("lexique"),
+              run_ablation(resources, 5, 0), consistency_report([rec]))
+    return {type(value).__name__: value for value in values}
+
+
 class TestRecords:
-    def test_record_is_frozen(self, mini_resources):
-        rec = syllabify_word("sentence", mini_resources, "ssp")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rec.flags = frozenset()
+    @pytest.mark.parametrize("type_name", [
+        "Pronunciation", "Syllabification", "SonoritySequence", "AlignmentPath",
+        "WordRecord", "Resources", "FallbackConfig", "CorpusFormat",
+        "AblationResult", "Report"])
+    def test_record_is_frozen(self, mini_resources, type_name):
+        value = immutable_values(mini_resources)[type_name]
+        # neither a field nor a new attribute can be set
+        for name in (*value._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    @pytest.mark.parametrize("type_name, field, bad", [
+        ("Pronunciation", "raw", ()), ("Syllabification", "breaks", (99,)),
+        ("AlignmentPath", "pairs", ()), ("FallbackConfig", "command", "foo 'bar")])
+    def test_replace_checks_like_the_constructor(self, mini_resources, type_name,
+                                                 field, bad):
+        value = immutable_values(mini_resources)[type_name]
+        with pytest.raises(ValueError):
+            value._replace(**{field: bad})
 
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_one_analysis_serves_every_method(self, mini_resources, method):
@@ -142,13 +169,13 @@ class TestWorkCounts:
 
     def test_resources_parse_only_the_words_a_run_uses(self, monkeypatch):
         built = []
-        post_init = Pronunciation.__post_init__
+        new = Pronunciation.__new__
 
-        def counting_post_init(pron):
-            built.append(pron.raw)
-            post_init(pron)
+        def counting_new(cls, raw):
+            built.append(raw)
+            return new(cls, raw)
 
-        monkeypatch.setattr(Pronunciation, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Pronunciation, "__new__", counting_new)
         corrections = count_calls(monkeypatch, sc_correction)
         stress_parses = count_calls(monkeypatch, syllabify_symbols)
         ipa = hierarchy_for("mfa-ipa")

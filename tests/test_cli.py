@@ -617,3 +617,15 @@ class TestNonUtf8Words:
                               input="café\n".encode(), capture_output=True,
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout == "café\n".encode()
+
+
+def test_import_loads_only_what_every_run_uses():
+    # modules that serve one option (G2P, JSON, sampling) or no run at all
+    unused = ("dataclasses", "typing", "inspect", "subprocess", "shlex", "json",
+              "random")
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); import syllab.cli; "
+              f"print(' '.join(m for m in {unused!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

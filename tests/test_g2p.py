@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from syllab import pipeline
 from syllab.cli import main
-from syllab.lexicon import FallbackConfig, g2p_fallback, lookup
+from syllab.lexicon import FallbackConfig, g2p_fallback, load_pron_dict, lookup
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
 from syllab.textnorm import normalize
 
@@ -281,3 +281,32 @@ def test_cli_hostile_g2p_flags_rows_and_exits_0(mode, tmp_path, capsys, monkeypa
     for word in ALL_OOV:
         assert "oov" in rows[word][8].split(",")
         assert (rows[word][7] == "oov-unresolved") == (word in HOSTILE[mode])
+
+
+@pytest.mark.parametrize("command", ["foo 'bar", "   ", ()],
+                         ids=["unbalanced-quote", "blank", "no-arguments"])
+def test_unusable_command_rejected_when_built(command):
+    with pytest.raises(ValueError):
+        FallbackConfig(command)
+
+
+def test_command_split_once_when_built():
+    cfg = FallbackConfig("g2p --voice 'en us'", timeout=2)
+    assert cfg == (("g2p", "--voice", "en us"), 2)
+    assert FallbackConfig(list(cfg.command)) == cfg._replace(timeout=30.0)
+
+
+@pytest.mark.parametrize("command", ["foo 'bar", "   "],
+                         ids=["unbalanced-quote", "blank"])
+def test_cli_malformed_fallback_cmd_ends_before_any_work(command, tmp_path, capsys,
+                                                         monkeypatch):
+    loads = count_calls(monkeypatch, load_pron_dict)
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("zzxq\n")
+    out = tmp_path / "a.tsv"
+    assert main(["annotate", str(prompts), "--dict", DICT, "--out", str(out),
+                 "--fallback-cmd", command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fallback-cmd: ")
+    assert "Traceback" not in err
+    assert loads == [] and not out.exists()

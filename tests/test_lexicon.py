@@ -123,6 +123,12 @@ class TestMfaFormat:
         # trailing digits are phone material in mfa mode, not stress marks
         assert load_pron_dict(p, "mfa").entries["ha"][0].raw[1] == "a1"
 
+    def test_only_ascii_numbers_are_probabilities(self, tmp_path):
+        p = tmp_path / "d.dict"
+        p.write_text("read\t١\nread\t0.5\tɹ iː d\n", encoding="utf-8")
+        lex = load_pron_dict(p, "mfa", strict=True)
+        assert [pron.raw for pron in lex.entries["read"]] == [("١",), ("ɹ", "iː", "d")]
+
 
 class TestLookup:
     def test_present(self, mini_lexicon):

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -64,7 +63,7 @@ class TestMethodVariants:
                              ids=["not-rejoining", "empty-syllable"])
     def test_malformed_library_corpus_entry_ignored(self, mini_resources, entry):
         corpus = SyllabifiedLexicon({"beautiful": entry})
-        resources = dataclasses.replace(mini_resources, syllabified=corpus)
+        resources = mini_resources._replace(syllabified=corpus)
         rec = syllabify_word("beautiful", resources, "lkp-ssp-dtw")
         assert rec.method == "ssp-dtw"
         assert rec.text_syll.n_syllables == 3
