@@ -25,11 +25,25 @@ class AlignmentPath(CheckedFields, namedtuple("AlignmentPath", "pairs cost")):
         return tuple.__new__(cls, (pairs, cost))
 
 
+class _Distances(dict):
+    """Level x -> the translation table mapping each byte y to |x - y|,
+    built the first time x is seen."""
+
+    def __missing__(self, x: int) -> bytes:
+        table = self[x] = bytes(abs(x - y) for y in range(256))
+        return table
+
+
+_DISTANCES = _Distances()
+
+
 def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
     """Minimal-cost monotone alignment of two sonority sequences.
 
-    Ties between predecessors are resolved diagonal first, then a-advance,
-    then b-advance, so the returned path is unique and reproducible.
+    Levels must be byte-sized (0-255; sonority levels are 1-5 by
+    construction); any other level raises ValueError.  Ties between
+    predecessors are resolved diagonal first, then a-advance, then
+    b-advance, so the returned path is unique and reproducible.
     """
     la, lb = a.levels, b.levels
     m, n = len(la), len(lb)
@@ -39,8 +53,10 @@ def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
     # accumulated costs; the first row and column can only be reached
     # straight.  Levels are 1-5, so there are at most five cost rows, and a
     # cell needs only the cheapest predecessor's value: ties matter only to
-    # the backtrack.
-    costs = {x: [abs(x - y) for y in lb] for x in set(la)}
+    # the backtrack.  A cost row is b's levels as bytes, translated through
+    # the distance table of the row's level.
+    lb = bytes(lb)
+    costs = {x: lb.translate(_DISTANCES[x]) for x in set(la)}
     row = list(accumulate(costs[la[0]]))
     acc = [row]
     for x in la[1:]:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, a UTF-8 reader that raises one,
-and the base of the value types that check their fields."""
+the base of the value types that check their fields, and a logger that
+loads `logging` only when a message is logged."""
 
 from contextlib import contextmanager
 
@@ -47,6 +48,20 @@ class CheckedFields:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class LazyLogger:
+    """`logging.getLogger(name)`, looked up on each use: a run that logs
+    nothing never imports `logging`."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        import logging
+        return getattr(logging.getLogger(self.name), attr)
 
 
 @contextmanager

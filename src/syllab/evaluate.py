@@ -8,7 +8,7 @@ alone, without human-annotated gold syllabifications.
 from collections import Counter, namedtuple
 
 from .errors import UndefinedMetricError
-from .pipeline import METHOD_CHOICES, Resources, analyze_words, word_record
+from .pipeline import METHOD_CHOICES, Resources, analyze_words, text_syllabification
 
 
 def word_accuracy(records) -> float:
@@ -49,13 +49,15 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
             f"sample_size must be in [1, {len(lexicon)}], got {sample_size}")
     import random
     words = random.Random(seed).sample(sorted(lexicon.entries), sample_size)
-    # each word is analyzed once and scored under every active method
+    # each word is analyzed once and scored under every active method,
+    # without building its records
     hits = {m: 0 for m in methods
             if not (m.startswith("lkp") and resources.syllabified is None)}
     for analysis in analyze_words(words, resources):
+        phone_count = analysis.phone_syll.n_syllables
         for method in hits:
-            rec = word_record(analysis, method)
-            hits[method] += rec.text_syll.n_syllables == rec.phone_syll.n_syllables
+            text_syll, _ = text_syllabification(analysis, method)
+            hits[method] += text_syll.n_syllables == phone_count
     accuracies = {m: 100.0 * hits[m] / sample_size if m in hits else None
                   for m in methods}
     return AblationResult(resources.variant, accuracies, sample_size, seed)

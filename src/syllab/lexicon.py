@@ -1,16 +1,15 @@
 """Pronunciation dictionaries, syllabified-word corpora, and the G2P fallback hook."""
 
-import logging
 import re
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence, Set
 
-from .errors import CheckedFields, DictParseError
+from .errors import CheckedFields, DictParseError, LazyLogger
 from .sonority import VOWEL_LETTERS
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
-_CMU_VARIANT = re.compile(r"^(.*)\((\d+)\)$")
+_CMU_VARIANT = re.compile(r"^(.*)\(([0-9]+)\)$")
 # a probability column; ASCII only, so a phone written in other digits stays
 _NUMERIC_FIELD = re.compile(r"^[0-9]+(?:\.[0-9]+)?$")
 

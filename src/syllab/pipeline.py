@@ -10,13 +10,12 @@ into one `WordAnalysis` each, from which `word_record` derives the record
 of any method.
 """
 
-import logging
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 
 from .align import project_ssp
-from .errors import UnknownSymbolError, open_utf8
+from .errors import LazyLogger, UnknownSymbolError, open_utf8
 from .lexicon import (
     FallbackConfig,
     Lexicon,
@@ -35,7 +34,7 @@ from .sonority import (
 from .ssp import Syllabification, ssp_breaks, syllabify_symbols
 from .textnorm import normalize
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
 
@@ -103,16 +102,21 @@ class WordAnalysis:
             return None
 
     @cached_property
+    def unbroken(self) -> Syllabification:
+        """The letters as one syllable."""
+        return Syllabification(tuple(self.word), ())
+
+    @cached_property
     def letters_ssp(self) -> Syllabification:
         if self.letter_seq is None:
-            return Syllabification(tuple(self.word), ())
+            return self.unbroken
         return ssp_breaks(self.letter_seq)
 
     @cached_property
     def projection(self) -> tuple[Syllabification, bool]:
         """DTW-projected letter syllabification and its degenerate flag."""
         if self.letter_seq is None:
-            return Syllabification(tuple(self.word), ()), False
+            return self.unbroken, False
         return project_ssp(self.phone_syll, self.phone_seq, self.letter_seq)
 
 
@@ -133,8 +137,9 @@ def analyze_words(words: Iterable[str], resources: Resources,
         g2p = {word: [pron] for word, pron in zip(missing, results)
                if pron is not None}
         unresolved = len(missing) - len(g2p)
-        log.log(logging.WARNING if unresolved else logging.INFO,
-                "g2p: %d of %d OOV words unresolved", unresolved, len(missing))
+        if unresolved:
+            log.warning("g2p: %d of %d OOV words unresolved",
+                        unresolved, len(missing))
     for word, prons in found.items():
         yield analyze_word(word, resources, prons or g2p.get(word, []),
                            oov=not prons)
@@ -187,31 +192,35 @@ def analyze_word(word: str, resources: Resources,
                         stress, frozenset(flags), resources.letter_hierarchy)
 
 
-def word_record(analysis: WordAnalysis, method: str,
-                extra_flags=()) -> WordRecord:
-    """The record of an analyzed word under `method`, with the token's flags."""
+def text_syllabification(analysis: WordAnalysis, method: str,
+                         ) -> tuple[Syllabification, str]:
+    """The letter syllabification of an analyzed word under `method`, and
+    the name of the step that made it (a record's `method`)."""
     if method not in METHOD_CHOICES:
         raise ValueError(f"unknown method {method!r}")
     a = analysis
-    flags = set(extra_flags) | a.flags
     if a.phone_seq is None:
-        text_syll, method_used = a.letters_ssp, "oov-unresolved"
-    elif a.nuclei < 2:
-        text_syll = Syllabification(tuple(a.word), ())
+        return a.letters_ssp, "oov-unresolved"
+    if a.nuclei < 2:
         if a.nuclei == 1:
-            method_used = "single-vowel"
-        else:
-            method_used = "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
-    elif method.startswith("lkp") and a.corpus_syll is not None:
-        text_syll, method_used = a.corpus_syll, "corpus-lookup"
-    elif method.endswith("dtw"):
-        text_syll, degenerate = a.projection
-        if degenerate:
-            flags.add("degenerate-projection")
-        method_used = "ssp-dtw"
-    else:
-        text_syll, method_used = a.letters_ssp, "ssp-letters"
+            return a.unbroken, "single-vowel"
+        return a.unbroken, "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
+    if method.startswith("lkp") and a.corpus_syll is not None:
+        return a.corpus_syll, "corpus-lookup"
+    if method.endswith("dtw"):
+        return a.projection[0], "ssp-dtw"
+    return a.letters_ssp, "ssp-letters"
 
+
+def word_record(analysis: WordAnalysis, method: str,
+                extra_flags=()) -> WordRecord:
+    """The record of an analyzed word under `method`, with the token's flags."""
+    a = analysis
+    text_syll, method_used = text_syllabification(a, method)
+    flags = set(extra_flags) | a.flags
+    # ssp-dtw projects only a word of two or more nuclei
+    if method_used == "ssp-dtw" and a.nuclei > 1 and a.projection[1]:
+        flags.add("degenerate-projection")
     if a.phone_syll.n_syllables != text_syll.n_syllables:
         flags.add("count-mismatch")
     else:

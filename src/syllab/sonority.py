@@ -205,8 +205,9 @@ def sonority_sequence(symbols: Sequence[str],
     """Expand symbols into the sonority curve used by break detection."""
     levels: list[int] = []
     sources: list[int] = []
+    memo = hierarchy._levels  # levels are never 0, so a miss reads as falsy
     for i, sym in enumerate(symbols):
-        level = hierarchy.level(sym)
+        level = memo.get(sym) or hierarchy.level(sym)
         if level == VOWEL_LEVEL:
             levels += (VOWEL_LEVEL, VOWEL_LEVEL - 1)
             sources += (i, i)

@@ -214,7 +214,7 @@ def eager_pron_dict(path, fmt="cmu", strict=True):
             parts = line.split()
             ok = len(parts) >= 2
             if ok:
-                m = re.match(r"^(.*)\((\d+)\)$", parts[0])
+                m = re.match(r"^(.*)\(([0-9]+)\)$", parts[0])
                 word, tokens = (m.group(1) if m else parts[0]), parts[1:]
             reason = "expected 'WORD  PHONES...'"
         else:

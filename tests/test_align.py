@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.align import AlignmentPath, alignment_debug_tsv, dtw, project_breaks, project_ssp
-from syllab.sonority import VOWEL_LEVEL, sonority_sequence
+from syllab.sonority import VOWEL_LEVEL, SonoritySequence, sonority_sequence
 from syllab.ssp import Syllabification, ssp_breaks
 
 from oracles import (
@@ -46,6 +46,16 @@ class TestDtw:
             dtw(empty, other)
         with pytest.raises(ValueError):
             dtw(other, empty)
+
+    @pytest.mark.parametrize("levels", [[1, 256], [-1, 3], [300]])
+    def test_level_outside_a_byte_rejected(self, levels):
+        n = len(levels)
+        odd = SonoritySequence(("x",) * n, tuple(levels), tuple(range(n)))
+        other = sequence_from_levels([3, 5, 4])
+        with pytest.raises(ValueError):
+            dtw(odd, other)
+        with pytest.raises(ValueError):
+            dtw(other, odd)
 
     def test_diagonal_preferred_on_ties(self):
         seq = sequence_from_levels([1, 1])

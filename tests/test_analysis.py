@@ -26,6 +26,7 @@ from syllab.pipeline import (
     consistency_report,
     load_secondary_stress,
     syllabify_word,
+    text_syllabification,
     word_record,
 )
 from syllab.sonority import hierarchy_for, sonority_sequence
@@ -111,6 +112,26 @@ class TestRecords:
         with pytest.raises(ValueError):
             word_record(next(analyze_words(["sentence"], mini_resources)), "dtw")
 
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    def test_selector_gives_the_record_text_and_method(self, mini_resources, method):
+        analyses = list(analyze_words(["qqqzz", "a", "rhythm", "beautiful", "about",
+                                       "etc", "w"], mini_resources))
+        # a pronunciation without a vowel, and letters the hierarchy lacks
+        analyses += [analyze_word("hmm", mini_resources,
+                                  [Pronunciation(("HH", "M"))], oov=False),
+                     analyze_word("3d", mini_resources,
+                                  [Pronunciation(("TH", "R", "IY1", "D", "IY2"))],
+                                  oov=False)]
+        kinds = set()
+        for analysis in analyses:
+            rec = word_record(analysis, method)
+            assert text_syllabification(analysis, method) == (rec.text_syll,
+                                                              rec.method)
+            kinds |= {rec.method, *rec.flags}
+        assert {"oov-unresolved", "single-vowel", "no-nucleus"} <= kinds
+        assert ("corpus-lookup" in kinds) == method.startswith("lkp")
+        assert ("degenerate-projection" in kinds) == method.endswith("dtw")
+
 
 sentences = st.lists(
     st.lists(st.sampled_from(WORDS + NUMERALS), min_size=1, max_size=6).map(" ".join),
@@ -134,8 +155,10 @@ class TestWorkCounts:
         curves = count_calls(monkeypatch, sonority_sequence)
         breaks = count_calls(monkeypatch, ssp_breaks)
         alignments = count_calls(monkeypatch, dtw)
+        records = count_calls(monkeypatch, word_record)
         n = len(mini_resources.lexicon)
         run_ablation(mini_resources, n, 0)
+        assert records == []  # methods are scored from the analysis
         letter_curves = sum(1 for args in curves
                             if args[1] is mini_resources.letter_hierarchy)
         assert len(curves) - letter_curves <= n

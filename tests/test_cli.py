@@ -622,10 +622,26 @@ class TestNonUtf8Words:
 def test_import_loads_only_what_every_run_uses():
     # modules that serve one option (G2P, JSON, sampling) or no run at all
     unused = ("dataclasses", "typing", "inspect", "subprocess", "shlex", "json",
-              "random")
+              "random", "logging")
     script = (f"import sys; sys.path.insert(0, {SRC!r}); import syllab.cli; "
               f"print(' '.join(m for m in {unused!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("extra", [(), ("--fallback-cmd",
+                                        f"{sys.executable} {DATA / 'fake_g2p.py'} ok")])
+def test_run_that_warns_nothing_never_imports_logging(tmp_path, extra):
+    # the second run sends OOV prompt words to a G2P that resolves them all
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("The author can write a sentence.\nBlorping zorbles.\n")
+    argv = ["annotate", str(prompts), "--dict", DICT, "--corpus", CORPUS,
+            "--out", str(tmp_path / "a.tsv"), *extra]
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from syllab.cli import main; "
+              f"code = main({argv!r}); print(code, 'logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert "warning" not in proc.stderr

@@ -39,6 +39,13 @@ class TestCmuFormat:
         assert len(variants) == 2
         assert str(variants[0]) == "R EH1 D" and str(variants[1]) == "R IY1 D"
 
+    def test_only_ascii_numbers_are_variant_suffixes(self, tmp_path):
+        p = tmp_path / "d.dict"
+        p.write_text("READ  R IY1 D\nREAD(\u0661)  R EH1 D\n", encoding="utf-8")
+        lex = load_pron_dict(p, "cmu")
+        assert sorted(lex.entries) == ["read", "read(\u0661)"]
+        assert str(lex.entries["read(\u0661)"][0]) == "R EH1 D"
+
     def test_comments_skipped(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_text(";;; header\nCAT  K AE1 T\n")
