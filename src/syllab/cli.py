@@ -175,8 +175,8 @@ def build_resources(args) -> Resources:
             raise ConfigurationError(f"--fallback-cmd: {exc}") from None
     lang = opt("lang", "en")
     lexicon = load_pron_dict(dict_path, args.dict_format, strict=not args.lenient)
-    phoneset = "cmu-arpabet" if args.dict_format == "cmu" else "mfa-ipa"
-    phone_h = hierarchy_for(phoneset, lang, phone_table)
+    symbol_set = {"cmu": "cmu-arpabet", "mfa": "mfa-ipa"}[args.dict_format]
+    phone_h = hierarchy_for(symbol_set, lang, phone_table)
     letter_h = hierarchy_for("letters", lang, letter_table)
 
     syllabified = None
@@ -252,7 +252,7 @@ def cmd_syllabify(args) -> int:
         words = [w for line in _stdin_lines() for w in line.split()]
     usable = []
     for w in words:
-        if "\t" in w or TEXT_SYL_SEP in w:
+        if any(sep in w for sep in ("\t", "\n", "\r", TEXT_SYL_SEP)):
             print(f"warning: skipping {w!r}: reserved separator characters",
                   file=sys.stderr)
         elif w:
@@ -354,7 +354,7 @@ def cmd_histogram(args) -> int:
         records = read_annotation_file(args.annotations)
     else:
         resources = build_resources(args)
-        words = sorted(resources.lexicon.entries)
+        words = sorted(resources.lexicon)
         if args.sample is not None:
             if not 0 < args.sample <= len(words):
                 raise ConfigurationError(

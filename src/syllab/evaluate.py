@@ -48,7 +48,7 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
         raise ValueError(
             f"sample_size must be in [1, {len(lexicon)}], got {sample_size}")
     import random
-    words = random.Random(seed).sample(sorted(lexicon.entries), sample_size)
+    words = random.Random(seed).sample(sorted(lexicon), sample_size)
     # each word is analyzed once and scored under every active method,
     # without building its records
     hits = {m: 0 for m in methods

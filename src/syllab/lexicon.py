@@ -35,12 +35,14 @@ class ParsedOnAccess(Mapping):
     can reject a line, so a malformed file still fails or warns at load;
     `parse` turns one raw value into the entry a caller sees.  Nothing is
     memoized: each access parses again, and every subcommand reads each
-    distinct word once.
+    distinct word once.  `skipped` counts the lines or rows the loader
+    skipped.
     """
 
-    def __init__(self, raw: dict, parse: Callable):
+    def __init__(self, raw: dict, parse: Callable, skipped: int = 0):
         self._raw = raw
         self._parse = parse
+        self.skipped = skipped
 
     def __getitem__(self, key):
         return self._parse(self._raw[key])
@@ -57,22 +59,6 @@ class ParsedOnAccess(Mapping):
 
     def __len__(self) -> int:
         return len(self._raw)
-
-
-class Lexicon:
-    """Pronunciation variants per lower-cased word, in file order.
-
-    A loaded lexicon's `entries` is a `ParsedOnAccess` over each word's
-    phone text; a caller may pass any mapping.
-    """
-
-    def __init__(self, entries: Mapping[str, list[Pronunciation]] | None = None,
-                 phoneset: str = "cmu-arpabet"):
-        self.entries = {} if entries is None else entries
-        self.phoneset = phoneset  # "cmu-arpabet" | "mfa-ipa"
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _read_text(path) -> list[str]:
@@ -92,15 +78,17 @@ def _read_text(path) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def load_pron_dict(path, format: str = "cmu", strict: bool = True) -> Lexicon:
-    """Load a pronunciation dictionary.
+def load_pron_dict(path, format: str = "cmu", strict: bool = True,
+                   ) -> ParsedOnAccess:
+    """Load a pronunciation dictionary: lower-cased word -> its pronunciations.
 
     `cmu` lines look like ``WORD  P1 P2 ...`` with ``WORD(1)`` variant
     suffixes and ``;;;`` comments; `mfa` lines are ``word<TAB>phones``
     where extra numeric tab fields (probabilities) are ignored.  Load checks
     every line and keeps its phone text; a word's `Pronunciation`s are
-    built when it is looked up.  A malformed line raises `DictParseError`,
-    or with `strict` off is skipped and counted in one warning per file.
+    built when it is looked up, in file order.  A malformed line raises
+    `DictParseError`, or with `strict` off is skipped, counted in the
+    result's `skipped` and in one warning per file.
     """
     if format not in ("cmu", "mfa"):
         raise ValueError(f"unknown dictionary format {format!r}")
@@ -123,8 +111,7 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True) -> Lexicon:
         line_no, reason = skipped[0]
         log.warning("%s:%d: skipped %d unparseable lines (first: %s)",
                     path, line_no, len(skipped), reason)
-    return Lexicon(ParsedOnAccess(phones_of, _pronunciations),
-                   "cmu-arpabet" if format == "cmu" else "mfa-ipa")
+    return ParsedOnAccess(phones_of, _pronunciations, len(skipped))
 
 
 def _split_dict_line(line: str, fmt: str) -> tuple[str, str]:
@@ -152,9 +139,10 @@ def _pronunciations(phone_lines: str) -> list[Pronunciation]:
     return [Pronunciation(tuple(text.split())) for text in phone_lines.split("\n")]
 
 
-def lookup(lexicon: Lexicon, word: str) -> list[Pronunciation]:
+def lookup(lexicon: Mapping[str, list[Pronunciation]], word: str,
+           ) -> list[Pronunciation]:
     """All pronunciation variants in file order; empty list means OOV."""
-    return lexicon.entries.get(word.lower(), [])
+    return lexicon.get(word.lower(), [])
 
 
 class FallbackConfig(CheckedFields, namedtuple("FallbackConfig", "command timeout")):
@@ -301,29 +289,13 @@ class CorpusFormat(namedtuple(
         raise ValueError(f"unknown corpus preset {name!r}")
 
 
-class SyllabifiedLexicon:
-    """Syllables per lower-cased word, for the corpus lookup.
-
-    A loaded one's `entries` is a `ParsedOnAccess` that applies
-    `sc_correction` to a word's syllables when it is looked up; a caller may
-    pass any mapping.
-    """
-
-    def __init__(self, entries: Mapping[str, tuple[str, ...]] | None = None,
-                 skipped_rows: int = 0):
-        self.entries = {} if entries is None else entries
-        self.skipped_rows = skipped_rows
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def load_syllabified_corpus(path, fmt: CorpusFormat,
-                            language: str = "en") -> SyllabifiedLexicon:
-    """Load manually syllabified words; `sc_correction` applies on access.
+                            language: str = "en") -> ParsedOnAccess:
+    """Load manually syllabified words: lower-cased word -> its syllables.
 
-    Rows whose syllables do not re-concatenate to the word (or with missing
-    columns) are skipped at load and counted in `skipped_rows`.
+    `sc_correction` applies on access.  Rows whose syllables do not
+    re-concatenate to the word (or with missing columns) are skipped at load
+    and counted in `skipped`.
     """
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
     syllables_of: dict[str, str] = {}  # word -> lower-cased syllabified form
@@ -355,4 +327,4 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
     def corrected(syl_field: str) -> tuple[str, ...]:
         return tuple(sc_correction(syl_field.split(fmt.syllable_separator), vowels))
 
-    return SyllabifiedLexicon(ParsedOnAccess(syllables_of, corrected), skipped)
+    return ParsedOnAccess(syllables_of, corrected, skipped)

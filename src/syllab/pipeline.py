@@ -16,15 +16,7 @@ from functools import cached_property
 
 from .align import project_ssp
 from .errors import LazyLogger, UnknownSymbolError, open_utf8
-from .lexicon import (
-    FallbackConfig,
-    Lexicon,
-    ParsedOnAccess,
-    Pronunciation,
-    SyllabifiedLexicon,
-    g2p_fallback,
-    lookup,
-)
+from .lexicon import ParsedOnAccess, Pronunciation, g2p_fallback, lookup
 from .sonority import (
     VOWEL_LEVEL,
     SonorityHierarchy,
@@ -42,8 +34,10 @@ METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
 Resources = namedtuple(
     "Resources", "lexicon phone_hierarchy letter_hierarchy syllabified fallback "
     "secondary_stress variant", defaults=(None, None, None, ""))
-Resources.__doc__ = ("Loaded inputs shared by every word of a run; `variant` is a "
-                     'label such as "CMU" or "en_US", printed only by the ablation.')
+Resources.__doc__ = ("Loaded inputs shared by every word of a run.  `lexicon` maps "
+                     "a lower-cased word to its pronunciations and `syllabified` "
+                     "to its syllables; `variant` is a label such as "
+                     '"CMU" or "en_US", printed only by the ablation.')
 
 WordRecord = namedtuple("WordRecord", "word pronunciations phone_syll text_syll "
                         "stress_index method flags")
@@ -96,9 +90,7 @@ class WordAnalysis:
     def letter_seq(self) -> SonoritySequence | None:
         try:
             return sonority_sequence(tuple(self.word), self.letter_hierarchy)
-        except UnknownSymbolError as exc:
-            log.debug("letters of %r not classifiable (%s); kept unbroken",
-                      self.word, exc)
+        except UnknownSymbolError:  # the letters stay unbroken
             return None
 
     @cached_property
@@ -174,13 +166,13 @@ def analyze_word(word: str, resources: Resources,
 
     corpus_syll = None
     if nuclei > 1 and resources.syllabified is not None:
-        # a caller's SyllabifiedLexicon may hold entries with empty or wrong syllables
-        entry = resources.syllabified.entries.get(word, ())
+        # a caller's mapping may hold entries with empty or wrong syllables
+        entry = resources.syllabified.get(word, ())
         if len(entry) == nuclei and all(entry) and "".join(entry) == word:
             corpus_syll = Syllabification.from_parts(entry)
 
     stress = (_arpabet_stress(prons[0], phone_syll)
-              if resources.lexicon.phoneset == "cmu-arpabet" else None)
+              if resources.phone_hierarchy.symbol_set == "cmu-arpabet" else None)
     if stress is None and resources.secondary_stress:
         sec = resources.secondary_stress.get(word)
         if sec is not None:
@@ -245,8 +237,8 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     the word to (syllable count, stressed syllable index) computed by the
     engine's own break detection on the stripped phone sequence, when the
     word is looked up.  Lines without a tab or a primary-stress mark, or
-    with a symbol the hierarchy does not classify, are skipped at load and
-    counted in one warning per file.
+    with a symbol the hierarchy does not classify, are skipped at load,
+    counted in the result's `skipped` and in one warning per file.
     """
     phones_of: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []  # (line number, reason)
@@ -280,7 +272,7 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
         syll = syllabify_symbols(symbols, hierarchy)
         return syll.n_syllables, syll.syllable_of(stress_pos)
 
-    return ParsedOnAccess(phones_of, stress)
+    return ParsedOnAccess(phones_of, stress, len(skipped))
 
 
 def _marked_symbols(phones: str) -> tuple[list[str], int | None]:

@@ -78,15 +78,21 @@ class Syllabification(CheckedFields, namedtuple("Syllabification", "symbols brea
 
 
 def ssp_breaks(seq: SonoritySequence) -> Syllabification:
-    """Place syllable breaks on an expanded sonority sequence."""
+    """Place syllable breaks on an expanded sonority sequence, in linear time."""
     levels, sources = seq.levels, seq.sources
     n = len(levels)
     breaks: list[int] = []
     last_cut = 0  # expanded index of the first point after the last break
+    nucleus = -1  # expanded index of the last nucleus before i
+    last_nucleus = -1  # expanded index of the last nucleus
+    if VOWEL_LEVEL in levels:
+        last_nucleus = n - 1 - levels[::-1].index(VOWEL_LEVEL)
 
     for i in range(1, n - 1):
-        lvl = levels[i]
-        if levels[i - 1] <= lvl:
+        lvl, prev = levels[i], levels[i - 1]
+        if prev == VOWEL_LEVEL:
+            nucleus = i - 1
+        if prev <= lvl:
             continue
         # first level to differ on the right must be a rise
         k = i + 1
@@ -95,7 +101,7 @@ def ssp_breaks(seq: SonoritySequence) -> Syllabification:
         if k == n or levels[k] < lvl:
             continue
         # a nucleus must sit between the previous break and the minimum
-        if VOWEL_LEVEL not in levels[last_cut:i]:
+        if nucleus < last_cut:
             continue
         if sources[i] == sources[i - 1]:
             # second half of a vowel pair: break after the vowel
@@ -105,7 +111,7 @@ def ssp_breaks(seq: SonoritySequence) -> Syllabification:
             cut_source = sources[i]
             cut_expanded = i
         # the tail past the break must still contain a nucleus
-        if VOWEL_LEVEL not in levels[cut_expanded:]:
+        if last_nucleus < cut_expanded:
             continue
         breaks.append(cut_source)
         last_cut = cut_expanded

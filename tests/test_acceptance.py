@@ -120,7 +120,7 @@ class TestC3DtwOracleEquivalence:
 class TestC4ConsistencyInvariant:
     def _check(self, resources, method):
         checked = 0
-        for word in resources.lexicon.entries:
+        for word in resources.lexicon:
             rec = syllabify_word(word, resources, method)
             if not rec.flags:
                 assert rec.phone_syll.n_syllables == rec.text_syll.n_syllables, word
@@ -228,7 +228,7 @@ class TestC7HistogramClaims:
 
     def test_lexicon_sample_multisyllable_dominated(self):
         resources = _real_cmu_resources()
-        words = random.Random(7).sample(sorted(resources.lexicon.entries), 2000)
+        words = random.Random(7).sample(sorted(resources.lexicon), 2000)
         records = [syllabify_word(w, resources, "ssp-dtw") for w in words]
         hist = syllable_histogram(records)
         multi = sum(pct for count, pct in hist.items() if count >= 2)
@@ -260,12 +260,12 @@ class TestC8Determinism:
 class TestC9ScCorrectionProperty:
     def _check(self, corpus, language):
         vowels = VOWEL_LETTERS[language]
-        for word, syllables in corpus.entries.items():
+        for word, syllables in corpus.items():
             assert "".join(syllables) == word
             if len(syllables) > 1:
                 for syl in syllables:
                     assert any(ch in vowels for ch in syl), (word, syllables)
-        return len(corpus.entries)
+        return len(corpus)
 
     def test_fixture_corpus(self, mini_corpus):
         n = self._check(mini_corpus, "en")

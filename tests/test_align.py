@@ -207,13 +207,13 @@ class TestSspDtwSyllabify:
         assert syl.breaks == (1,)
 
     def test_concatenation_always_preserved(self, arpabet, letters_en, mini_lexicon):
-        for word, prons in mini_lexicon.entries.items():
+        for word, prons in mini_lexicon.items():
             syl, _ = ssp_dtw(word, prons[0].raw, arpabet, letters_en)
             assert "".join(sym for s in syl.syllables() for sym in s) == word
 
     def test_projected_count_never_exceeds_phone_count(self, arpabet, letters_en,
                                                        mini_lexicon):
-        for word, prons in mini_lexicon.entries.items():
+        for word, prons in mini_lexicon.items():
             phone_syl = ssp_breaks(sonority_sequence(prons[0].raw, arpabet))
             syl, degen = ssp_dtw(word, prons[0].raw, arpabet, letters_en)
             assert syl.n_syllables <= phone_syl.n_syllables

@@ -54,11 +54,11 @@ class TestAblationEquivalence:
                 assert result.accuracies[method] is None
             else:
                 assert result.accuracies[method] == word_accuracy(
-                    [syllabify_word(w, res, method) for w in res.lexicon.entries])
+                    [syllabify_word(w, res, method) for w in res.lexicon])
 
     def test_partial_sample_matches(self, mini_resources):
         result = run_ablation(mini_resources, 40, 7)
-        sample = random.Random(7).sample(sorted(mini_resources.lexicon.entries), 40)
+        sample = random.Random(7).sample(sorted(mini_resources.lexicon), 40)
         for method in METHOD_CHOICES:
             assert result.accuracies[method] == word_accuracy(
                 [syllabify_word(w, mini_resources, method) for w in sample])

@@ -115,11 +115,12 @@ class TestSyllabifyCommand:
         assert out.split("\t")[3] == "sen|ten|ce"
 
     def test_reserved_characters_skipped_with_warning(self, capsys):
-        code, out, err = run(capsys, "syllabify", "lea|ves", "leaves",
-                             "--dict", DICT)
+        # a line break inside a word would split its TSV row
+        code, out, err = run(capsys, "syllabify", "lea|ves", "ca\nt", "do\rg",
+                             "leaves", "--dict", DICT)
         assert code == 0
-        assert out.startswith("leaves\t") and out.count("\n") == 1
-        assert "reserved separator" in err
+        assert out.startswith("leaves\t") and out.count("\n") == 1 and "\r" not in out
+        assert err.count("reserved separator") == 3
 
     def test_words_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"leaves\nsentence oceanic\n")))
@@ -634,9 +635,11 @@ def test_import_loads_only_what_every_run_uses():
 @pytest.mark.parametrize("extra", [(), ("--fallback-cmd",
                                         f"{sys.executable} {DATA / 'fake_g2p.py'} ok")])
 def test_run_that_warns_nothing_never_imports_logging(tmp_path, extra):
-    # the second run sends OOV prompt words to a G2P that resolves them all
+    # the second run sends OOV prompt words to a G2P that resolves them all;
+    # the letters of "café" are not in the English letter table
     prompts = tmp_path / "p.txt"
-    prompts.write_text("The author can write a sentence.\nBlorping zorbles.\n")
+    prompts.write_text("The author can write a sentence.\nBlorping zorbles.\n"
+                       "The café.\n")
     argv = ["annotate", str(prompts), "--dict", DICT, "--corpus", CORPUS,
             "--out", str(tmp_path / "a.tsv"), *extra]
     script = (f"import sys; sys.path.insert(0, {SRC!r}); from syllab.cli import main; "
@@ -645,3 +648,17 @@ def test_run_that_warns_nothing_never_imports_logging(tmp_path, extra):
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
     assert "warning" not in proc.stderr
+
+
+def test_annotate_one_huge_oov_token_ends(tmp_path):
+    # break detection takes time linear in the length of a word
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("ba" * 200_000 + "\n")
+    out = tmp_path / "a.tsv"
+    proc = subprocess.run([sys.executable, "-m", "syllab.cli", "annotate", str(prompts),
+                           "--dict", DICT, "--corpus", CORPUS, "--out", str(out)],
+                          capture_output=True, text=True, timeout=30,
+                          env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    row = out.read_text().splitlines()[1].split("\t")
+    assert row[5] == "|".join(["ba"] * 200_000) and row[8] == "count-mismatch,no-stress,oov"

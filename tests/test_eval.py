@@ -35,7 +35,7 @@ class TestHistogram:
 
     def test_sums_to_hundred(self, mini_resources):
         recs = [syllabify_word(w, mini_resources)
-                for w in mini_resources.lexicon.entries]
+                for w in mini_resources.lexicon]
         hist = syllable_histogram(recs)
         assert sum(hist.values()) == pytest.approx(100.0)
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from syllab.cli import main
-from syllab.lexicon import Lexicon, Pronunciation
+from syllab.lexicon import Pronunciation
 from syllab.pipeline import Resources, syllabify_word
 from syllab.sonority import hierarchy_for
 
@@ -45,8 +45,7 @@ def random_entry(rng: random.Random):
 def test_random_dictionary_entries_hold_invariants(seed):
     rng = random.Random(seed)
     word, pron = random_entry(rng)
-    lexicon = Lexicon({word: [pron]}, "cmu-arpabet")
-    resources = Resources(lexicon, ARPABET_H, LETTERS_H)
+    resources = Resources({word: [pron]}, ARPABET_H, LETTERS_H)
     for method in ("ssp", "ssp-dtw", "lkp-ssp", "lkp-ssp-dtw"):
         rec = syllabify_word(word, resources, method)
         # text always re-concatenates to the word
@@ -75,8 +74,7 @@ def test_bulk_random_lexicon_annotation(seed):
     while len(entries) < 120:
         word, pron = random_entry(rng)
         entries.setdefault(word, []).append(pron)
-    lexicon = Lexicon(entries, "cmu-arpabet")
-    resources = Resources(lexicon, ARPABET_H, LETTERS_H)
+    resources = Resources(entries, ARPABET_H, LETTERS_H)
     for word in entries:
         rec = syllabify_word(word, resources, "ssp-dtw")
         if not rec.flags:

@@ -17,7 +17,7 @@ from syllab.lexicon import (
     lookup,
     sc_correction,
 )
-from syllab.pipeline import load_secondary_stress
+from syllab.pipeline import Resources, load_secondary_stress, syllabify_word
 from syllab.sonority import VOWEL_LETTERS, hierarchy_for
 
 from conftest import DATA
@@ -29,13 +29,13 @@ class TestCmuFormat:
         p = tmp_path / "d.dict"
         p.write_text("LEAVES  L IY1 V Z\n")
         lex = load_pron_dict(p, "cmu")
-        assert lex.entries["leaves"][0].raw == ("L", "IY1", "V", "Z")
+        assert lex["leaves"][0].raw == ("L", "IY1", "V", "Z")
 
     def test_variant_suffix_folding(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_text("READ  R EH1 D\nREAD(1)  R IY1 D\n")
         lex = load_pron_dict(p, "cmu")
-        variants = lex.entries["read"]
+        variants = lex["read"]
         assert len(variants) == 2
         assert str(variants[0]) == "R EH1 D" and str(variants[1]) == "R IY1 D"
 
@@ -43,8 +43,8 @@ class TestCmuFormat:
         p = tmp_path / "d.dict"
         p.write_text("READ  R IY1 D\nREAD(\u0661)  R EH1 D\n", encoding="utf-8")
         lex = load_pron_dict(p, "cmu")
-        assert sorted(lex.entries) == ["read", "read(\u0661)"]
-        assert str(lex.entries["read(\u0661)"][0]) == "R EH1 D"
+        assert sorted(lex) == ["read", "read(\u0661)"]
+        assert str(lex["read(\u0661)"][0]) == "R EH1 D"
 
     def test_comments_skipped(self, tmp_path):
         p = tmp_path / "d.dict"
@@ -58,9 +58,9 @@ class TestCmuFormat:
         p.write_text("CAT  K AE1 T\nBLORP  B L AO\u0661\nBLAH  B L AO\u00b2\n",
                      encoding="utf-8")
         lex = load_pron_dict(p, "cmu")
-        assert lex.entries["cat"][0].raw == ("K", "AE1", "T")
-        assert lex.entries["blorp"][0].raw == ("B", "L", "AO\u0661")
-        assert lex.entries["blah"][0].raw == ("B", "L", "AO\u00b2")
+        assert lex["cat"][0].raw == ("K", "AE1", "T")
+        assert lex["blorp"][0].raw == ("B", "L", "AO\u0661")
+        assert lex["blah"][0].raw == ("B", "L", "AO\u00b2")
 
     def test_strict_mode_raises_with_line_number(self, tmp_path):
         p = tmp_path / "d.dict"
@@ -73,7 +73,7 @@ class TestCmuFormat:
         p = tmp_path / "d.dict"
         p.write_text("CAT  K AE1 T\nJUNKLINE\nDOG  D AO1 G\n")
         lex = load_pron_dict(p, "cmu", strict=False)
-        assert sorted(lex.entries) == ["cat", "dog"]
+        assert sorted(lex) == ["cat", "dog"] and lex.skipped == 1
 
     def test_only_newlines_end_a_line(self, tmp_path, caplog):
         # a form feed inside a line is not a line break: no entry "e", and
@@ -82,7 +82,7 @@ class TestCmuFormat:
         p.write_text("CAF\fE  K AE1 F\r\nCAT  K AE1 T\rJUNKLINE\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             lex = load_pron_dict(p, "cmu", strict=False)
-        assert sorted(lex.entries) == ["caf", "cat"]
+        assert sorted(lex) == ["caf", "cat"]
         assert "ff.dict:3: skipped" in caplog.text
         with pytest.raises(DictParseError) as exc:
             load_pron_dict(p, "cmu")
@@ -99,7 +99,7 @@ class TestCmuFormat:
     def test_latin1_fallback(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_bytes(b";;; caf\xe9 comment\nCAT  K AE1 T\n")
-        assert "cat" in load_pron_dict(p, "cmu").entries
+        assert "cat" in load_pron_dict(p, "cmu")
 
 
 def test_loaders_close_their_files():
@@ -117,24 +117,26 @@ class TestMfaFormat:
         p = tmp_path / "d.dict"
         p.write_text("rhythm\tɹ ɪ ð ə m\n", encoding="utf-8")
         lex = load_pron_dict(p, "mfa")
-        assert lex.entries["rhythm"][0].raw == ("ɹ", "ɪ", "ð", "ə", "m")
-        assert lex.phoneset == "mfa-ipa"
+        assert lex["rhythm"][0].raw == ("ɹ", "ɪ", "ð", "ə", "m")
 
     def test_numeric_probability_columns_ignored(self):
         lex = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")
-        assert str(lex.entries["sentence"][0]) == "s ɛ n t ə n s"
+        assert str(lex["sentence"][0]) == "s ɛ n t ə n s"
 
     def test_no_stress_digits_in_mfa(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_text("ha\th a1\n", encoding="utf-8")
         # trailing digits are phone material in mfa mode, not stress marks
-        assert load_pron_dict(p, "mfa").entries["ha"][0].raw[1] == "a1"
+        lex = load_pron_dict(p, "mfa")
+        assert lex["ha"][0].raw[1] == "a1"
+        resources = Resources(lex, hierarchy_for("mfa-ipa"), hierarchy_for("letters"))
+        assert syllabify_word("ha", resources).stress_index is None
 
     def test_only_ascii_numbers_are_probabilities(self, tmp_path):
         p = tmp_path / "d.dict"
         p.write_text("read\t١\nread\t0.5\tɹ iː d\n", encoding="utf-8")
         lex = load_pron_dict(p, "mfa", strict=True)
-        assert [pron.raw for pron in lex.entries["read"]] == [("١",), ("ɹ", "iː", "d")]
+        assert [pron.raw for pron in lex["read"]] == [("١",), ("ɹ", "iː", "d")]
 
 
 class TestLookup:
@@ -243,32 +245,32 @@ class TestScCorrection:
 
 class TestSyllabifiedCorpus:
     def test_gutenberg_style(self, mini_corpus):
-        assert mini_corpus.entries["sentence"] == ("sen", "tence")
-        assert mini_corpus.entries["beautiful"] == ("beau", "ti", "ful")
+        assert mini_corpus["sentence"] == ("sen", "tence")
+        assert mini_corpus["beautiful"] == ("beau", "ti", "ful")
 
     def test_sc_correction_applied_on_load(self, mini_corpus):
-        assert mini_corpus.entries["star"] == ("star",)
+        assert mini_corpus["star"] == ("star",)
 
     def test_concatenation_invariant(self, mini_corpus):
-        for word, syls in mini_corpus.entries.items():
+        for word, syls in mini_corpus.items():
             assert "".join(syls) == word
 
     def test_case_folded(self, mini_corpus):
-        assert "philip" in mini_corpus.entries
+        assert "philip" in mini_corpus
 
     def test_lexique_style_columns(self):
         fmt = CorpusFormat(syllable_separator="-", column_separator="\t",
                            word_column=0, syllable_column=2, has_header=True)
         corpus = load_syllabified_corpus(DATA / "mini_lexique.tsv", fmt, "fr")
-        assert corpus.entries["bateau"] == ("ba", "teau")
-        assert corpus.entries["stylo"] == ("sty", "lo")  # s- merged forward
+        assert corpus["bateau"] == ("ba", "teau")
+        assert corpus["stylo"] == ("sty", "lo")  # s- merged forward
 
     def test_mismatched_rows_skipped_and_counted(self):
         fmt = CorpusFormat(syllable_separator="-", column_separator="\t",
                            word_column=0, syllable_column=2, has_header=True)
         corpus = load_syllabified_corpus(DATA / "mini_lexique.tsv", fmt, "fr")
-        assert "eau" not in corpus.entries  # syllables do not re-concatenate
-        assert corpus.skipped_rows == 1
+        assert "eau" not in corpus  # syllables do not re-concatenate
+        assert corpus.skipped == 1
 
     def test_skipped_rows_logged_once(self, tmp_path, caplog):
         p = tmp_path / "lexique_syllables.tsv"
@@ -276,7 +278,7 @@ class TestSyllabifiedCorpus:
                      encoding="utf-8")
         with caplog.at_level("WARNING", logger="syllab.lexicon"):
             corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
-        assert list(corpus.entries) == ["bateau"] and corpus.skipped_rows == 2
+        assert list(corpus) == ["bateau"] and corpus.skipped == 2
         assert [r.getMessage() for r in caplog.records] == [
             f"{p}: skipped 2 rows with missing columns or syllables that do not "
             "rejoin to the word"]
@@ -286,25 +288,25 @@ class TestSyllabifiedCorpus:
         p = tmp_path / "nel.txt"
         p.write_bytes(b"xy\x85z-zy\r\nba-na-na\n")
         corpus = load_syllabified_corpus(p, CorpusFormat.preset("gutenberg"))
-        assert corpus.entries == {"xy\x85zzy": ("xy\x85z", "zy"),
+        assert corpus == {"xy\x85zzy": ("xy\x85z", "zy"),
                                   "banana": ("ba", "na", "na")}
         p.write_text("word\u2028\tsyll\nbateau\tba-teau\n", encoding="utf-8")
         corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
-        assert corpus.entries == {"bateau": ("ba", "teau")}
-        assert corpus.skipped_rows == 0
+        assert corpus == {"bateau": ("ba", "teau")}
+        assert corpus.skipped == 0
 
     def test_lexique_preset_matches_extracted_layout(self, tmp_path):
         p = tmp_path / "lexique_syllables.tsv"
         p.write_text("word\tsyll\nbateau\tba-teau\nstylo\ts-ty-lo\n",
                      encoding="utf-8")
         corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
-        assert corpus.entries["bateau"] == ("ba", "teau")
-        assert corpus.entries["stylo"] == ("sty", "lo")
-        assert corpus.skipped_rows == 0
+        assert corpus["bateau"] == ("ba", "teau")
+        assert corpus["stylo"] == ("sty", "lo")
+        assert corpus.skipped == 0
 
     def test_no_vowelless_entries_remain(self, mini_corpus):
         vowels = VOWEL_LETTERS["en"]
-        for syls in mini_corpus.entries.values():
+        for syls in mini_corpus.values():
             if len(syls) == 1:
                 continue
             for syl in syls:
@@ -367,7 +369,7 @@ class TestLoaderOracle:
                     assert got.value.line_no == exc.line_no
                     continue
                 lex = load_pron_dict(p, fmt, strict)
-                assert list(lex.entries.items()) == list(expected.items())
+                assert list(lex.items()) == list(expected.items())
 
     @seed(1010)
     @settings(max_examples=300, deadline=None,
@@ -393,8 +395,8 @@ class TestLoaderOracle:
         write_lines(p, lines)
         corpus = load_syllabified_corpus(p, fmt, language)
         expected, skipped = eager_syllabified_corpus(p, fmt, language)
-        assert list(corpus.entries.items()) == list(expected.items())
-        assert corpus.skipped_rows == skipped
+        assert list(corpus.items()) == list(expected.items())
+        assert corpus.skipped == skipped
 
     @seed(1010)
     @settings(max_examples=300, deadline=None,

@@ -40,7 +40,7 @@ def spanish():
 class TestFrench:
     def test_ipa_dictionary_classifies(self, french):
         h = french.phone_hierarchy
-        for prons in french.lexicon.entries.values():
+        for prons in french.lexicon.values():
             for pron in prons:
                 for sym in pron.raw:
                     assert h.level(sym) in range(1, 6)
@@ -59,7 +59,7 @@ class TestFrench:
     def test_corpus_rejected_on_nucleus_disagreement(self, french):
         # fe-nê-tre has three written syllables but the pronunciation
         # f ə n ɛ t ʁ only two nuclei: consensus rejects the corpus entry
-        assert french.syllabified.entries["fenêtre"] == ("fe", "nê", "tre")
+        assert french.syllabified["fenêtre"] == ("fe", "nê", "tre")
         rec = syllabify_word("fenêtre", french, "lkp-ssp-dtw")
         assert rec.method == "ssp-dtw"
         assert rec.text_syll.n_syllables == 2
@@ -90,7 +90,7 @@ class TestFrench:
 class TestSpanish:
     def test_ipa_dictionary_classifies(self, spanish):
         h = spanish.phone_hierarchy
-        for prons in spanish.lexicon.entries.values():
+        for prons in spanish.lexicon.values():
             for pron in prons:
                 for sym in pron.raw:
                     assert h.level(sym) in range(1, 6)

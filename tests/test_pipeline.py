@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from syllab.lexicon import FallbackConfig, SyllabifiedLexicon, load_pron_dict
+from syllab.lexicon import FallbackConfig, load_pron_dict
 from syllab.pipeline import (
     Resources,
     annotate_corpus,
@@ -54,7 +54,7 @@ class TestMethodVariants:
     def test_corpus_lookup_rejected_on_count_disagreement(self, mini_resources):
         # fixture corpus says rhy-thm, but sc correction collapses it to one
         # syllable while the pronunciation has two nuclei: entry rejected
-        assert mini_resources.syllabified.entries["rhythm"] == ("rhythm",)
+        assert mini_resources.syllabified["rhythm"] == ("rhythm",)
         rec = syllabify_word("rhythm", mini_resources, "lkp-ssp-dtw")
         assert rec.method == "ssp-dtw"
         assert rec.text_syll.n_syllables == 2
@@ -62,8 +62,7 @@ class TestMethodVariants:
     @pytest.mark.parametrize("entry", [("beau", "ti", "fool"), ("beau", "", "tiful")],
                              ids=["not-rejoining", "empty-syllable"])
     def test_malformed_library_corpus_entry_ignored(self, mini_resources, entry):
-        corpus = SyllabifiedLexicon({"beautiful": entry})
-        resources = mini_resources._replace(syllabified=corpus)
+        resources = mini_resources._replace(syllabified={"beautiful": entry})
         rec = syllabify_word("beautiful", resources, "lkp-ssp-dtw")
         assert rec.method == "ssp-dtw"
         assert rec.text_syll.n_syllables == 3
@@ -186,6 +185,7 @@ class TestMergeStress:
         with caplog.at_level("WARNING"):
             loaded = load_secondary_stress(bad, ipa)
         assert loaded == load_secondary_stress(DATA / "secondary_espeak.tsv", ipa)
+        assert loaded.skipped == 3
         assert [r.getMessage() for r in caplog.records] == [
             f"{bad}: skipped 3 lines (first at line 1: expected word<TAB>phones)"]
 
@@ -213,7 +213,7 @@ class TestMergeStress:
 class TestConsistencyInvariant:
     @pytest.mark.parametrize("method", ["ssp-dtw", "lkp-ssp-dtw"])
     def test_unflagged_records_have_equal_counts(self, mini_resources, method):
-        for word in mini_resources.lexicon.entries:
+        for word in mini_resources.lexicon:
             rec = syllabify_word(word, mini_resources, method)
             if not rec.flags & {"count-mismatch", "degenerate-projection"}:
                 assert rec.phone_syll.n_syllables == rec.text_syll.n_syllables

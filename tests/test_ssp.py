@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllab.lexicon import Lexicon, Pronunciation
+from syllab.lexicon import Pronunciation
 from syllab.pipeline import Resources, analyze_words
 from syllab.sonority import hierarchy_for
 from syllab.ssp import Syllabification, ssp_breaks, syllabify_symbols
@@ -51,8 +51,8 @@ class TestPaperExamples:
 
 def nuclei(phones, arpabet):
     """The pipeline's nucleus count of a word pronounced `phones`."""
-    lexicon = Lexicon({"w": [Pronunciation(tuple(phones))]}, "cmu-arpabet")
-    resources = Resources(lexicon, arpabet, hierarchy_for("letters", "en"))
+    resources = Resources({"w": [Pronunciation(tuple(phones))]}, arpabet,
+                          hierarchy_for("letters", "en"))
     return next(analyze_words(["w"], resources)).nuclei
 
 

@@ -1,5 +1,6 @@
 """The README documents exactly the package root's exports and each subcommand's options."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import syllab
 from syllab.cli import _build_parser
 
 README = Path(__file__).parent.parent / "README.md"
+PACKAGE = Path(syllab.__file__).parent
 
 
 def test_all_matches_readme():
@@ -30,3 +32,20 @@ def test_subcommand_options_match_readme():
                         if option not in ("-h", "--help")]
               for command, sub in by_name.items()}
     assert documented == parsed
+
+
+def test_modules_use_every_name_they_import():
+    # the package root imports names only to export them
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
