@@ -36,6 +36,10 @@ class _Distances(dict):
 
 _DISTANCES = _Distances()
 
+# the most cost cells `project_ssp` lets one `dtw` fill: the whole matrix is
+# kept for the backtrack, so one very long word could exhaust memory
+DTW_CELL_BUDGET = 10 ** 5
+
 
 def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
     """Minimal-cost monotone alignment of two sonority sequences.
@@ -121,11 +125,15 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
 
 
 def project_ssp(phone_syll: Syllabification, phone_seq: SonoritySequence,
-                letter_seq: SonoritySequence) -> tuple[Syllabification, bool]:
+                letter_seq: SonoritySequence,
+                ) -> tuple[Syllabification, bool] | None:
     """Carry the SSP breaks `phone_syll` of `phone_seq` onto the letters.
 
-    DTW runs only when there is a break to carry.
+    None when the DTW would fill more than `DTW_CELL_BUDGET` cells; DTW
+    runs only when there is a break to carry.
     """
+    if len(phone_seq.levels) * len(letter_seq.levels) > DTW_CELL_BUDGET:
+        return None
     if not phone_syll.breaks:
         return Syllabification(letter_seq.symbols, ()), False
     path = dtw(phone_seq, letter_seq)

@@ -7,14 +7,13 @@ outputs are UTF-8 TSV/JSON with LF line endings.
 """
 
 import argparse
-import io
 import os
 import re
 import sys
 
-from . import evaluate, pipeline
+from . import errors, evaluate, pipeline
 from .align import alignment_debug_tsv, dtw
-from .errors import ConfigurationError, DictParseError, SyllabError, open_utf8
+from .errors import ConfigurationError, DictParseError, SyllabError
 from .lexicon import (
     CorpusFormat,
     FallbackConfig,
@@ -57,10 +56,12 @@ def format_record_row(rec: WordRecord) -> str:
 
 def parse_record_row(row: str) -> WordRecord:
     """Rebuild a WordRecord from its TSV row (round-trip of the essentials)."""
-    fields = row.rstrip("\n").split("\t")
+    fields = row.split("\t")
     if len(fields) != len(RECORD_COLUMNS):
         raise ValueError(f"expected {len(RECORD_COLUMNS)} columns, got {len(fields)}")
     word, phones, phone_syl, text_syl, stress, method, flags = fields
+    if "" in fields or "" in flags.split(","):  # every column writes "-" for none
+        raise ValueError("empty field or flag name")
     prons = [] if phones == "-" else [Pronunciation(tuple(phones.split()))]
     phone_syll = Syllabification.from_parts(
         [] if phone_syl == "-" else
@@ -105,15 +106,14 @@ def _resource_path(path: str | None, what: str) -> str | None:
 
 def _read_config_file(path) -> dict[str, str]:
     values = {}
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip().strip('"')
+    for line_no, line in enumerate(errors.read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip().strip('"')
     return values
 
 
@@ -218,11 +218,7 @@ def _utf8_args(words: list[str]) -> list[str]:
 
 def _stdin_lines() -> list[str]:
     """Lines of stdin, decoded as strict UTF-8 whatever the locale."""
-    try:
-        text = sys.stdin.buffer.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SyllabError(f"<stdin>: not UTF-8 text ({exc.reason})") from None
-    return [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)]
+    return errors.decode_lines(sys.stdin.buffer.read(), "<stdin>")
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -274,8 +270,8 @@ def cmd_syllabify(args) -> int:
 def _dump_alignments(analyses, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     for a in analyses:
-        if a.phone_seq is None or a.letter_seq is None:
-            continue
+        if a.phone_seq is None or a.letter_seq is None or a.projection is None:
+            continue  # a projection past the DTW cell budget is skipped
         path = dtw(a.phone_seq, a.letter_seq)
         with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -285,19 +281,17 @@ def _dump_alignments(analyses, directory: str) -> None:
 def read_corpus_file(path) -> list[tuple[str, str]]:
     """(sentence_id, text) pairs from festival prompts, id<TAB>text, or plain lines."""
     pairs = []
-    with open_utf8(path) as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            m = _FESTIVAL_LINE.match(line)
-            if m:
-                pairs.append((m.group(1), m.group(2)))
-            elif "\t" in line:
-                sid, _, text = line.partition("\t")
-                pairs.append((sid, text))
-            else:
-                pairs.append((f"s{i:04d}", line))
+    for i, line in enumerate(errors.read_lines(path), 1):
+        if not line.strip():
+            continue
+        m = _FESTIVAL_LINE.match(line)
+        if m:
+            pairs.append((m.group(1), m.group(2)))
+        elif "\t" in line:
+            sid, _, text = line.partition("\t")
+            pairs.append((sid, text))
+        else:
+            pairs.append((f"s{i:04d}", line))
     return pairs
 
 
@@ -351,6 +345,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_histogram(args) -> int:
     if args.annotations:
+        if args.dict_path or args.sample is not None:
+            raise ConfigurationError("--dict and --sample do not apply to --annotations")
         records = read_annotation_file(args.annotations)
     else:
         resources = build_resources(args)
@@ -370,17 +366,16 @@ def cmd_histogram(args) -> int:
 
 def read_annotation_file(path) -> list[WordRecord]:
     records, header = [], list(ANNOTATION_COLUMNS)
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) == len(header) and fields != header:
-                fields = fields[2:]  # drop sentence_id and token_index
-            if len(fields) != len(RECORD_COLUMNS):
-                continue  # blank line, header or foreign row
-            try:
-                records.append(parse_record_row("\t".join(fields)))
-            except ValueError as exc:
-                raise DictParseError(path, line_no, str(exc)) from None
+    for line_no, line in enumerate(errors.read_lines(path), 1):
+        fields = line.split("\t")
+        if len(fields) == len(header) and fields != header:
+            fields = fields[2:]  # drop sentence_id and token_index
+        if len(fields) != len(RECORD_COLUMNS):
+            continue  # blank line, header or foreign row
+        try:
+            records.append(parse_record_row("\t".join(fields)))
+        except ValueError as exc:
+            raise DictParseError(path, line_no, str(exc)) from None
     return records
 
 

@@ -1,8 +1,6 @@
-"""Exception types shared across the package, a UTF-8 reader that raises one,
-the base of the value types that check their fields, and a logger that
-loads `logging` only when a message is logged."""
-
-from contextlib import contextmanager
+"""Exception types shared across the package, the one reader of every input,
+the one summary of skipped lines, the base of the value types that check
+their fields, and a logger that loads `logging` only when a message is logged."""
 
 
 class SyllabError(Exception):
@@ -64,11 +62,32 @@ class LazyLogger:
         return getattr(logging.getLogger(self.name), attr)
 
 
-@contextmanager
-def open_utf8(path):
-    """Open a text file for reading; non-UTF-8 bytes raise an error naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise SyllabError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def read_lines(path, latin1: bool = False) -> list[str]:
+    """The lines of the file at `path`, as `decode_lines` splits them."""
+    with open(path, "rb") as fh:
+        return decode_lines(fh.read(), path, latin1)
+
+
+def decode_lines(data: bytes, name, latin1: bool = False) -> list[str]:
+    """`data` decoded as UTF-8 (as Latin-1 if it is not and `latin1` is set,
+    else a `SyllabError` naming `name`) and split only at LF, CRLF and CR, so
+    a form feed, NEL or Unicode separator neither splits an entry nor shifts
+    the line numbers after it.  A final line break adds no empty line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if not latin1:
+            raise SyllabError(f"{name}: not UTF-8 text ({exc.reason})") from None
+        text = data.decode("latin-1")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def warn_skipped(log, path, skipped: list[tuple[int, str]]) -> None:
+    """One warning with the count of the lines a loader skipped and the first."""
+    if skipped:
+        line_no, reason = skipped[0]
+        log.warning("%s: skipped %d lines (first at line %d: %s)",
+                    path, len(skipped), line_no, reason)

@@ -4,7 +4,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence, Set
 
-from .errors import CheckedFields, DictParseError, LazyLogger
+from .errors import CheckedFields, DictParseError, LazyLogger, read_lines, warn_skipped
 from .sonority import VOWEL_LETTERS
 
 log = LazyLogger(__name__)
@@ -61,23 +61,6 @@ class ParsedOnAccess(Mapping):
         return len(self._raw)
 
 
-def _read_text(path) -> list[str]:
-    """The lines of a file, broken only at LF, CRLF and CR.
-
-    CMU dict releases are Latin-1; MFA dictionaries are UTF-8.  Unlike
-    `str.splitlines`, form feeds, NEL and the Unicode separators stay
-    inside their line, so they neither split an entry nor shift the line
-    numbers after it.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        text = data.decode("latin-1")
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def load_pron_dict(path, format: str = "cmu", strict: bool = True,
                    ) -> ParsedOnAccess:
     """Load a pronunciation dictionary: lower-cased word -> its pronunciations.
@@ -88,13 +71,14 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True,
     every line and keeps its phone text; a word's `Pronunciation`s are
     built when it is looked up, in file order.  A malformed line raises
     `DictParseError`, or with `strict` off is skipped, counted in the
-    result's `skipped` and in one warning per file.
+    result's `skipped` and in one warning per file.  A file that is not
+    UTF-8 is read as Latin-1, as CMU dict releases are.
     """
     if format not in ("cmu", "mfa"):
         raise ValueError(f"unknown dictionary format {format!r}")
     phones_of: dict[str, str] = {}  # word -> phone text of each variant, one per line
     skipped: list[tuple[int, str]] = []  # (line number, reason)
-    for line_no, line in enumerate(_read_text(path), 1):
+    for line_no, line in enumerate(read_lines(path, latin1=True), 1):
         line = line.rstrip()
         if not line or line.startswith(";;;"):
             continue
@@ -107,10 +91,7 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True,
             continue
         known = phones_of.get(word)
         phones_of[word] = phones if known is None else f"{known}\n{phones}"
-    if skipped:
-        line_no, reason = skipped[0]
-        log.warning("%s:%d: skipped %d unparseable lines (first: %s)",
-                    path, line_no, len(skipped), reason)
+    warn_skipped(log, path, skipped)
     return ParsedOnAccess(phones_of, _pronunciations, len(skipped))
 
 
@@ -294,13 +275,13 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
     """Load manually syllabified words: lower-cased word -> its syllables.
 
     `sc_correction` applies on access.  Rows whose syllables do not
-    re-concatenate to the word (or with missing columns) are skipped at load
-    and counted in `skipped`.
+    re-concatenate to the word (or with missing columns) are skipped at load,
+    counted in `skipped` and in one warning per file.  Non-UTF-8 is read as Latin-1.
     """
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
     syllables_of: dict[str, str] = {}  # word -> lower-cased syllabified form
-    skipped = 0
-    for line_no, line in enumerate(_read_text(path), 1):
+    skipped: list[tuple[int, str]] = []  # (line number, reason)
+    for line_no, line in enumerate(read_lines(path, latin1=True), 1):
         if fmt.has_header and line_no == 1:
             continue
         if not line.strip():
@@ -311,20 +292,18 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
         else:
             fields = line.split(fmt.column_separator)
             if len(fields) <= max(fmt.word_column, fmt.syllable_column):
-                skipped += 1
+                skipped.append((line_no, "missing columns"))
                 continue
             word = fields[fmt.word_column].strip()
             syl_field = fields[fmt.syllable_column].strip()
         word, syl_field = word.lower(), syl_field.lower()
         if not word or "".join(syl_field.split(fmt.syllable_separator)) != word:
-            skipped += 1
+            skipped.append((line_no, "syllables do not rejoin to the word"))
             continue
         syllables_of[word] = syl_field
-    if skipped:
-        log.warning("%s: skipped %d rows with missing columns or syllables that "
-                    "do not rejoin to the word", path, skipped)
+    warn_skipped(log, path, skipped)
 
     def corrected(syl_field: str) -> tuple[str, ...]:
         return tuple(sc_correction(syl_field.split(fmt.syllable_separator), vowels))
 
-    return ParsedOnAccess(syllables_of, corrected, skipped)
+    return ParsedOnAccess(syllables_of, corrected, len(skipped))

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 
 from .align import project_ssp
-from .errors import LazyLogger, UnknownSymbolError, open_utf8
+from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
 from .lexicon import ParsedOnAccess, Pronunciation, g2p_fallback, lookup
 from .sonority import (
     VOWEL_LEVEL,
@@ -105,8 +105,9 @@ class WordAnalysis:
         return ssp_breaks(self.letter_seq)
 
     @cached_property
-    def projection(self) -> tuple[Syllabification, bool]:
-        """DTW-projected letter syllabification and its degenerate flag."""
+    def projection(self) -> tuple[Syllabification, bool] | None:
+        """DTW-projected letter syllabification and its degenerate flag;
+        None when the DTW would exceed its cell budget."""
         if self.letter_seq is None:
             return self.unbroken, False
         return project_ssp(self.phone_syll, self.phone_seq, self.letter_seq)
@@ -199,7 +200,7 @@ def text_syllabification(analysis: WordAnalysis, method: str,
         return a.unbroken, "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
     if method.startswith("lkp") and a.corpus_syll is not None:
         return a.corpus_syll, "corpus-lookup"
-    if method.endswith("dtw"):
+    if method.endswith("dtw") and a.projection is not None:
         return a.projection[0], "ssp-dtw"
     return a.letters_ssp, "ssp-letters"
 
@@ -213,6 +214,9 @@ def word_record(analysis: WordAnalysis, method: str,
     # ssp-dtw projects only a word of two or more nuclei
     if method_used == "ssp-dtw" and a.nuclei > 1 and a.projection[1]:
         flags.add("degenerate-projection")
+    elif method_used == "ssp-letters" and method.endswith("dtw"):
+        # a DTW method falls back to letters-SSP only past the DTW cell budget
+        flags.add("projection-skipped")
     if a.phone_syll.n_syllables != text_syll.n_syllables:
         flags.add("count-mismatch")
     else:
@@ -242,30 +246,25 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     """
     phones_of: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []  # (line number, reason)
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                skipped.append((line_no, "expected word<TAB>phones"))
-                continue
-            symbols, stress_pos = _marked_symbols(fields[1])
-            if stress_pos is None:
-                skipped.append((line_no, "no primary stress mark"))
-                continue
-            try:
-                for symbol in symbols:
-                    hierarchy.level(symbol)
-            except UnknownSymbolError as exc:
-                skipped.append((line_no, str(exc)))
-                continue
-            phones_of[fields[0].lower()] = fields[1]
-    if skipped:
-        line_no, reason = skipped[0]
-        log.warning("%s: skipped %d lines (first at line %d: %s)",
-                    path, len(skipped), line_no, reason)
+    for line_no, line in enumerate(read_lines(path), 1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            skipped.append((line_no, "expected word<TAB>phones"))
+            continue
+        symbols, stress_pos = _marked_symbols(fields[1])
+        if stress_pos is None:
+            skipped.append((line_no, "no primary stress mark"))
+            continue
+        try:
+            for symbol in symbols:
+                hierarchy.level(symbol)
+        except UnknownSymbolError as exc:
+            skipped.append((line_no, str(exc)))
+            continue
+        phones_of[fields[0].lower()] = fields[1]
+    warn_skipped(log, path, skipped)
 
     def stress(phones: str) -> tuple[int, int]:
         symbols, stress_pos = _marked_symbols(phones)

@@ -11,7 +11,7 @@ import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, UnknownSymbolError, open_utf8
+from .errors import ConfigurationError, UnknownSymbolError, read_lines
 
 CLASS_LEVELS = {
     "vowel": 5,
@@ -186,17 +186,16 @@ def hierarchy_for(symbol_set: str, lang: str = "en",
 
 def _read_table(path) -> dict[str, str]:
     table: dict[str, str] = {}
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in CLASS_LEVELS:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: expected 'symbol<TAB>class' with class "
-                    f"in {sorted(CLASS_LEVELS)}, got {line!r}")
-            table[parts[0]] = parts[1]
+    for line_no, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in CLASS_LEVELS:
+            raise ConfigurationError(
+                f"{path}:{line_no}: expected 'symbol<TAB>class' with class "
+                f"in {sorted(CLASS_LEVELS)}, got {line!r}")
+        table[parts[0]] = parts[1]
     return table
 
 

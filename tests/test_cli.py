@@ -366,6 +366,13 @@ class TestHistogramCommand:
                            "--sample", "20", "--seed", "3")
         assert code == 0
 
+    @pytest.mark.parametrize("option", [("--dict", "nonexistent.dict"), ("--sample", "0")])
+    def test_annotations_reject_dictionary_options(self, capsys, tmp_path, option):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text(f"s1\t0\t{LEAVES_ROW}\n")
+        expect_error(capsys, "histogram", "--annotations", str(ann), *option,
+                     needle="do not apply to --annotations")
+
 
 class TestReportCommand:
     def test_report_from_annotations(self, capsys, tmp_path):
@@ -554,7 +561,11 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("row", [
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\tfirst\tsingle-vowel\t-",
         "ab\tAE1 B\tAE1 B\ta||b\t0\tssp-dtw\t-",
-    ], ids=["stress-not-int", "empty-text-syllable"])
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\tno-stress,,oov",
+        "leaves\tL IY1 V Z\t\tleaves\t0\tsingle-vowel\t-",
+    ], ids=["stress-not-int", "empty-text-syllable", "empty-flags", "empty-flag-name",
+            "empty-phone-syllables"])
     def test_malformed_annotation_row(self, capsys, tmp_path, command, row):
         ann = tmp_path / "ann.tsv"
         ann.write_text(f"s1\t0\t{LEAVES_ROW}\ns1\t1\t{row}\n")
@@ -623,7 +634,7 @@ class TestNonUtf8Words:
 def test_import_loads_only_what_every_run_uses():
     # modules that serve one option (G2P, JSON, sampling) or no run at all
     unused = ("dataclasses", "typing", "inspect", "subprocess", "shlex", "json",
-              "random", "logging")
+              "random", "logging", "contextlib")
     script = (f"import sys; sys.path.insert(0, {SRC!r}); import syllab.cli; "
               f"print(' '.join(m for m in {unused!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
@@ -662,3 +673,40 @@ def test_annotate_one_huge_oov_token_ends(tmp_path):
     assert proc.returncode == 0, proc.stderr
     row = out.read_text().splitlines()[1].split("\t")
     assert row[5] == "|".join(["ba"] * 200_000) and row[8] == "count-mismatch,no-stress,oov"
+
+
+def run_limited(argv, tmp_path):
+    """Run the CLI in a child whose address space is capped at 1 GiB."""
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from syllab.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=30, cwd=tmp_path,
+                          env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC})
+
+
+def test_syllabify_dictionary_word_past_dtw_budget(tmp_path):
+    # a 20,000-letter word would need a 30,000 x 30,000 cost matrix
+    word = "ba" * 10_000
+    dictionary = tmp_path / "long.dict"
+    dictionary.write_text(f"{word.upper()}  " + " ".join(["B AA1"] + ["B AA0"] * 9_999)
+                          + "\n")
+    proc = run_limited(["syllabify", word, "--dict", str(dictionary),
+                        "--method", "ssp-dtw"], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    row = proc.stdout.splitlines()[0].split("\t")
+    assert row[3] == "|".join(["ba"] * 10_000)
+    assert row[5] == "ssp-letters" and "projection-skipped" in row[6].split(",")
+
+
+def test_annotate_g2p_word_past_dtw_budget(tmp_path):
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("ba" * 10_000 + "\n")
+    out = tmp_path / "a.tsv"
+    proc = run_limited(["annotate", str(prompts), "--dict", DICT, "--method", "ssp-dtw",
+                        "--fallback-cmd", f"{sys.executable} {DATA / 'fake_g2p.py'} ok",
+                        "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    row = out.read_text().splitlines()[1].split("\t")
+    assert row[7] == "ssp-letters"
+    assert row[8].split(",") == ["oov", "projection-skipped"]

@@ -83,7 +83,7 @@ class TestCmuFormat:
         with caplog.at_level("WARNING"):
             lex = load_pron_dict(p, "cmu", strict=False)
         assert sorted(lex) == ["caf", "cat"]
-        assert "ff.dict:3: skipped" in caplog.text
+        assert "ff.dict: skipped 1 lines (first at line 3: " in caplog.text
         with pytest.raises(DictParseError) as exc:
             load_pron_dict(p, "cmu")
         assert exc.value.line_no == 3
@@ -94,7 +94,7 @@ class TestCmuFormat:
         with caplog.at_level("WARNING"):
             load_pron_dict(p, "cmu", strict=False)
         assert [r.getMessage() for r in caplog.records] == [
-            f"{p}:2: skipped 2 unparseable lines (first: expected 'WORD  PHONES...')"]
+            f"{p}: skipped 2 lines (first at line 2: expected 'WORD  PHONES...')"]
 
     def test_latin1_fallback(self, tmp_path):
         p = tmp_path / "d.dict"
@@ -280,8 +280,13 @@ class TestSyllabifiedCorpus:
             corpus = load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
         assert list(corpus) == ["bateau"] and corpus.skipped == 2
         assert [r.getMessage() for r in caplog.records] == [
-            f"{p}: skipped 2 rows with missing columns or syllables that do not "
-            "rejoin to the word"]
+            f"{p}: skipped 2 lines (first at line 3: syllables do not rejoin to the word)"]
+        caplog.clear()
+        p.write_text("word\tsyll\nshort\nbateau\tba-teau\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="syllab.lexicon"):
+            load_syllabified_corpus(p, CorpusFormat.preset("lexique"), "fr")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 1 lines (first at line 2: missing columns)"]
 
     def test_only_newlines_end_a_line(self, tmp_path):
         # NEL (Latin-1 byte 0x85) and U+2028 stay inside their line

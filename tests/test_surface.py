@@ -49,3 +49,30 @@ def test_modules_use_every_name_they_import():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """Whether `call` may read a file: a `read_text` or `read_bytes` call, or
+    an `open` call whose mode is not a constant holding w, a or x."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax"))
+
+
+def test_only_errors_module_opens_files_for_reading():
+    # errors.read_lines is the one reader: it decodes and splits every input
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _opens_for_reading(node)]
+        if lines:
+            readers[path.name] = lines
+    assert list(readers) == ["errors.py"], readers
