@@ -7,9 +7,11 @@ outputs are UTF-8 TSV/JSON with LF line endings.
 """
 
 import argparse
+import itertools
 import os
 import re
 import sys
+from collections.abc import Iterable
 
 from . import errors, evaluate, pipeline
 from .align import alignment_debug_tsv, dtw
@@ -22,6 +24,8 @@ from .lexicon import (
     load_syllabified_corpus,
 )
 from .pipeline import (
+    RECORD_FLAGS,
+    RECORD_METHODS,
     Resources,
     WordRecord,
     analyze_words,
@@ -42,6 +46,9 @@ _FESTIVAL_LINE = re.compile(r'^\(\s*(\S+)\s+"(.*)"\s*\)\s*$')
 
 
 def format_record_row(rec: WordRecord) -> str:
+    """The TSV row of a record; its method and flags must be ones a run writes."""
+    if rec.method not in RECORD_METHODS or not rec.flags <= RECORD_FLAGS:
+        raise ValueError(f"{rec.word!r}: method or flags outside the record vocabulary")
     phones = str(rec.pronunciations[0]) if rec.pronunciations else "-"
     return "\t".join((
         rec.word,
@@ -55,26 +62,40 @@ def format_record_row(rec: WordRecord) -> str:
 
 
 def parse_record_row(row: str) -> WordRecord:
-    """Rebuild a WordRecord from its TSV row (round-trip of the essentials)."""
+    """Rebuild a WordRecord from its TSV row (round-trip of the essentials).
+
+    A row `format_record_row` could not have written raises `ValueError`:
+    an empty field, a method or flag outside the record vocabulary, or a
+    stress index outside the phone syllables.
+    """
     fields = row.split("\t")
     if len(fields) != len(RECORD_COLUMNS):
         raise ValueError(f"expected {len(RECORD_COLUMNS)} columns, got {len(fields)}")
     word, phones, phone_syl, text_syl, stress, method, flags = fields
     if "" in fields or "" in flags.split(","):  # every column writes "-" for none
         raise ValueError("empty field or flag name")
+    if method not in RECORD_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    flag_set = frozenset() if flags == "-" else frozenset(flags.split(","))
+    if not flag_set <= RECORD_FLAGS:
+        raise ValueError(f"unknown flag {min(flag_set - RECORD_FLAGS)!r}")
     prons = [] if phones == "-" else [Pronunciation(tuple(phones.split()))]
     phone_syll = Syllabification.from_parts(
         [] if phone_syl == "-" else
         [g.split(" ") for g in phone_syl.split(PHONE_SYL_SEP)])
     text_syll = Syllabification.from_parts(text_syl.split(TEXT_SYL_SEP))
+    stress_index = None if stress == "-" else int(stress)
+    if stress_index is not None and not 0 <= stress_index < phone_syll.n_syllables:
+        raise ValueError(f"stress index {stress_index} outside the "
+                         f"{phone_syll.n_syllables} phone syllables")
     return WordRecord(
         word=word,
         pronunciations=prons,
         phone_syll=phone_syll,
         text_syll=text_syll,
-        stress_index=None if stress == "-" else int(stress),
+        stress_index=stress_index,
         method=method,
-        flags=frozenset() if flags == "-" else frozenset(flags.split(",")),
+        flags=flag_set,
     )
 
 
@@ -117,7 +138,7 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _add_dictionary_args(parser: argparse.ArgumentParser) -> None:
+def _add_dictionary_args(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("dictionary")
     group.add_argument("--dict", dest="dict_path", help="pronunciation dictionary file")
     group.add_argument("--dict-format", choices=("cmu", "mfa"), default="cmu")
@@ -127,6 +148,7 @@ def _add_dictionary_args(parser: argparse.ArgumentParser) -> None:
                        help="skip unparseable dictionary lines instead of failing")
     group.add_argument("--config", default=None,
                        help="key=value file of defaults (flags win)")
+    return group
 
 
 def _add_spelling_args(parser: argparse.ArgumentParser) -> None:
@@ -221,12 +243,13 @@ def _stdin_lines() -> list[str]:
     return errors.decode_lines(sys.stdin.buffer.read(), "<stdin>")
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write `chunks` in order to `out_path`, or to stdout for None or "-"."""
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -261,7 +284,7 @@ def cmd_syllabify(args) -> int:
                          ensure_ascii=False, indent=2) + "\n"
     else:
         out = "".join(format_record_row(r) + "\n" for r in records)
-    _write_output(out, args.out)
+    _write_output((out,), args.out)
     if args.dump_alignment:
         _dump_alignments(analyses.values(), args.dump_alignment)
     return 0
@@ -306,19 +329,18 @@ def cmd_annotate(args) -> int:
                   for unit in text.split()
                   if TEXT_SYL_SEP in unit and not normalize(unit, args.lang))
     rows = {key: format_record_row(rec) for key, rec in table.items()}
-    lines = ["\t".join(ANNOTATION_COLUMNS)]
-    records = []
-    for (sid, _), keys in zip(pairs, sentence_keys):
-        for token_index, key in enumerate(keys):
-            records.append(table[key])
-            lines.append(f"{sid}\t{token_index}\t{rows[key]}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(itertools.chain(
+        ("\t".join(ANNOTATION_COLUMNS) + "\n",),
+        (f"{sid}\t{token_index}\t{rows[key]}\n"
+         for (sid, _), keys in zip(pairs, sentence_keys)
+         for token_index, key in enumerate(keys))), args.out)
 
+    records = [table[key] for keys in sentence_keys for key in keys]
     report = consistency_report(records)
     report_path = args.report
     if report_path is None and args.out and args.out != "-":
         report_path = args.out + ".report.tsv"
-    _write_output(report.to_tsv(), report_path)
+    _write_output((report.to_tsv(),), report_path)
 
     if dropped:
         print(f"warning: dropped {dropped} prompt units holding the reserved "
@@ -339,14 +361,19 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError(str(exc)) from exc
     out = (evaluate.ablation_json(result) if args.format == "json"
            else evaluate.ablation_tsv(result))
-    _write_output(out, args.out)
+    _write_output((out,), args.out)
     return 0
 
 
 def cmd_histogram(args) -> int:
     if args.annotations:
-        if args.dict_path or args.sample is not None:
-            raise ConfigurationError("--dict and --sample do not apply to --annotations")
+        given = [action.option_strings[0] for action in args.dictionary_options
+                 if getattr(args, action.dest) != action.default]
+        if args.sample is not None:
+            given.append("--sample")
+        if given:
+            raise ConfigurationError(
+                f"options that do not apply to --annotations: {', '.join(given)}")
         records = read_annotation_file(args.annotations)
     else:
         resources = build_resources(args)
@@ -360,7 +387,7 @@ def cmd_histogram(args) -> int:
         # the histogram reads only the phone-domain syllables of each analysis
         records = analyze_words(words, resources)
     hist = evaluate.syllable_histogram(records)
-    _write_output(evaluate.format_histogram(hist, args.format), args.out)
+    _write_output((evaluate.format_histogram(hist, args.format),), args.out)
     return 0
 
 
@@ -381,7 +408,7 @@ def read_annotation_file(path) -> list[WordRecord]:
 
 def cmd_report(args) -> int:
     records = read_annotation_file(args.annotations)
-    _write_output(consistency_report(records).to_tsv(), args.out)
+    _write_output((consistency_report(records).to_tsv(),), args.out)
     return 0
 
 
@@ -441,7 +468,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "histogram", help="syllable-count distribution")
     p.add_argument("--annotations", default=None,
                    help="existing annotation TSV (otherwise the dictionary is used)")
-    _add_dictionary_args(p)
+    # --annotations refuses every dictionary option given
+    p.set_defaults(dictionary_options=_add_dictionary_args(p)._group_actions)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")

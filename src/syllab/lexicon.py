@@ -3,11 +3,17 @@
 import re
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence, Set
+from itertools import compress, count, repeat
+from operator import itemgetter, le, ne, or_
 
 from .errors import CheckedFields, DictParseError, LazyLogger, read_lines, warn_skipped
 from .sonority import VOWEL_LETTERS
 
 log = LazyLogger(__name__)
+
+# timed-out G2P invocations a run waits for; the words not yet answered then
+# stay unresolved, so a hanging command costs at most this many timeouts
+G2P_TIMEOUT_LIMIT = 4
 
 _CMU_VARIANT = re.compile(r"^(.*)\(([0-9]+)\)$")
 # a probability column; ASCII only, so a phone written in other digits stays
@@ -156,37 +162,51 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     that fails (non-zero exit, timeout, OSError, output that is not UTF-8,
     or a wrong line count) is logged once and retried as two halves, down
     to single words, so only the words that cause the failure come back
-    None.  A word that is not exactly one line (empty, or holding a line
-    break) would shift the lines of the words after it; it is not sent and
-    comes back None.
+    None.  After `G2P_TIMEOUT_LIMIT` timed-out invocations no more are
+    started: the words not yet answered come back None, and one warning
+    counts them.  A word that is not exactly one line (empty, or holding a
+    line break) would shift the lines of the words after it; it is not sent
+    and comes back None.
     """
     if isinstance(words, str):
         raise TypeError("g2p_fallback takes a sequence of words, not a str")
     distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
     if config is None or not distinct:
         return [None] * len(words)
-    found = dict(zip(distinct, _g2p_batch(distinct, config)))
+    timeouts = left = 0
+
+    def batch(words: list[str]) -> list[Pronunciation | None]:
+        nonlocal timeouts, left
+        if timeouts == G2P_TIMEOUT_LIMIT:
+            left += len(words)
+            return [None] * len(words)
+        lines, timed_out = _run_g2p(words, config)
+        timeouts += timed_out
+        if lines is None:
+            if len(words) == 1:
+                return [None]
+            mid = len(words) // 2
+            return batch(words[:mid]) + batch(words[mid:])
+        return [Pronunciation(tuple(line.split())) if line.split() else None
+                for line in lines]
+
+    found = dict(zip(distinct, batch(distinct)))
+    if left:
+        log.warning("g2p: %d word(s) left unresolved after %d timed-out "
+                    "invocations, the limit per run", left, G2P_TIMEOUT_LIMIT)
     return [found.get(w) for w in words]
 
 
-def _g2p_batch(words: list[str], config: FallbackConfig) -> list[Pronunciation | None]:
-    lines = _run_g2p(words, config)
-    if lines is None:
-        if len(words) == 1:
-            return [None]
-        mid = len(words) // 2
-        return _g2p_batch(words[:mid], config) + _g2p_batch(words[mid:], config)
-    return [Pronunciation(tuple(line.split())) if line.split() else None
-            for line in lines]
-
-
-def _run_g2p(words: list[str], config: FallbackConfig) -> list[str] | None:
-    """One invocation: the output line of each word, or None if it failed.
+def _run_g2p(words: list[str], config: FallbackConfig,
+             ) -> tuple[list[str] | None, bool]:
+    """One invocation: the output line of each word, or None if it failed,
+    and whether it timed out.
 
     A batch of n > 1 words must print exactly n lines; for a single word the
     first non-empty line is its answer.
     """
     import subprocess
+    timed_out = False
     try:
         proc = subprocess.run(
             config.command, input="".join(w + "\n" for w in words).encode("utf-8"),
@@ -199,18 +219,18 @@ def _run_g2p(words: list[str], config: FallbackConfig) -> list[str] | None:
             if lines[-1] == "":
                 lines.pop()
             if len(words) == 1:
-                return [next((line for line in lines if line.split()), "")]
+                return [next((line for line in lines if line.split()), "")], False
             if len(lines) == len(words):
-                return lines
+                return lines, False
             reason = f"printed {len(lines)} lines for {len(words)} words"
     except subprocess.TimeoutExpired:
-        reason = f"timed out after {config.timeout:g} s"
+        reason, timed_out = f"timed out after {config.timeout:g} s", True
     except UnicodeError as exc:
         reason = f"not UTF-8 ({exc})"
     except OSError as exc:
         reason = str(exc)
     log.warning("g2p: invocation for %d word(s) failed: %s", len(words), reason)
-    return None
+    return None, timed_out
 
 
 def sc_correction(syllables: Sequence[str],
@@ -276,34 +296,56 @@ def load_syllabified_corpus(path, fmt: CorpusFormat,
 
     `sc_correction` applies on access.  Rows whose syllables do not
     re-concatenate to the word (or with missing columns) are skipped at load,
-    counted in `skipped` and in one warning per file.  Non-UTF-8 is read as Latin-1.
+    counted in `skipped` and in one warning per file.  Non-UTF-8 is read as
+    Latin-1.  Keys and checks come from passes over the text of the whole
+    file; a row is read on its own only when it fails a check.
     """
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
-    syllables_of: dict[str, str] = {}  # word -> lower-cased syllabified form
+    sep = fmt.syllable_separator
+    if not sep:
+        raise ValueError("empty syllable separator")
+    lines = read_lines(path, latin1=True)
+    if fmt.has_header and lines:
+        lines[0] = ""
     skipped: list[tuple[int, str]] = []  # (line number, reason)
-    for line_no, line in enumerate(read_lines(path, latin1=True), 1):
-        if fmt.has_header and line_no == 1:
-            continue
-        if not line.strip():
-            continue
-        if not fmt.column_separator:
-            syl_field = line.strip()
-            word = syl_field.replace(fmt.syllable_separator, "")
-        else:
-            fields = line.split(fmt.column_separator)
-            if len(fields) <= max(fmt.word_column, fmt.syllable_column):
+
+    def rejoin(text: str) -> str:
+        # no line holds a line break, but a joined text does between lines
+        return text if "\n" in sep else text.replace(sep, "")
+
+    if fmt.column_separator:
+        need = max(fmt.word_column, fmt.syllable_column)
+        rows = list(map(str.split, lines, repeat(fmt.column_separator)))
+        for line_no in compress(count(1), map(le, map(len, rows), repeat(need))):
+            if lines[line_no - 1].strip():
                 skipped.append((line_no, "missing columns"))
-                continue
-            word = fields[fmt.word_column].strip()
-            syl_field = fields[fmt.syllable_column].strip()
-        word, syl_field = word.lower(), syl_field.lower()
-        if not word or "".join(syl_field.split(fmt.syllable_separator)) != word:
+            lines[line_no - 1] = ""
+            rows[line_no - 1] = [""] * (need + 1)
+        stripped = list(map(str.strip, lines))  # "" for a row skipped uncounted
+        syls = list(map(str.strip, map(itemgetter(fmt.syllable_column), rows)))
+        words = "\n".join(map(str.strip, map(itemgetter(fmt.word_column), rows)))
+    else:  # the word is the line with its separators removed
+        stripped = syls = list(map(str.strip, lines))
+    text = "\n".join(syls)
+    # lower-casing stops at a line break, so the whole text lowers line by line
+    lowered = text.lower()
+    keys_text = (words if fmt.column_separator else rejoin(text)).lower()
+    keys = keys_text.split("\n")
+    rejoined = rejoin(lowered)
+    if rejoined != keys_text or keys.count("") != stripped.count(""):
+        # a row fails when its lower-cased syllables do not rejoin to its
+        # lower-cased word, or its word is empty
+        failed = map(or_, map(ne, rejoined.split("\n"), keys),
+                     map(ne, map(bool, keys), map(bool, stripped)))
+        for line_no in compress(count(1), failed):
             skipped.append((line_no, "syllables do not rejoin to the word"))
-            continue
-        syllables_of[word] = syl_field
+            keys[line_no - 1] = ""
+        skipped.sort()
     warn_skipped(log, path, skipped)
+    syllables_of = dict(zip(keys, lowered.split("\n")))  # word -> syllabified form
+    syllables_of.pop("", None)  # blank and skipped rows
 
     def corrected(syl_field: str) -> tuple[str, ...]:
-        return tuple(sc_correction(syl_field.split(fmt.syllable_separator), vowels))
+        return tuple(sc_correction(syl_field.split(sep), vowels))
 
     return ParsedOnAccess(syllables_of, corrected, len(skipped))

@@ -10,9 +10,11 @@ into one `WordAnalysis` each, from which `word_record` derives the record
 of any method.
 """
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
+from itertools import chain, compress, count
 
 from .align import project_ssp
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
@@ -29,6 +31,13 @@ from .textnorm import normalize
 log = LazyLogger(__name__)
 
 METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
+# a record's `method`: the step that made its letter syllabification
+RECORD_METHODS = ("corpus-lookup", "single-vowel", "ssp-dtw", "ssp-letters",
+                  "oov-unresolved")
+# every flag a record can carry: its analysis's, its method's and its token's
+RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projection",
+                          "projection-skipped", "count-mismatch",
+                          "numeral-unsupported"})
 
 
 Resources = namedtuple(
@@ -233,6 +242,19 @@ def syllabify_word(word: str, resources: Resources,
                        extra_flags)
 
 
+# a phone token starting with a primary mark carries primary stress; the
+# leading marks are stripped from every token
+_PRIMARY_MARKS, _MARKS = "ˈ'", "ˈˌ',"
+# primary stress in a phone field: a token that starts with a primary mark
+# and keeps a symbol after its leading marks, as `_marked_symbols` reads it
+_PRIMARY = (rf"[^\t\n]*?[{_PRIMARY_MARKS}](?<!\S[{_PRIMARY_MARKS}])"
+            rf"[{_MARKS}]*[^\s{_MARKS}]")
+# per line that is neither empty nor a comment: (word, phones) of an entry
+# whose phone field carries primary stress, ("", "") for any other line;
+# compiled on first use, so a run without a secondary file never compiles it
+_STRESS_ENTRY = rf"(?m)^(?!#)(?:([^\t\n]*)\t({_PRIMARY}[^\t\n]*)|[^\n]+)"
+
+
 def load_secondary_stress(path, hierarchy: SonorityHierarchy,
                           ) -> Mapping[str, tuple[int, int]]:
     """Read `word<TAB>phones-with-stress-marks` transcriptions.
@@ -242,28 +264,36 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     engine's own break detection on the stripped phone sequence, when the
     word is looked up.  Lines without a tab or a primary-stress mark, or
     with a symbol the hierarchy does not classify, are skipped at load,
-    counted in the result's `skipped` and in one warning per file.
+    counted in the result's `skipped` and in one warning per file.  Each
+    distinct symbol of the file is checked against the hierarchy once; a
+    line is read on its own only when it fails a check.
     """
-    phones_of: dict[str, str] = {}
-    skipped: list[tuple[int, str]] = []  # (line number, reason)
-    for line_no, line in enumerate(read_lines(path), 1):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            skipped.append((line_no, "expected word<TAB>phones"))
-            continue
-        symbols, stress_pos = _marked_symbols(fields[1])
-        if stress_pos is None:
-            skipped.append((line_no, "no primary stress mark"))
-            continue
+    lines = read_lines(path)
+    entries = re.findall(_STRESS_ENTRY, "\n".join(lines))
+    words, phones = zip(*entries) if entries else ((), ())
+    tokens = set(chain.from_iterable(map(str.split, phones)))
+    symbols = {tok.lstrip(_MARKS) for tok in tokens}
+    symbols.discard("")
+    unknown = {}  # symbol -> why the hierarchy rejects it
+    for symbol in symbols:
         try:
-            for symbol in symbols:
-                hierarchy.level(symbol)
+            hierarchy.level(symbol)
         except UnknownSymbolError as exc:
-            skipped.append((line_no, str(exc)))
-            continue
-        phones_of[fields[0].lower()] = fields[1]
+            unknown[symbol] = str(exc)
+    skipped: list[tuple[int, str]] = []  # (line number, reason)
+    if "" in phones or unknown:
+        # a line that is no entry, or holds a rejected symbol as a token:
+        # every line to skip, and few others
+        rejected = "|".join(map(re.escape, unknown)) or "(?!)"
+        suspect = re.compile(rf"(?!#|$)(?:(?![^\t]*\t{_PRIMARY})"
+                             rf"|.*(?<!\S)[{_MARKS}]*(?:{rejected})(?!\S))")
+        for line_no in compress(count(1), map(suspect.match, lines)):
+            reason = _stress_line_fault(lines[line_no - 1], unknown)
+            if reason:
+                skipped.append((line_no, reason))
+                lines[line_no - 1] = ""
+        entries = re.findall(_STRESS_ENTRY, "\n".join(lines))
+        words, phones = zip(*entries) if entries else ((), ())
     warn_skipped(log, path, skipped)
 
     def stress(phones: str) -> tuple[int, int]:
@@ -271,7 +301,20 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
         syll = syllabify_symbols(symbols, hierarchy)
         return syll.n_syllables, syll.syllable_of(stress_pos)
 
-    return ParsedOnAccess(phones_of, stress, len(skipped))
+    return ParsedOnAccess(dict(zip(map(str.lower, words), phones)), stress,
+                          len(skipped))
+
+
+def _stress_line_fault(line: str, unknown: Mapping[str, str]) -> str | None:
+    """Why a line of a secondary stress file is skipped, given the reason
+    of each symbol the hierarchy rejects; None for an entry."""
+    fields = line.split("\t")
+    if len(fields) < 2:
+        return "expected word<TAB>phones"
+    symbols, stress_pos = _marked_symbols(fields[1])
+    if stress_pos is None:
+        return "no primary stress mark"
+    return next((unknown[s] for s in symbols if s in unknown), None)
 
 
 def _marked_symbols(phones: str) -> tuple[list[str], int | None]:
@@ -279,8 +322,8 @@ def _marked_symbols(phones: str) -> tuple[list[str], int | None]:
     one marked for primary stress (None when none is)."""
     symbols, stress_pos = [], None
     for tok in phones.split():
-        primary = tok[0] in "ˈ'"
-        tok = tok.lstrip("ˈˌ',")
+        primary = tok[0] in _PRIMARY_MARKS
+        tok = tok.lstrip(_MARKS)
         if not tok:
             continue
         if primary and stress_pos is None:

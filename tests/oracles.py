@@ -204,8 +204,9 @@ def _file_lines(path):
 
 
 def eager_pron_dict(path, fmt="cmu", strict=True):
-    """{word: [Pronunciation, ...]} with every line parsed at load."""
-    entries = {}
+    """({word: [Pronunciation, ...]}, skipped (line, reason) pairs) with every
+    line parsed at load."""
+    entries, skipped = {}, []
     for line_no, line in enumerate(_file_lines(path), 1):
         line = line.rstrip()
         if not line or line.startswith(";;;"):
@@ -229,15 +230,17 @@ def eager_pron_dict(path, fmt="cmu", strict=True):
         if not ok:
             if strict:
                 raise DictParseError(path, line_no, reason)
+            skipped.append((line_no, reason))
             continue
         entries.setdefault(word.lower(), []).append(Pronunciation(tuple(tokens)))
-    return entries
+    return entries, skipped
 
 
 def eager_syllabified_corpus(path, fmt, language="en"):
-    """({word: syllables}, skipped rows) with `sc_correction` applied at load."""
+    """({word: syllables}, skipped (line, reason) pairs) with `sc_correction`
+    applied at load."""
     vowels = VOWEL_LETTERS.get(language, VOWEL_LETTERS["en"])
-    entries, skipped = {}, 0
+    entries, skipped = {}, []
     for line_no, line in enumerate(_file_lines(path), 1):
         if (fmt.has_header and line_no == 1) or not line.strip():
             continue
@@ -247,27 +250,31 @@ def eager_syllabified_corpus(path, fmt, language="en"):
         else:
             fields = line.split(fmt.column_separator)
             if len(fields) <= max(fmt.word_column, fmt.syllable_column):
-                skipped += 1
+                skipped.append((line_no, "missing columns"))
                 continue
             word = fields[fmt.word_column].strip()
             syl_field = fields[fmt.syllable_column].strip()
         word = word.lower()
         syllables = [s for s in syl_field.lower().split(fmt.syllable_separator) if s]
         if not word or not syllables or "".join(syllables) != word:
-            skipped += 1
+            skipped.append((line_no, "syllables do not rejoin to the word"))
             continue
         entries[word] = tuple(sc_correction(syllables, vowels))
     return entries, skipped
 
 
 def eager_secondary_stress(path, hierarchy):
-    """{word: (syllable count, stressed syllable)} with every line syllabified."""
-    entries = {}
+    """({word: (syllable count, stressed syllable)}, skipped (line, reason)
+    pairs) with every line syllabified."""
+    entries, skipped = {}, []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             fields = line.split("\t")
-            if not line or line.startswith("#") or len(fields) < 2:
+            if not line or line.startswith("#"):
+                continue
+            if len(fields) < 2:
+                skipped.append((line_no, "expected word<TAB>phones"))
                 continue
             symbols, stress_pos = [], None
             for tok in fields[1].split():
@@ -278,10 +285,12 @@ def eager_secondary_stress(path, hierarchy):
                 if tok:
                     symbols.append(tok)
             if stress_pos is None:
+                skipped.append((line_no, "no primary stress mark"))
                 continue
             try:
                 syll = syllabify_symbols(symbols, hierarchy)
-            except UnknownSymbolError:
+            except UnknownSymbolError as exc:
+                skipped.append((line_no, str(exc)))
                 continue
             entries[fields[0].lower()] = (syll.n_syllables, syll.syllable_of(stress_pos))
-    return entries
+    return entries, skipped

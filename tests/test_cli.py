@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from syllab.cli import (
+    _build_parser,
     format_record_row,
     main,
     parse_record_row,
@@ -54,6 +55,12 @@ class TestRecordRows:
             assert back.text_syll == rec.text_syll
             if rec.pronunciations:
                 assert back.pronunciations[0] == rec.pronunciations[0]
+
+
+    def test_record_outside_the_vocabulary_not_written(self, mini_resources):
+        rec = syllabify_word("leaves", mini_resources, "ssp", extra_flags=("made-up",))
+        with pytest.raises(ValueError, match="outside the record vocabulary"):
+            format_record_row(rec)
 
 
 class TestNormalizeCommand:
@@ -374,6 +381,26 @@ class TestHistogramCommand:
                      needle="do not apply to --annotations")
 
 
+    def test_annotations_reject_every_dictionary_option(self, capsys, tmp_path):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text(f"s1\t0\t{LEAVES_ROW}\n")
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        _, by_name = _build_parser()
+        group = next(g for g in by_name["histogram"]._action_groups
+                     if g.title == "dictionary")
+        for action in group._group_actions:
+            option = action.option_strings[0]
+            value = ([] if action.nargs == 0 else
+                     [next(c for c in action.choices if c != action.default)]
+                     if action.choices else [str(empty)])
+            expect_error(capsys, "histogram", "--annotations", str(ann), option, *value,
+                         needle=f"options that do not apply to --annotations: {option}")
+        expect_error(capsys, "histogram", "--annotations", str(ann),
+                     "--phone-table", "nonexistent.tsv", "--lenient",
+                     needle="do not apply to --annotations: --phone-table, --lenient")
+
+
 class TestReportCommand:
     def test_report_from_annotations(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -564,8 +591,15 @@ class TestUnreadableInputs:
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t",
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\tno-stress,,oov",
         "leaves\tL IY1 V Z\t\tleaves\t0\tsingle-vowel\t-",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t7\tsingle-vowel\t-",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t-1\tsingle-vowel\t-",
+        "zzxq\t-\t-\tzzxq\t0\toov-unresolved\tno-stress,oov",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t ",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tnot-a-method\t-",
+        "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\tmade-up-flag",
     ], ids=["stress-not-int", "empty-text-syllable", "empty-flags", "empty-flag-name",
-            "empty-phone-syllables"])
+            "empty-phone-syllables", "stress-past-last-syllable", "stress-negative",
+            "stress-without-phones", "blank-flag", "unknown-method", "unknown-flag"])
     def test_malformed_annotation_row(self, capsys, tmp_path, command, row):
         ann = tmp_path / "ann.tsv"
         ann.write_text(f"s1\t0\t{LEAVES_ROW}\ns1\t1\t{row}\n")

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from syllab import pipeline
 from syllab.cli import main
-from syllab.lexicon import FallbackConfig, g2p_fallback, load_pron_dict, lookup
+from syllab.lexicon import (
+    G2P_TIMEOUT_LIMIT,
+    FallbackConfig,
+    g2p_fallback,
+    load_pron_dict,
+    lookup,
+)
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
 from syllab.textnorm import normalize
 
@@ -88,6 +94,18 @@ class TestHostileG2p:
         count = tmp_path / "calls"
         assert g2p_fallback(["wug", "dax"], fake("hang", count=count)) == [None, None]
         assert invocations(count) == 3
+
+    def test_timeouts_per_run_bounded(self, tmp_path, caplog):
+        # without the limit, 16 words cost 2 * 16 - 1 = 31 timeouts
+        count = tmp_path / "calls"
+        words = [f"{w}{i}" for i in range(2) for w in OOV]
+        cfg = FallbackConfig(fake_argv("hang", count=count), timeout=0.2)
+        with caplog.at_level("WARNING"):
+            assert g2p_fallback(words, cfg) == [None] * 16
+        assert invocations(count) == G2P_TIMEOUT_LIMIT >= 3
+        assert [r.getMessage() for r in caplog.records if "limit" in r.getMessage()] == [
+            f"g2p: 16 word(s) left unresolved after {G2P_TIMEOUT_LIMIT} timed-out "
+            "invocations, the limit per run"]
 
     def test_nonzero_exit(self, caplog):
         with caplog.at_level("WARNING"):

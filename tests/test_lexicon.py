@@ -309,6 +309,54 @@ class TestSyllabifiedCorpus:
         assert corpus["stylo"] == ("sty", "lo")
         assert corpus.skipped == 0
 
+    HOSTILE = "ΑΣ-Α\nİs-tan-bul\nba.*na\nba-na-na\n-\n"
+
+    def test_lower_casing_by_context_or_length(self, tmp_path, caplog):
+        # Σ lowers to final ς before "-" but to σ inside "ΑΣΑ"; İ lowers to two
+        # characters
+        p = tmp_path / "corpus.txt"
+        p.write_text(self.HOSTILE, encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            corpus = load_syllabified_corpus(p, CorpusFormat.preset("gutenberg"))
+        assert corpus == {"i\u0307stanbul": ("i\u0307s", "tan", "bul"),
+                          "ba.*na": ("ba.*na",), "banana": ("ba", "na", "na")}
+        assert corpus.skipped == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 2 lines (first at line 1: syllables do not rejoin to the word)"]
+
+    @pytest.mark.parametrize("sep", ["\n", "a\rb", "\r"])
+    def test_separator_no_line_holds(self, tmp_path, sep):
+        # every line is one syllable, as in a line-by-line read
+        p = tmp_path / "corpus.txt"
+        p.write_text(self.HOSTILE, encoding="utf-8")
+        corpus = load_syllabified_corpus(p, CorpusFormat(sep))
+        assert corpus == {"ας-α": ("ας-α",), "i\u0307s-tan-bul": ("i\u0307s-tan-bul",),
+                          "ba.*na": ("ba.*na",), "ba-na-na": ("ba-na-na",), "-": ("-",)}
+        assert corpus.skipped == 0
+
+    def test_regex_syntax_separator_taken_literally(self, tmp_path):
+        p = tmp_path / "corpus.txt"
+        p.write_text(self.HOSTILE, encoding="utf-8")
+        corpus = load_syllabified_corpus(p, CorpusFormat(".*"))
+        assert corpus["bana"] == ("ba", "na") and "ba-na-na" in corpus
+        assert corpus.skipped == 0
+
+    @pytest.mark.parametrize("fmt", [CorpusFormat.preset("gutenberg"),
+                                     CorpusFormat.preset("lexique")])
+    def test_bad_last_line_of_large_file(self, tmp_path, caplog, fmt):
+        rows = [f"ba{i}ta\tba{i}-ta" if fmt.column_separator else f"ba{i}-ta"
+                for i in range(20_000)]
+        p = tmp_path / "corpus.txt"
+        p.write_text("\n".join(rows + ["ΑΣΑ\tΑΣ-Α" if fmt.column_separator else "ΑΣ-Α"])
+                     + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            corpus = load_syllabified_corpus(p, fmt)
+        assert len(corpus) == 20_000 - fmt.has_header and corpus.skipped == 1
+        assert corpus["ba19999ta"] == ("ba19999", "ta")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 1 lines (first at line 20001: "
+            "syllables do not rejoin to the word)"]
+
     def test_no_vowelless_entries_remain(self, mini_corpus):
         vowels = VOWEL_LETTERS["en"]
         for syls in mini_corpus.values():
@@ -345,6 +393,18 @@ def dict_lines(draw):
                                  "\x0c", "JUNK", "(1)", "x\t", "\tK", "1.0\t2.0"]))
 
 
+def skip_summary(caplog):
+    """(count, first line, reason) of the one skip warning logged since the
+    last `caplog.clear()`, or None."""
+    summaries = [r.args[1:] for r in caplog.records if r.msg.startswith("%s: skipped")]
+    assert len(summaries) <= 1
+    return summaries[0] if summaries else None
+
+
+def expected_summary(skipped):
+    return (len(skipped), *skipped[0]) if skipped else None
+
+
 def write_lines(path, rows, encoding="utf-8"):
     """Write (line, line end) rows; text that `encoding` cannot hold goes as UTF-8."""
     text = "".join(line + end for line, end in rows)
@@ -360,33 +420,39 @@ class TestLoaderOracle:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(dict_lines(), END), max_size=12),
            st.sampled_from(["utf-8", "latin-1"]))
-    def test_dictionary(self, tmp_path, lines, encoding):
+    def test_dictionary(self, tmp_path, caplog, lines, encoding):
         p = tmp_path / "d.dict"
         write_lines(p, lines, encoding)
         for fmt in ("cmu", "mfa"):
             for strict in (True, False):
                 try:
-                    expected = eager_pron_dict(p, fmt, strict)
+                    expected, skipped = eager_pron_dict(p, fmt, strict)
                 except DictParseError as exc:
                     with pytest.raises(DictParseError) as got:
                         load_pron_dict(p, fmt, strict)
                     assert str(got.value) == str(exc)
                     assert got.value.line_no == exc.line_no
                     continue
+                caplog.clear()
                 lex = load_pron_dict(p, fmt, strict)
                 assert list(lex.items()) == list(expected.items())
+                assert lex.skipped == len(skipped)
+                assert skip_summary(caplog) == expected_summary(skipped)
 
     @seed(1010)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(st.lists(st.sampled_from(
-               ["ba", "S", "tar", "na", "", " ", "ΑΣ", "σ", "İ", "i", "x\x85y", "Teau"]),
+               ["ba", "S", "tar", "na", "", " ", "ΑΣ", "Α", "σ", "İ", "i", "x\x85y", "Teau"]),
                max_size=4), st.sampled_from(["", "ok", "=", "tar", "\t"]),
                st.integers(1, 3), END), max_size=10),
            st.sampled_from([CorpusFormat.preset("gutenberg"), CorpusFormat.preset("lexique"),
-                            CorpusFormat("·", "\t", 0, 2), CorpusFormat("-", ";", 1, 0)]),
+                            CorpusFormat("·", "\t", 0, 2), CorpusFormat("-", ";", 1, 0),
+                            # separators a line cannot hold, and regex syntax
+                            CorpusFormat("\n"), CorpusFormat("a\rb"), CorpusFormat(".*"),
+                            CorpusFormat("-", None, has_header=True)]),
            st.sampled_from(["en", "fr"]))
-    def test_corpus(self, tmp_path, rows, fmt, language):
+    def test_corpus(self, tmp_path, caplog, rows, fmt, language):
         lines = []
         for syllables, word, n_columns, end in rows:
             syl = fmt.syllable_separator.join(syllables)
@@ -398,22 +464,29 @@ class TestLoaderOracle:
             lines.append((syl, end))
         p = tmp_path / "corpus.txt"
         write_lines(p, lines)
+        caplog.clear()
         corpus = load_syllabified_corpus(p, fmt, language)
         expected, skipped = eager_syllabified_corpus(p, fmt, language)
         assert list(corpus.items()) == list(expected.items())
-        assert corpus.skipped == skipped
+        assert corpus.skipped == len(skipped)
+        assert skip_summary(caplog) == expected_summary(skipped)
 
     @seed(1010)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.tuples(st.text(alphabet="abAé", max_size=3), st.lists(
+    @given(st.lists(st.tuples(st.text(alphabet="abAéΣ", max_size=3), st.lists(
                st.sampled_from(["ˈa", "'a", "ˌb", "b", "ˈ", "ˈ☃", "t", "ə", "ˈoʊ", "oʊ",
-                                ",", "'", "ˈˈt"]), max_size=4),
+                                ",", "'", "ˈˈt", "aˈb", "ˌ'ɪ", "ˈ,", "ˈ,d", "☃", "ˈΩ"]),
+               max_size=4), st.sampled_from([" ", "  ", "\u3000", "\x85", "\x0c"]),
                st.sampled_from(["\t", " ", "\t\t", "#"]), END), max_size=10))
-    def test_secondary(self, tmp_path, rows):
+    def test_secondary(self, tmp_path, caplog, rows):
         p = tmp_path / "secondary.tsv"
-        write_lines(p, [(f"#{word}" if sep == "#" else word + sep + " ".join(tokens), end)
-                        for word, tokens, sep, end in rows])
+        write_lines(p, [(f"#{word}" if sep == "#" else word + sep + space.join(tokens), end)
+                        for word, tokens, space, sep, end in rows])
         ipa = hierarchy_for("mfa-ipa")
+        caplog.clear()
         loaded = load_secondary_stress(p, ipa)
-        assert list(loaded.items()) == list(eager_secondary_stress(p, ipa).items())
+        expected, skipped = eager_secondary_stress(p, ipa)
+        assert list(loaded.items()) == list(expected.items())
+        assert loaded.skipped == len(skipped)
+        assert skip_summary(caplog) == expected_summary(skipped)

@@ -11,7 +11,7 @@ from syllab.pipeline import (
     merge_stress,
     syllabify_word,
 )
-from syllab.sonority import hierarchy_for
+from syllab.sonority import SonorityHierarchy, hierarchy_for
 from syllab.ssp import Syllabification
 
 from conftest import DATA, sentence_records
@@ -197,6 +197,51 @@ class TestMergeStress:
         assert list(loaded) == ["world"]
         assert [r.getMessage() for r in caplog.records] == [
             f"{p}: skipped 1 lines (first at line 1: no primary stress mark)"]
+
+    def test_secondary_marks_read_per_whitespace_token(self, tmp_path, caplog):
+        # a mark inside a token, or a token of marks only, is no primary stress;
+        # every whitespace character splits tokens
+        p = tmp_path / "secondary.tsv"
+        p.write_text("a\taˈb ə\nb\tˈ ˈ, ə\nc\tə\x85ˈb\nd\tə\u3000ˈb\ne\tˌ'ɪ t\n",
+                     encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            loaded = load_secondary_stress(p, hierarchy_for("mfa-ipa"))
+        assert dict(loaded) == {"c": (1, 0), "d": (1, 0)}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 3 lines (first at line 1: no primary stress mark)"]
+
+    @pytest.mark.parametrize("last, reason", [
+        ("zzz\tˈ☃ a", "symbol '☃' is not classified in the mfa-ipa hierarchy"),
+        ("zzz\th a", "no primary stress mark"),
+        ("zzz", "expected word<TAB>phones"),
+    ])
+    def test_secondary_bad_last_line_of_large_file(self, tmp_path, caplog, last, reason):
+        p = tmp_path / "secondary.tsv"
+        p.write_text("".join(f"w{i}\th ˈɛ l oʊ\n" for i in range(20_000)) + last + "\n",
+                     encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            loaded = load_secondary_stress(p, hierarchy_for("mfa-ipa"))
+        assert len(loaded) == 20_000 and loaded["w19999"] == (2, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}: skipped 1 lines (first at line 20001: {reason})"]
+
+    def test_secondary_checks_each_distinct_symbol_once(self, tmp_path, monkeypatch):
+        symbols = ["p", "t", "k", "ə", "ɪ", "oʊ", "s", "m"]
+        p = tmp_path / "secondary.tsv"
+        p.write_text("".join(
+            f"w{i}\t{symbols[i % 8]} ˈ{symbols[i // 8 % 8]} ˌ{symbols[i // 64 % 8]}\n"
+            for i in range(10_000)), encoding="utf-8")
+        calls = []
+        level = SonorityHierarchy.level
+
+        def counted(self, symbol):
+            calls.append(symbol)
+            return level(self, symbol)
+
+        monkeypatch.setattr(SonorityHierarchy, "level", counted)
+        loaded = load_secondary_stress(p, hierarchy_for("mfa-ipa"))
+        assert len(loaded) == 10_000
+        assert sorted(calls) == sorted(symbols)
 
     def test_secondary_count_mismatch_flagged(self, arpabet, letters_en):
         mfa = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")

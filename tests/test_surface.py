@@ -6,6 +6,7 @@ from pathlib import Path
 
 import syllab
 from syllab.cli import _build_parser
+from syllab.pipeline import RECORD_FLAGS, RECORD_METHODS
 
 README = Path(__file__).parent.parent / "README.md"
 PACKAGE = Path(syllab.__file__).parent
@@ -32,6 +33,13 @@ def test_subcommand_options_match_readme():
                         if option not in ("-h", "--help")]
               for command, sub in by_name.items()}
     assert documented == parsed
+
+
+def test_record_vocabulary_matches_readme():
+    text = README.read_text(encoding="utf-8")
+    listed = {kind: re.findall(r"`([\w-]+)`", values) for kind, values in
+              re.findall(r"^- record (methods|flags): (.*)$", text, re.MULTILINE)}
+    assert listed == {"methods": list(RECORD_METHODS), "flags": sorted(RECORD_FLAGS)}
 
 
 def test_modules_use_every_name_they_import():
