@@ -79,9 +79,7 @@ def decode_lines(data: bytes, name, latin1: bool = False) -> list[str]:
         if not latin1:
             raise SyllabError(f"{name}: not UTF-8 text ({exc.reason})") from None
         text = data.decode("latin-1")
-    if "\r" in text:  # a scan for one character costs less than a replace
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -14,7 +14,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain
 
 from .align import project_ssp
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
@@ -265,8 +265,8 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     word is looked up.  Lines without a tab or a primary-stress mark, or
     with a symbol the hierarchy does not classify, are skipped at load,
     counted in the result's `skipped` and in one warning per file.  Each
-    distinct symbol of the file is checked against the hierarchy once; a
-    line is read on its own only when it fails a check.
+    distinct symbol of the file is checked against the hierarchy once; the
+    lines are read one by one only when some line fails a check.
     """
     lines = read_lines(path)
     entries = re.findall(_STRESS_ENTRY, "\n".join(lines))
@@ -282,18 +282,20 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
             unknown[symbol] = str(exc)
     skipped: list[tuple[int, str]] = []  # (line number, reason)
     if "" in phones or unknown:
-        # a line that is no entry, or holds a rejected symbol as a token:
-        # every line to skip, and few others
-        rejected = "|".join(map(re.escape, unknown)) or "(?!)"
-        suspect = re.compile(rf"(?!#|$)(?:(?![^\t]*\t{_PRIMARY})"
-                             rf"|.*(?<!\S)[{_MARKS}]*(?:{rejected})(?!\S))")
-        for line_no in compress(count(1), map(suspect.match, lines)):
-            reason = _stress_line_fault(lines[line_no - 1], unknown)
+        # some line is no entry or holds a rejected symbol: read each line
+        # on its own, to name every skipped line and its reason
+        phones_of = {}
+        for line_no, line in enumerate(lines, 1):
+            if not line or line.startswith("#"):
+                continue
+            reason = _stress_line_fault(line, unknown)
             if reason:
                 skipped.append((line_no, reason))
-                lines[line_no - 1] = ""
-        entries = re.findall(_STRESS_ENTRY, "\n".join(lines))
-        words, phones = zip(*entries) if entries else ((), ())
+            else:
+                word, phone_field = line.split("\t", 2)[:2]
+                phones_of[word.lower()] = phone_field
+    else:
+        phones_of = dict(zip(map(str.lower, words), phones))
     warn_skipped(log, path, skipped)
 
     def stress(phones: str) -> tuple[int, int]:
@@ -301,8 +303,7 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
         syll = syllabify_symbols(symbols, hierarchy)
         return syll.n_syllables, syll.syllable_of(stress_pos)
 
-    return ParsedOnAccess(dict(zip(map(str.lower, words), phones)), stress,
-                          len(skipped))
+    return ParsedOnAccess(phones_of, stress, len(skipped))
 
 
 def _stress_line_fault(line: str, unknown: Mapping[str, str]) -> str | None:
