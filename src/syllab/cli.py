@@ -46,13 +46,19 @@ _FESTIVAL_LINE = re.compile(r'^\(\s*(\S+)\s+"(.*)"\s*\)\s*$')
 
 
 def format_record_row(rec: WordRecord) -> str:
-    """The TSV row of a record; its method and flags must be ones a run writes."""
+    """The TSV row of a record, the one definition of a valid row: it refuses an empty
+    word, a method or flag outside the vocabulary and a stress outside the syllables."""
     if rec.method not in RECORD_METHODS or not rec.flags <= RECORD_FLAGS:
         raise ValueError(f"{rec.word!r}: method or flags outside the record vocabulary")
-    phones = str(rec.pronunciations[0]) if rec.pronunciations else "-"
+    if not rec.word:
+        raise ValueError("empty word")
+    n = rec.phone_syll.n_syllables
+    if rec.stress_index is not None and not 0 <= rec.stress_index < n:
+        raise ValueError(f"{rec.word!r}: stress index {rec.stress_index} "
+                         f"outside the {n} phone syllables")
     return "\t".join((
         rec.word,
-        phones,
+        str(rec.pronunciations[0]) if rec.pronunciations else "-",
         rec.phone_syll.phone_text() if rec.phone_syll.symbols else "-",
         rec.text_syll.text(),
         "-" if rec.stress_index is None else str(rec.stress_index),
@@ -61,42 +67,33 @@ def format_record_row(rec: WordRecord) -> str:
     ))
 
 
-def parse_record_row(row: str) -> WordRecord:
-    """Rebuild a WordRecord from its TSV row (round-trip of the essentials).
+def _cut(symbols: tuple, parts: list) -> Syllabification:
+    """`symbols` broken after the parts but the last; no break falls outside them."""
+    cuts = {b for b in itertools.accumulate(map(len, parts[:-1])) if 0 < b < len(symbols)}
+    return Syllabification(symbols, tuple(sorted(cuts)))
 
-    A row `format_record_row` could not have written raises `ValueError`:
-    an empty field, a method or flag outside the record vocabulary, or a
-    stress index outside the phone syllables.
-    """
+
+def parse_record_row(row: str) -> WordRecord:
+    """The record that `format_record_row` writes as `row`, its syllables cut from
+    the word's letters and the phones; else `ValueError` names the first column
+    that the record does not write back unchanged."""
     fields = row.split("\t")
     if len(fields) != len(RECORD_COLUMNS):
         raise ValueError(f"expected {len(RECORD_COLUMNS)} columns, got {len(fields)}")
     word, phones, phone_syl, text_syl, stress, method, flags = fields
-    if "" in fields or "" in flags.split(","):  # every column writes "-" for none
-        raise ValueError("empty field or flag name")
-    if method not in RECORD_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    flag_set = frozenset() if flags == "-" else frozenset(flags.split(","))
-    if not flag_set <= RECORD_FLAGS:
-        raise ValueError(f"unknown flag {min(flag_set - RECORD_FLAGS)!r}")
-    prons = [] if phones == "-" else [Pronunciation(tuple(phones.split()))]
-    phone_syll = Syllabification.from_parts(
-        [] if phone_syl == "-" else
-        [g.split(" ") for g in phone_syl.split(PHONE_SYL_SEP)])
-    text_syll = Syllabification.from_parts(text_syl.split(TEXT_SYL_SEP))
-    stress_index = None if stress == "-" else int(stress)
-    if stress_index is not None and not 0 <= stress_index < phone_syll.n_syllables:
-        raise ValueError(f"stress index {stress_index} outside the "
-                         f"{phone_syll.n_syllables} phone syllables")
-    return WordRecord(
-        word=word,
-        pronunciations=prons,
-        phone_syll=phone_syll,
-        text_syll=text_syll,
-        stress_index=stress_index,
-        method=method,
-        flags=flag_set,
-    )
+    symbols = () if phones == "-" else tuple(phones.split())
+    rec = WordRecord(  # fields in column order
+        word, [Pronunciation(symbols)] if symbols else [],
+        _cut(() if phone_syl == "-" else symbols,
+             [part.split() for part in phone_syl.split(PHONE_SYL_SEP)]),
+        _cut(tuple(word), text_syl.split(TEXT_SYL_SEP)),
+        None if stress == "-" else int(stress), method,
+        frozenset() if flags == "-" else frozenset(flags.split(",")))
+    written = format_record_row(rec).split("\t")
+    for column, got, want in zip(RECORD_COLUMNS, fields, written):
+        if got != want:
+            raise ValueError(f"{column} {got!r} is not written back ({want!r})")
+    return rec
 
 
 def record_to_json(rec: WordRecord) -> dict:
@@ -367,10 +364,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_histogram(args) -> int:
     if args.annotations:
-        given = [action.option_strings[0] for action in args.dictionary_options
+        given = [action.option_strings[0] for action in args.unused_by_annotations
                  if getattr(args, action.dest) != action.default]
-        if args.sample is not None:
-            given.append("--sample")
         if given:
             raise ConfigurationError(
                 f"options that do not apply to --annotations: {', '.join(given)}")
@@ -392,15 +387,19 @@ def cmd_histogram(args) -> int:
 
 
 def read_annotation_file(path) -> list[WordRecord]:
-    records, header = [], list(ANNOTATION_COLUMNS)
+    """The records of an `annotate` output or of `syllabify` TSV rows: line 1 may
+    be the `annotate` header, and every other line is an `annotate` row (two
+    columns before the record's) or a record row, else `DictParseError`."""
+    records = []
     for line_no, line in enumerate(errors.read_lines(path), 1):
         fields = line.split("\t")
-        if len(fields) == len(header) and fields != header:
-            fields = fields[2:]  # drop sentence_id and token_index
-        if len(fields) != len(RECORD_COLUMNS):
-            continue  # blank line, header or foreign row
+        if line_no == 1 and fields == list(ANNOTATION_COLUMNS):
+            continue
         try:
-            records.append(parse_record_row("\t".join(fields)))
+            if len(fields) not in (len(ANNOTATION_COLUMNS), len(RECORD_COLUMNS)):
+                raise ValueError(f"expected {len(ANNOTATION_COLUMNS)} or "
+                                 f"{len(RECORD_COLUMNS)} columns, got {len(fields)}")
+            records.append(parse_record_row("\t".join(fields[-len(RECORD_COLUMNS):])))
         except ValueError as exc:
             raise DictParseError(path, line_no, str(exc)) from None
     return records
@@ -468,10 +467,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "histogram", help="syllable-count distribution")
     p.add_argument("--annotations", default=None,
                    help="existing annotation TSV (otherwise the dictionary is used)")
-    # --annotations refuses every dictionary option given
-    p.set_defaults(dictionary_options=_add_dictionary_args(p)._group_actions)
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    # --annotations refuses every dictionary option given, and --sample and --seed
+    p.set_defaults(unused_by_annotations=[
+        *_add_dictionary_args(p)._group_actions,
+        p.add_argument("--sample", type=int, default=None),
+        p.add_argument("--seed", type=int, default=0)])
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_histogram)

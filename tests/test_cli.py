@@ -3,10 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import ChainMap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syllab.cli import (
+    ANNOTATION_COLUMNS,
     _build_parser,
     format_record_row,
     main,
@@ -14,7 +18,14 @@ from syllab.cli import (
     read_annotation_file,
     read_corpus_file,
 )
-from syllab.pipeline import syllabify_word
+from syllab.lexicon import Pronunciation
+from syllab.pipeline import (
+    METHOD_CHOICES,
+    analyze_words,
+    annotate_corpus,
+    syllabify_word,
+    word_record,
+)
 
 from conftest import DATA
 
@@ -61,6 +72,35 @@ class TestRecordRows:
         rec = syllabify_word("leaves", mini_resources, "ssp", extra_flags=("made-up",))
         with pytest.raises(ValueError, match="outside the record vocabulary"):
             format_record_row(rec)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"word": ""}, "empty word"),
+        ({"stress_index": 1}, "stress index 1 outside the 1 phone syllables"),
+        ({"stress_index": -1}, "stress index -1 outside"),
+    ], ids=["empty-word", "stress-past-last-syllable", "stress-negative"])
+    def test_record_a_row_cannot_hold_not_written(self, mini_resources, change, message):
+        rec = syllabify_word("leaves", mini_resources, "ssp")._replace(**change)
+        with pytest.raises(ValueError, match=message):
+            format_record_row(rec)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_written_rows_read_back_unchanged(self, mini_resources, data):
+        # `qq` has phones the hierarchy cannot classify, so its phone
+        # syllables are written "-"; `zzxq` has no phones at all
+        resources = mini_resources._replace(lexicon=ChainMap(
+            {"qq": [Pronunciation(("Q1",))]}, mini_resources.lexicon))
+        vocabulary = sorted(mini_resources.lexicon) + ["zzxq", "3.5", "Leaves"]
+        words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=12)) + ["qq"]
+        method = data.draw(st.sampled_from(METHOD_CHOICES))
+        _, table = annotate_corpus([" ".join(words)], "en", resources, method)
+        records = [*table.values(),  # annotate's, then syllabify's
+                   *(word_record(a, method) for a in analyze_words(words, resources))]
+        assert any(format_record_row(rec).split("\t")[1:3] == ["Q1", "-"]
+                   for rec in records)
+        for rec in records:
+            row = format_record_row(rec)
+            assert format_record_row(parse_record_row(row)) == row
 
 
 class TestNormalizeCommand:
@@ -373,7 +413,8 @@ class TestHistogramCommand:
                            "--sample", "20", "--seed", "3")
         assert code == 0
 
-    @pytest.mark.parametrize("option", [("--dict", "nonexistent.dict"), ("--sample", "0")])
+    @pytest.mark.parametrize("option", [("--dict", "nonexistent.dict"), ("--sample", "0"),
+                                        ("--seed", "3")])
     def test_annotations_reject_dictionary_options(self, capsys, tmp_path, option):
         ann = tmp_path / "ann.tsv"
         ann.write_text(f"s1\t0\t{LEAVES_ROW}\n")
@@ -597,14 +638,51 @@ class TestUnreadableInputs:
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t ",
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tnot-a-method\t-",
         "leaves\tL IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\tmade-up-flag",
+        "zzxq\t-\t-\tzzxq\t-\toov-unresolved\toov,no-stress",
+        "zzxq\t-\t-\tzzxq\t-\toov-unresolved\tno-stress,no-stress",
+        "leaves\tL IY1 V Z\tL IY1 V S\tleaves\t0\tsingle-vowel\t-",
+        "author\tAO1 TH ER0\tAO1 . TH ER0 K\tau|thor\t0\tcorpus-lookup\t-",
+        "author\tAO1 TH ER0\tAO1 . TH ER0\tau|thur\t0\tcorpus-lookup\t-",
+        "author\tAO1 TH ER0\tAO1 . TH ER0\tau|th\t0\tcorpus-lookup\t-",
+        "author\tAO1 TH ER0\tAO1 . TH ER0\tau|thor\t01\tcorpus-lookup\t-",
+        "leaves\tL  IY1 V Z\tL IY1 V Z\tleaves\t0\tsingle-vowel\t-",
+        "zzxq\t-\tZ IH1 K S\tzzxq\t-\toov-unresolved\tcount-mismatch,no-stress,oov",
     ], ids=["stress-not-int", "empty-text-syllable", "empty-flags", "empty-flag-name",
             "empty-phone-syllables", "stress-past-last-syllable", "stress-negative",
-            "stress-without-phones", "blank-flag", "unknown-method", "unknown-flag"])
+            "stress-without-phones", "blank-flag", "unknown-method", "unknown-flag",
+            "unsorted-flags", "repeated-flag", "phone-syllables-not-the-phones",
+            "extra-phone", "text-syllables-not-the-word", "text-syllables-short",
+            "stress-leading-zero", "phones-double-space", "phone-syllables-without-phones"])
     def test_malformed_annotation_row(self, capsys, tmp_path, command, row):
         ann = tmp_path / "ann.tsv"
         ann.write_text(f"s1\t0\t{LEAVES_ROW}\ns1\t1\t{row}\n")
         args = [str(ann)] if command == "report" else ["--annotations", str(ann)]
         expect_error(capsys, command, *args, needle=f"{ann}:2: ")
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
+    @pytest.mark.parametrize("line", [
+        "s1\t1\t" + LEAVES_ROW.rsplit("\t", 1)[0],
+        f"s1\t1\t{LEAVES_ROW}\t-",
+        "",
+        "\t".join(ANNOTATION_COLUMNS),
+    ], ids=["8-columns", "10-columns", "blank-line", "header-not-first"])
+    def test_annotation_line_of_another_shape(self, capsys, tmp_path, command, line):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("\t".join(ANNOTATION_COLUMNS) + f"\ns1\t0\t{LEAVES_ROW}\n{line}\n"
+                       f"s1\t2\t{LEAVES_ROW}\n")
+        args = [str(ann)] if command == "report" else ["--annotations", str(ann)]
+        expect_error(capsys, command, *args, needle=f"{ann}:3: ")
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
+    def test_reads_the_rows_of_annotate_and_syllabify(self, capsys, tmp_path, command):
+        ann, syl = tmp_path / "ann.tsv", tmp_path / "syl.tsv"
+        run(capsys, "annotate", PROMPTS, "--dict", DICT, "--out", str(ann))
+        run(capsys, "syllabify", "leaves", "zzxq", "--dict", DICT, "--out", str(syl))
+        both = tmp_path / "both.tsv"
+        both.write_text(ann.read_text() + syl.read_text())
+        args = [str(both)] if command == "report" else ["--annotations", str(both)]
+        code, out, err = run(capsys, command, *args)
+        assert code == 0 and err == "" and out
 
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_histogram_sample_below_one(self, capsys, sample):
