@@ -43,6 +43,8 @@ RECORD_COLUMNS = ("word", "phones", "phone_syllables", "text_syllables",
 ANNOTATION_COLUMNS = ("sentence_id", "token_index") + RECORD_COLUMNS
 
 _FESTIVAL_LINE = re.compile(r'^\(\s*(\S+)\s+"(.*)"\s*\)\s*$')
+# a token index as `annotate` writes it: str(i) for some i >= 0
+_TOKEN_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
 def format_record_row(rec: WordRecord) -> str:
@@ -388,8 +390,9 @@ def cmd_histogram(args) -> int:
 
 def read_annotation_file(path) -> list[WordRecord]:
     """The records of an `annotate` output or of `syllabify` TSV rows: line 1 may
-    be the `annotate` header, and every other line is an `annotate` row (two
-    columns before the record's) or a record row, else `DictParseError`."""
+    be the `annotate` header, and every other line is an `annotate` row (a
+    sentence id and a token index before the record's columns) or a record row,
+    else `DictParseError`."""
     records = []
     for line_no, line in enumerate(errors.read_lines(path), 1):
         fields = line.split("\t")
@@ -399,6 +402,9 @@ def read_annotation_file(path) -> list[WordRecord]:
             if len(fields) not in (len(ANNOTATION_COLUMNS), len(RECORD_COLUMNS)):
                 raise ValueError(f"expected {len(ANNOTATION_COLUMNS)} or "
                                  f"{len(RECORD_COLUMNS)} columns, got {len(fields)}")
+            if (len(fields) == len(ANNOTATION_COLUMNS)
+                    and not _TOKEN_INDEX.fullmatch(fields[1])):
+                raise ValueError(f"token_index {fields[1]!r} is not one annotate writes")
             records.append(parse_record_row("\t".join(fields[-len(RECORD_COLUMNS):])))
         except ValueError as exc:
             raise DictParseError(path, line_no, str(exc)) from None
@@ -414,22 +420,35 @@ def cmd_report(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="syllab",
-        description="Phonetic transcription, stress, and unified syllabification "
-                    "in the pronunciation and spelling domains.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    by_name: dict[str, argparse.ArgumentParser] = {}
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, which asks the terminal for its width (and so
+    imports `shutil`) only when it formats text, not each time an option is added."""
 
-    p = by_name["normalize"] = sub.add_parser(
-        "normalize", help="text to dictionary-ready tokens")
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None,
+                 **kwargs):
+        super().__init__(prog, indent_increment, max_help_position,
+                         0 if width is None else width, **kwargs)
+        if width is None:
+            self._stock = (prog, indent_increment, max_help_position, kwargs)
+            del self._width, self._max_help_position
+
+    def __getattr__(self, name):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        prog, indent_increment, max_help_position, kwargs = self._stock
+        stock = argparse.HelpFormatter(prog, indent_increment, max_help_position,
+                                       **kwargs)
+        self._width, self._max_help_position = stock._width, stock._max_help_position
+        return getattr(self, name)
+
+
+def _normalize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("text", nargs="*", help="sentences (stdin when omitted)")
     p.add_argument("--lang", default="en")
     p.set_defaults(func=cmd_normalize)
 
-    p = by_name["syllabify"] = sub.add_parser(
-        "syllabify", help="annotate words given on argv or stdin")
+
+def _syllabify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("words", nargs="*")
     _add_dictionary_args(p)
     _add_spelling_args(p)
@@ -440,8 +459,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="write per-word DTW path TSVs for curve plotting")
     p.set_defaults(func=cmd_syllabify)
 
-    p = by_name["annotate"] = sub.add_parser(
-        "annotate", help="annotate a sentence corpus file")
+
+def _annotate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus_file")
     _add_dictionary_args(p)
     _add_spelling_args(p)
@@ -450,8 +469,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_annotate)
 
-    p = by_name["ablate"] = sub.add_parser(
-        "ablate", help="per-method word accuracies on a dictionary sample")
+
+def _ablate_options(p: argparse.ArgumentParser) -> None:
     _add_dictionary_args(p)
     _add_spelling_args(p)
     p.add_argument("--label", default=None,
@@ -463,8 +482,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = by_name["histogram"] = sub.add_parser(
-        "histogram", help="syllable-count distribution")
+
+def _histogram_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--annotations", default=None,
                    help="existing annotation TSV (otherwise the dictionary is used)")
     # --annotations refuses every dictionary option given, and --sample and --seed
@@ -476,12 +495,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_histogram)
 
-    p = by_name["report"] = sub.add_parser(
-        "report", help="consistency report from an annotation file")
+
+def _report_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("annotations")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
+
+# name -> (help line, function that adds the subcommand's options)
+_SUBCOMMANDS = {
+    "normalize": ("text to dictionary-ready tokens", _normalize_options),
+    "syllabify": ("annotate words given on argv or stdin", _syllabify_options),
+    "annotate": ("annotate a sentence corpus file", _annotate_options),
+    "ablate": ("per-method word accuracies on a dictionary sample", _ablate_options),
+    "histogram": ("syllable-count distribution", _histogram_options),
+    "report": ("consistency report from an annotation file", _report_options),
+}
+
+
+def _build_parser(argv: list[str] | None = None
+                  ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers. Every subcommand is listed, but only
+    one named in `argv` gets its options; with no `argv`, every one does."""
+    parser = argparse.ArgumentParser(
+        prog="syllab", formatter_class=_HelpFormatter,
+        description="Phonetic transcription, stress, and unified syllabification "
+                    "in the pronunciation and spelling domains.")
+    # argparse would format the usage, and so ask for the terminal, to find `prog`
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    by_name: dict[str, argparse.ArgumentParser] = {}
+    for name, (help_line, add_options) in _SUBCOMMANDS.items():
+        p = by_name[name] = sub.add_parser(name, help=help_line,
+                                           formatter_class=_HelpFormatter)
+        if argv is None or name in argv:
+            add_options(p)
     return parser, by_name
 
 
@@ -513,7 +560,7 @@ def _config_defaults(path, sub_parser: argparse.ArgumentParser) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, by_name = _build_parser()
+    parser, by_name = _build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -674,6 +675,29 @@ class TestUnreadableInputs:
         expect_error(capsys, command, *args, needle=f"{ann}:3: ")
 
     @pytest.mark.parametrize("command", ["report", "histogram"])
+    @pytest.mark.parametrize("index", ["abc", "-1", "01", "+1", " 1", "\uff11"],
+                             ids=["letters", "negative", "leading-zero", "plus-sign",
+                                  "leading-space", "fullwidth-digit"])
+    def test_token_index_annotate_cannot_write(self, capsys, tmp_path, command, index):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text(f"s1\t0\t{LEAVES_ROW}\ns1\t{index}\t{LEAVES_ROW}\n")
+        args = [str(ann)] if command == "report" else ["--annotations", str(ann)]
+        expect_error(capsys, command, *args, needle=f"{ann}:2: token_index")
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
+    def test_reads_an_empty_sentence_id(self, capsys, tmp_path, command):
+        # annotate writes an empty id for an id<TAB>text prompt whose id is empty
+        written = DATA / "annotate_empty_sentence_id.tsv"
+        prompts, out = tmp_path / "p.txt", tmp_path / "a.tsv"
+        prompts.write_text("\tThe author.\n")
+        run(capsys, "annotate", str(prompts), "--dict", DICT, "--corpus", CORPUS,
+            "--out", str(out))
+        assert out.read_bytes() == written.read_bytes()
+        args = [str(written)] if command == "report" else ["--annotations", str(written)]
+        code, out, err = run(capsys, command, *args)
+        assert code == 0 and err == "" and out
+
+    @pytest.mark.parametrize("command", ["report", "histogram"])
     def test_reads_the_rows_of_annotate_and_syllabify(self, capsys, tmp_path, command):
         ann, syl = tmp_path / "ann.tsv", tmp_path / "syl.tsv"
         run(capsys, "annotate", PROMPTS, "--dict", DICT, "--out", str(ann))
@@ -753,6 +777,77 @@ def test_import_loads_only_what_every_run_uses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def with_stock_formatter(parsers):
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+
+
+@pytest.mark.parametrize("command", [["annotate", PROMPTS, "--report", os.devnull],
+                                     ["ablate", "--sample-size", "100"]])
+def test_run_that_prints_no_help_loads_no_help_machinery(tmp_path, monkeypatch, command):
+    # argparse asks the terminal for its width, importing shutil and the
+    # compression modules with it, only to format help or usage text
+    help_only = ("shutil", "fnmatch", "zlib", "bz2", "lzma")
+    argv = [*command, "--dict", DICT, "--corpus", CORPUS, "--out", str(tmp_path / "o")]
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from syllab.cli import main; "
+              f"code = main({argv!r}); "
+              f"print(code, *(m for m in {help_only!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0"], proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "syllab.cli", command[0], "-h"],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC,
+                               "COLUMNS": "80"})
+    monkeypatch.setenv("COLUMNS", "80")
+    _, by_name = _build_parser()
+    with_stock_formatter(by_name.values())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == by_name[command[0]].format_help()
+
+
+class TestParserIsUnchanged:
+    """The parser formats and parses as a full parser with argparse's own formatter."""
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_and_usage_equal_the_stock_formatter(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser, by_name = _build_parser()
+        parsers = [parser, *by_name.values()]
+        ours = [(p.format_help(), p.format_usage()) for p in parsers]
+        with_stock_formatter(parsers)
+        assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["annotate"],
+                                      ["annotate", "x", "--bogus"]])
+    def test_usage_errors_keep_their_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "70")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        ours = capsys.readouterr()
+        parser, by_name = _build_parser()
+        with_stock_formatter([parser, *by_name.values()])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert ours == capsys.readouterr() and ours.err.startswith("usage: syllab")
+
+    @pytest.mark.parametrize("name", list(_build_parser()[1]))
+    def test_parser_for_a_name_has_the_full_parsers_actions(self, name):
+        def actions(p):
+            return [(a.option_strings, a.dest, a.default, a.choices) for a in p._actions]
+
+        full_parser, full = _build_parser()
+        parser, named = _build_parser([name])
+        assert actions(named[name]) == actions(full[name])
+        assert named[name].get_default("func") is full[name].get_default("func")
+        assert parser.format_help() == full_parser.format_help()
+        # the other subcommands are listed, with their help only
+        assert all(actions(p) == [(["-h", "--help"], "help", argparse.SUPPRESS, None)]
+                   for other, p in named.items() if other != name)
 
 
 @pytest.mark.parametrize("extra", [(), ("--fallback-cmd",
