@@ -235,28 +235,28 @@ def _run_g2p(words: list[str], config: FallbackConfig,
 
 def sc_correction(syllables: Sequence[str],
                   vowels: Set[str] | None = None) -> list[str]:
-    """Merge vowel-less syllables into their neighbour until none remain.
+    """Merge vowel-less syllables into a neighbour, in one left-to-right pass.
 
-    A syllable with no vowel letter joins the following syllable (the
-    preceding one when it is last).  Words without any vowel letter come
-    back as a single syllable.
+    A syllable with no vowel letter joins the next syllable that has one; a
+    run of them at the end joins the last syllable that has one.  Empty
+    syllables vanish, and words without any vowel letter come back as a
+    single syllable.
     """
     if not syllables:
         raise ValueError("need at least one syllable")
     if vowels is None:
         vowels = VOWEL_LETTERS["en"]
-    syls = [s for s in syllables if s]
-    changed = True
-    while changed and len(syls) > 1:
-        changed = False
-        for i, syl in enumerate(syls):
-            if vowels.isdisjoint(syl.lower()):
-                if i + 1 < len(syls):
-                    syls[i:i + 2] = [syl + syls[i + 1]]
-                else:
-                    syls[i - 1:i + 1] = [syls[i - 1] + syl]
-                changed = True
-                break
+    syls: list[str] = []
+    pending = ""
+    for syl in syllables:
+        pending += syl
+        if not vowels.isdisjoint(syl.lower()):
+            syls.append(pending)
+            pending = ""
+    if syls:
+        syls[-1] += pending
+    elif pending:
+        syls.append(pending)
     return syls
 
 

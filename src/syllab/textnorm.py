@@ -10,6 +10,7 @@ hyphens.
 import re
 
 from .errors import UnsupportedNumeralError
+from .ssp import TEXT_SYL_SEP
 
 # apostrophes stay inside the word: clitics like "don't" are dictionary entries
 _KEEP = {"'", "’"}
@@ -42,17 +43,15 @@ _EN_TENS = [None, None, "twenty", "thirty", "forty", "fifty", "sixty",
             "seventy", "eighty", "ninety"]
 
 
-def _en_words(n: int) -> list[str]:
-    if n < 20:
-        return [_EN_ONES[n]]
-    if n < 100:
-        tens, unit = divmod(n, 10)
-        return [_EN_TENS[tens]] + ([_EN_ONES[unit]] if unit else [])
-    for value, name in ((1_000_000, "million"), (1_000, "thousand"), (100, "hundred")):
-        if n >= value:
-            head, rest = divmod(n, value)
-            return _en_words(head) + [name] + (_en_words(rest) if rest else [])
-    raise AssertionError(n)
+def _en_under1000(n: int) -> list[str]:
+    hundreds, rest = divmod(n, 100)
+    parts = [_EN_ONES[hundreds], "hundred"] if hundreds else []
+    if rest >= 20:
+        tens, rest = divmod(rest, 10)
+        parts.append(_EN_TENS[tens])
+    if rest or not parts:
+        parts.append(_EN_ONES[rest])
+    return parts
 
 
 _FR_SMALL = ["zéro", "un", "deux", "trois", "quatre", "cinq", "six", "sept",
@@ -102,27 +101,6 @@ def _fr_depluralize(tokens: list[str]) -> list[str]:
     return tokens
 
 
-def _fr_words(n: int) -> list[str]:
-    if n == 0:
-        return ["zéro"]
-    parts: list[str] = []
-    millions, rest = divmod(n, 1_000_000)
-    thousands, units = divmod(rest, 1_000)
-    if millions:
-        if millions == 1:
-            parts += ["un", "million"]
-        else:
-            parts += _fr_under1000(millions) + ["millions"]
-    if thousands:
-        if thousands == 1:
-            parts += ["mille"]
-        else:
-            parts += _fr_depluralize(_fr_under1000(thousands)) + ["mille"]
-    if units:
-        parts += _fr_under1000(units)
-    return parts
-
-
 _ES_SMALL = ["cero", "uno", "dos", "tres", "cuatro", "cinco", "seis", "siete",
              "ocho", "nueve", "diez", "once", "doce", "trece", "catorce",
              "quince", "dieciséis", "diecisiete", "dieciocho", "diecinueve"]
@@ -166,28 +144,18 @@ def _es_apocope(tokens: list[str]) -> list[str]:
     return tokens
 
 
-def _es_words(n: int) -> list[str]:
-    if n == 0:
-        return ["cero"]
-    parts: list[str] = []
-    millions, rest = divmod(n, 1_000_000)
-    thousands, units = divmod(rest, 1_000)
-    if millions:
-        if millions == 1:
-            parts += ["un", "millón"]
-        else:
-            parts += _es_apocope(_es_under1000(millions)) + ["millones"]
-    if thousands:
-        if thousands == 1:
-            parts += ["mil"]
-        else:
-            parts += _es_apocope(_es_under1000(thousands)) + ["mil"]
-    if units:
-        parts += _es_under1000(units)
-    return parts
-
-
-_NUM_RULES = {"en": _en_words, "fr": _fr_words, "es": _es_words}
+# per language: the words for n < 1000 (zero included), and for each scale
+# the words for a count of one, the scale word after a larger count and the
+# change (or None) the count's words take before that word
+_NUM_RULES = {
+    "en": (_en_under1000, ((("one", "million"), "million", None),
+                           (("one", "thousand"), "thousand", None))),
+    "fr": (_fr_under1000, ((("un", "million"), "millions", None),
+                           (("mille",), "mille", _fr_depluralize))),
+    "es": (_es_under1000, ((("un", "millón"), "millones", _es_apocope),
+                           (("mil",), "mil", _es_apocope))),
+}
+_SCALES = (1_000_000, 1_000)
 
 
 def num_to_words(value: int, lang: str = "en") -> list[str]:
@@ -198,7 +166,18 @@ def num_to_words(value: int, lang: str = "en") -> list[str]:
         raise UnsupportedNumeralError(f"not an integer: {value!r}")
     if not 0 <= value <= MAX_NUMERAL:
         raise UnsupportedNumeralError(f"value out of range [0, {MAX_NUMERAL}]: {value}")
-    return _NUM_RULES[lang](value)
+    under1000, scales = _NUM_RULES[lang]
+    words: list[str] = []
+    for scale, (one, name, agree) in zip(_SCALES, scales):
+        count, value = divmod(value, scale)
+        if count == 1:
+            words += one
+        elif count:
+            head = under1000(count)
+            words += (agree(head) if agree else head) + [name]
+    if value or not words:
+        words += under1000(value)
+    return words
 
 
 def _numeral_value(core: str) -> int:
@@ -215,14 +194,15 @@ def normalize(text: str, lang: str = "en") -> list[tuple[str, frozenset[str]]]:
     """The (word, flags) keys of the tokens of `text`, in order.
 
     Words are lower-cased.  The flags are empty, or `numeral-unsupported`
-    for a numeral or ordinal that stays as written.  A unit holding `|`
-    is dropped: the output format reserves it as the syllable separator.
+    for a numeral or ordinal that stays as written.  A unit holding
+    `TEXT_SYL_SEP` (`|`) is dropped: the output format reserves it as the
+    syllable separator.
     """
     keys: list[tuple[str, frozenset[str]]] = []
     for unit in text.split():
         start, end = _edge_span(unit)
         core = unit[start:end]
-        if "|" in core or not any(ch.isalnum() for ch in core):
+        if TEXT_SYL_SEP in core or not any(ch.isalnum() for ch in core):
             continue
         if len(core) >= 2 and core.isalpha() and core.isupper():
             keys.extend((ch.lower(), _PLAIN) for ch in core)  # acronym

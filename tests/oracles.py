@@ -236,6 +236,26 @@ def eager_pron_dict(path, fmt="cmu", strict=True):
     return entries, skipped
 
 
+def restart_sc_correction(syllables, vowels):
+    """`sc_correction` by the restart rule: merge the first vowel-less
+    syllable into the next one (the previous one when it is last), then
+    scan again from the start, until no vowel-less syllable is left or one
+    syllable remains."""
+    syls = [s for s in syllables if s]
+    changed = True
+    while changed and len(syls) > 1:
+        changed = False
+        for i, syl in enumerate(syls):
+            if vowels.isdisjoint(syl.lower()):
+                if i + 1 < len(syls):
+                    syls[i:i + 2] = [syl + syls[i + 1]]
+                else:
+                    syls[i - 1:i + 1] = [syls[i - 1] + syl]
+                changed = True
+                break
+    return syls
+
+
 def eager_syllabified_corpus(path, fmt, language="en"):
     """({word: syllables}, skipped (line, reason) pairs) with `sc_correction`
     applied at load."""

@@ -21,7 +21,12 @@ from syllab.pipeline import Resources, load_secondary_stress, syllabify_word
 from syllab.sonority import VOWEL_LETTERS, hierarchy_for
 
 from conftest import DATA
-from oracles import eager_pron_dict, eager_secondary_stress, eager_syllabified_corpus
+from oracles import (
+    eager_pron_dict,
+    eager_secondary_stress,
+    eager_syllabified_corpus,
+    restart_sc_correction,
+)
 
 
 class TestCmuFormat:
@@ -241,6 +246,14 @@ class TestScCorrection:
             assert all("a" in s for s in out)
         else:
             assert len(out) == 1
+
+    @given(st.lists(st.sampled_from(["", "s", "t", "a", "e", "st", "ar", "İ", "Y",
+                                     "é", "b", "ΣA"]), min_size=1, max_size=8),
+           st.sampled_from(sorted(VOWEL_LETTERS)))
+    @settings(max_examples=300)
+    def test_split_equals_restart_rule(self, syls, lang):
+        vowels = VOWEL_LETTERS[lang]
+        assert sc_correction(syls, vowels) == restart_sc_correction(syls, vowels)
 
 
 class TestSyllabifiedCorpus:

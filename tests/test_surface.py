@@ -1,10 +1,12 @@
-"""The README documents exactly the package root's exports and each subcommand's options."""
+"""The README documents exactly the package root's exports and each subcommand's options;
+the modules that `--lang` reaches know the same languages."""
 
 import ast
 import re
 from pathlib import Path
 
 import syllab
+from syllab import sonority, textnorm
 from syllab.cli import _build_parser
 from syllab.pipeline import RECORD_FLAGS, RECORD_METHODS
 
@@ -40,6 +42,12 @@ def test_record_vocabulary_matches_readme():
     listed = {kind: re.findall(r"`([\w-]+)`", values) for kind, values in
               re.findall(r"^- record (methods|flags): (.*)$", text, re.MULTILINE)}
     assert listed == {"methods": list(RECORD_METHODS), "flags": sorted(RECORD_FLAGS)}
+
+
+def test_languages_agree_across_modules():
+    # `--lang` picks numeral rules, vowel letters and letter classes alike
+    assert set(textnorm._NUM_RULES) == set(sonority.VOWEL_LETTERS) \
+        == set(sonority._LETTER_CLASSES)
 
 
 def test_modules_use_every_name_they_import():

@@ -84,6 +84,11 @@ EN_EXPECTED = {
     2000001: "two million one",
     999999999: "nine hundred ninety nine million nine hundred ninety nine "
                "thousand nine hundred ninety nine",
+    # where two groups meet
+    21021: "twenty one thousand twenty one",
+    101000: "one hundred one thousand",
+    1001000: "one million one thousand",
+    2000100: "two million one hundred",
 }
 
 FR_EXPECTED = {
@@ -121,6 +126,12 @@ FR_EXPECTED = {
     80000000: "quatre vingts millions",
     200000000: "deux cents millions",
     999999: "neuf cent quatre vingt dix neuf mille neuf cent quatre vingt dix neuf",
+    # where two groups meet
+    81000: "quatre vingt un mille",
+    180000: "cent quatre vingt mille",
+    200080: "deux cent mille quatre vingts",
+    1001000: "un million mille",
+    201000000: "deux cent un millions",
 }
 
 ES_EXPECTED = {
@@ -154,6 +165,12 @@ ES_EXPECTED = {
     2000000: "dos millones",
     21000000: "veintiún millones",
     100000000: "cien millones",
+    # where two groups meet
+    100100: "cien mil cien",
+    121000: "ciento veintiún mil",
+    1001000: "un millón mil",
+    1100000: "un millón cien mil",
+    201000000: "doscientos un millones",
 }
 
 
