@@ -11,6 +11,7 @@ import itertools
 import os
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterable
 
 from . import errors, evaluate, pipeline
@@ -334,8 +335,10 @@ def cmd_annotate(args) -> int:
          for (sid, _), keys in zip(pairs, sentence_keys)
          for token_index, key in enumerate(keys))), args.out)
 
-    records = [table[key] for keys in sentence_keys for key in keys]
-    report = consistency_report(records)
+    # the report and the accuracy read each distinct key once, with its token count
+    tokens = Counter(itertools.chain.from_iterable(sentence_keys))
+    counted = [(table[key], n) for key, n in tokens.items()]
+    report = consistency_report(counted)
     report_path = args.report
     if report_path is None and args.out and args.out != "-":
         report_path = args.out + ".report.tsv"
@@ -344,9 +347,9 @@ def cmd_annotate(args) -> int:
     if dropped:
         print(f"warning: dropped {dropped} prompt units holding the reserved "
               f"{TEXT_SYL_SEP!r}", file=sys.stderr)
-    if records:
-        acc = evaluate.word_accuracy(records)
-        print(f"word_accuracy\t{acc:.2f}\twords\t{len(records)}", file=sys.stderr)
+    if counted:
+        acc = evaluate.word_accuracy(counted)
+        print(f"word_accuracy\t{acc:.2f}\twords\t{tokens.total()}", file=sys.stderr)
     else:
         print("word_accuracy\tundefined (no words)", file=sys.stderr)
     return 0
@@ -413,7 +416,7 @@ def read_annotation_file(path) -> list[WordRecord]:
 
 def cmd_report(args) -> int:
     records = read_annotation_file(args.annotations)
-    _write_output((consistency_report(records).to_tsv(),), args.out)
+    _write_output((consistency_report((rec, 1) for rec in records).to_tsv(),), args.out)
     return 0
 
 

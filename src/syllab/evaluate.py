@@ -11,14 +11,17 @@ from .errors import UndefinedMetricError
 from .pipeline import METHOD_CHOICES, Resources, analyze_words, text_syllabification
 
 
-def word_accuracy(records) -> float:
-    """Percentage of records whose text and phone syllable counts agree."""
-    records = list(records)
-    if not records:
+def word_accuracy(counted) -> float:
+    """Percentage of tokens whose text and phone syllable counts agree, over
+    (record, count) pairs: each record stands for `count` tokens."""
+    ok = total = 0
+    for r, n in counted:
+        total += n
+        if r.text_syll.n_syllables == r.phone_syll.n_syllables:
+            ok += n
+    if not total:
         raise UndefinedMetricError("word accuracy over an empty record set")
-    ok = sum(1 for r in records
-             if r.text_syll.n_syllables == r.phone_syll.n_syllables)
-    return 100.0 * ok / len(records)
+    return 100.0 * ok / total
 
 
 def syllable_histogram(records) -> dict[int, float]:

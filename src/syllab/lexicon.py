@@ -14,6 +14,10 @@ log = LazyLogger(__name__)
 # timed-out G2P invocations a run waits for; the words not yet answered then
 # stay unresolved, so a hanging command costs at most this many timeouts
 G2P_TIMEOUT_LIMIT = 4
+# bytes of stdout an invocation may print per word of its batch (16 per
+# character for a longer word); past them the command is killed and the
+# invocation fails
+G2P_OUTPUT_LIMIT = 4096
 
 _CMU_VARIANT = re.compile(r"^(.*)\(([0-9]+)\)$")
 # a probability column; ASCII only, so a phone written in other digits stays
@@ -159,14 +163,14 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     Every distinct word goes to one invocation as one line on stdin.  The
     result has one entry per input word: None where no command is
     configured or the command gave no phones for the word.  An invocation
-    that fails (non-zero exit, timeout, OSError, output that is not UTF-8,
-    or a wrong line count) is logged once and retried as two halves, down
-    to single words, so only the words that cause the failure come back
-    None.  After `G2P_TIMEOUT_LIMIT` timed-out invocations no more are
-    started: the words not yet answered come back None, and one warning
-    counts them.  A word that is not exactly one line (empty, or holding a
-    line break) would shift the lines of the words after it; it is not sent
-    and comes back None.
+    that fails (non-zero exit, timeout, OSError, output that is not UTF-8 or
+    passes `G2P_OUTPUT_LIMIT`, or a wrong line count) is logged once and
+    retried as two halves, down to single words, so only the words that
+    cause the failure come back None.  After `G2P_TIMEOUT_LIMIT` timed-out
+    invocations no more are started: the words not yet answered come back
+    None, and one warning counts them.  A word that is not exactly one line
+    (empty, or holding a line break) would shift the lines of the words
+    after it; it is not sent and comes back None.
     """
     if isinstance(words, str):
         raise TypeError("g2p_fallback takes a sequence of words, not a str")
@@ -207,15 +211,23 @@ def _run_g2p(words: list[str], config: FallbackConfig,
     """
     import subprocess
     timed_out = False
+    cap = sum(max(G2P_OUTPUT_LIMIT, 16 * len(w)) for w in words)
     try:
-        proc = subprocess.run(
-            config.command, input="".join(w + "\n" for w in words).encode("utf-8"),
-            capture_output=True, timeout=config.timeout)
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
+        with subprocess.Popen(config.command, stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                stdout, stderr = _exchange(
+                    proc, "".join(w + "\n" for w in words).encode("utf-8"), cap,
+                    config.timeout)
+            finally:
+                proc.kill()  # nothing to do once it has been waited for
+        if stdout is None:
+            reason = f"printed more than {cap} bytes for {len(words)} words"
+        elif proc.returncode != 0:
+            stderr = stderr.decode("utf-8", "replace").strip()
             reason = f"exited {proc.returncode}: {stderr[-200:]}"
         else:
-            lines = proc.stdout.decode("utf-8").split("\n")
+            lines = stdout.decode("utf-8").split("\n")
             if lines[-1] == "":
                 lines.pop()
             if len(words) == 1:
@@ -231,6 +243,52 @@ def _run_g2p(words: list[str], config: FallbackConfig,
         reason = str(exc)
     log.warning("g2p: invocation for %d word(s) failed: %s", len(words), reason)
     return None, timed_out
+
+
+def _exchange(proc, data: bytes, cap: int, timeout: float,
+              ) -> tuple[bytes | None, bytes]:
+    """Write `data` to the stdin of `proc` while reading its stdout and stderr
+    until both close and it exits.  Returns its stdout, or None as soon as
+    that passes `cap` bytes, and the last 4 KiB of its stderr; raises
+    `subprocess.TimeoutExpired` once `timeout` seconds have passed."""
+    import os
+    import select
+    import selectors
+    import subprocess
+    import time
+    deadline = time.monotonic() + timeout
+    out, err, sent = bytearray(), b"", 0
+    with selectors.DefaultSelector() as streams:
+        streams.register(proc.stdin, selectors.EVENT_WRITE)
+        streams.register(proc.stdout, selectors.EVENT_READ)
+        streams.register(proc.stderr, selectors.EVENT_READ)
+        while streams.get_map():
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            for key, _ in streams.select(left):
+                stream = key.fileobj
+                if stream is proc.stdin:
+                    try:
+                        sent += os.write(key.fd, data[sent:sent + select.PIPE_BUF])
+                    except BrokenPipeError:  # the command stopped reading
+                        sent = len(data)
+                    if sent == len(data):
+                        streams.unregister(stream)
+                        stream.close()
+                    continue
+                chunk = os.read(key.fd, 1 << 16)
+                if not chunk:
+                    streams.unregister(stream)
+                    stream.close()
+                elif stream is proc.stdout:
+                    out += chunk
+                    if len(out) > cap:
+                        return None, err
+                else:
+                    err = (err + chunk)[-4096:]
+    proc.wait(max(0.0, deadline - time.monotonic()))
+    return bytes(out), err
 
 
 def sc_correction(syllables: Sequence[str],

@@ -128,7 +128,9 @@ def analyze_words(words: Iterable[str], resources: Resources,
 
     Every distinct word is looked up once; the lexicon misses go to the
     external G2P, if one is configured, in one batch.  The analyses are
-    made one at a time as the result is consumed.
+    made one at a time as the result is consumed.  The words whose phones
+    the phone hierarchy does not classify are counted in one warning, logged
+    when the result is exhausted or dropped.
     """
     found = {word: lookup(resources.lexicon, word)
              for word in dict.fromkeys(map(str.lower, words))}
@@ -142,16 +144,26 @@ def analyze_words(words: Iterable[str], resources: Resources,
         if unresolved:
             log.warning("g2p: %d of %d OOV words unresolved",
                         unresolved, len(missing))
-    for word, prons in found.items():
-        yield analyze_word(word, resources, prons or g2p.get(word, []),
-                           oov=not prons)
+    unclassified: list[tuple[str, UnknownSymbolError]] = []
+    try:
+        for word, prons in found.items():
+            yield analyze_word(word, resources, prons or g2p.get(word, []),
+                               oov=not prons, unclassified=unclassified)
+    finally:
+        if unclassified:
+            log.warning("%d word(s) with phones the hierarchy does not classify, "
+                        "treating as unresolved (first %r: %s)",
+                        len(unclassified), *unclassified[0])
 
 
 def analyze_word(word: str, resources: Resources,
-                 prons: list[Pronunciation], oov: bool) -> WordAnalysis:
+                 prons: list[Pronunciation], oov: bool,
+                 unclassified: list | None = None) -> WordAnalysis:
     """The phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
 
-    `prons` come from the lexicon or, for an `oov` word, from the G2P.
+    `prons` come from the lexicon or, for an `oov` word, from the G2P.  A
+    word whose phones the phone hierarchy does not classify is handled as
+    OOV, and the word and the error are appended to `unclassified`, if given.
     """
     flags = {"oov"} if oov else set()
 
@@ -161,7 +173,8 @@ def analyze_word(word: str, resources: Resources,
             phone_seq = sonority_sequence(prons[0].raw, resources.phone_hierarchy)
         except UnknownSymbolError as exc:
             # hierarchy does not cover this entry's phones; same handling as OOV
-            log.warning("%r: %s; treating as unresolved", word, exc)
+            if unclassified is not None:
+                unclassified.append((word, exc))
             flags.add("oov")
 
     if phone_seq is None:
@@ -374,10 +387,13 @@ class Report(namedtuple("Report", "counts groups")):
         return "\n".join(lines) + "\n"
 
 
-def consistency_report(records) -> Report:
+def consistency_report(counted) -> Report:
+    """The report over `counted` (record, count) pairs: each record stands for
+    `count` tokens, so the records of a run's distinct keys give the same
+    report as one record per token."""
     groups: dict[str, list[WordRecord]] = {}
-    for rec in sorted(records, key=lambda r: r.word):
+    for rec, n in sorted(counted, key=lambda pair: pair[0].word):
         for flag in rec.flags:
-            groups.setdefault(flag, []).append(rec)
+            groups.setdefault(flag, []).extend([rec] * n)
     groups = dict(sorted(groups.items()))
     return Report({f: len(rs) for f, rs in groups.items()}, groups)

@@ -60,9 +60,17 @@ class Syllabification(CheckedFields, namedtuple("Syllabification", "symbols brea
             return 0
         return len(self.breaks) + 1
 
+    def _parts(self, form) -> list:
+        """`form` applied to the symbols of each syllable, in order."""
+        symbols, start, parts = self.symbols, 0, []
+        for b in self.breaks:
+            parts.append(form(symbols[start:b]))
+            start = b
+        parts.append(form(symbols[start:]))
+        return parts
+
     def syllables(self) -> list[tuple[str, ...]]:
-        bounds = [0, *self.breaks, len(self.symbols)]
-        return [self.symbols[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._parts(tuple)
 
     def syllable_of(self, position: int) -> int:
         """Index of the syllable containing symbol `position`."""
@@ -71,10 +79,10 @@ class Syllabification(CheckedFields, namedtuple("Syllabification", "symbols brea
         return bisect_right(self.breaks, position)
 
     def text(self) -> str:
-        return TEXT_SYL_SEP.join("".join(s) for s in self.syllables())
+        return TEXT_SYL_SEP.join(self._parts("".join))
 
     def phone_text(self) -> str:
-        return PHONE_SYL_SEP.join(" ".join(s) for s in self.syllables())
+        return PHONE_SYL_SEP.join(self._parts(" ".join))
 
 
 def ssp_breaks(seq: SonoritySequence) -> Syllabification:

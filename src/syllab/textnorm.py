@@ -200,6 +200,13 @@ def normalize(text: str, lang: str = "en") -> list[tuple[str, frozenset[str]]]:
     """
     keys: list[tuple[str, frozenset[str]]] = []
     for unit in text.split():
+        if unit.isalpha() and (len(unit) < 2 or not unit.isupper()):
+            # a plain word, unless lower-casing adds a mark: "İ" becomes
+            # "i" + U+0307, and the full path strips that mark at the edge
+            word = unit.lower()
+            if word.isalpha():
+                keys.append((word, _PLAIN))
+                continue
         start, end = _edge_span(unit)
         core = unit[start:end]
         if TEXT_SYL_SEP in core or not any(ch.isalnum() for ch in core):

@@ -14,6 +14,7 @@ line.  The other modes misbehave the way a broken G2P can:
   unknown-phones  print symbols no phone hierarchy knows
   superscript-digit  mark primary stress with a superscript two (AO²)
   stderr-flood    write 1 MiB to stderr, then the good output
+  stdout-flood    print phone lines without end, until killed
   non-utf8        print bytes that are not UTF-8
   poison WORD     exit with status 1 whenever WORD is in the batch
 
@@ -62,6 +63,9 @@ def main(argv: list[str]) -> int:
         lines = ["QQ1 XX" for _ in words]
     elif mode == "superscript-digit":
         lines = [line.replace("1", "\u00b2") for line in lines]
+    elif mode == "stdout-flood":
+        while True:
+            sys.stdout.buffer.write(b"W AH1 G\n" * 4096)
     elif mode == "stderr-flood":
         sys.stderr.write("x" * (1 << 20))
         sys.stderr.flush()

@@ -7,17 +7,20 @@ space top-down (exhaustively for small grids, with memoization above).
 `sequence_from_levels` builds the curves they are given straight from
 expanded levels, with placeholder symbols.  The loader oracles parse every
 line of a resource file at once, the way the loaders did before they
-deferred parsing to lookup.
+deferred parsing to lookup.  The text oracles are the definitions that
+faster code replaced: `normalize` with every unit on the full path, and the
+syllable joins through a list of bounds and one generator per syllable.
 """
 
 import itertools
 import re
 from functools import lru_cache
 
-from syllab.errors import DictParseError, UnknownSymbolError
+from syllab.errors import DictParseError, UnknownSymbolError, UnsupportedNumeralError
 from syllab.lexicon import Pronunciation, sc_correction
 from syllab.sonority import VOWEL_LETTERS, VOWEL_LEVEL, SonoritySequence
-from syllab.ssp import syllabify_symbols
+from syllab.ssp import PHONE_SYL_SEP, TEXT_SYL_SEP, syllabify_symbols
+from syllab.textnorm import _NUMERAL, _ORDINAL, _edge_span, _numeral_value, num_to_words
 
 
 def oracle_breaks(points):
@@ -314,3 +317,49 @@ def eager_secondary_stress(path, hierarchy):
                 continue
             entries[fields[0].lower()] = (syll.n_syllables, syll.syllable_of(stress_pos))
     return entries, skipped
+
+
+def full_path_normalize(text, lang="en"):
+    """`normalize` with every whitespace unit taking the punctuation, numeral,
+    acronym and hyphen path, plain words included."""
+    plain, unsupported = frozenset(), frozenset({"numeral-unsupported"})
+    keys = []
+    for unit in text.split():
+        start, end = _edge_span(unit)
+        core = unit[start:end]
+        if TEXT_SYL_SEP in core or not any(ch.isalnum() for ch in core):
+            continue
+        if len(core) >= 2 and core.isalpha() and core.isupper():
+            keys.extend((ch.lower(), plain) for ch in core)
+            continue
+        word = core.lower()
+        if _NUMERAL.match(core):
+            try:
+                words = num_to_words(_numeral_value(word), lang)
+            except UnsupportedNumeralError:
+                keys.append((word, unsupported))
+            else:
+                keys.extend((w, plain) for w in words)
+        elif _ORDINAL.match(word):
+            keys.append((word, unsupported))
+        else:
+            for part in word.split("-"):
+                start, end = _edge_span(part)
+                part = part[start:end]
+                if any(ch.isalnum() for ch in part):
+                    keys.append((part, plain))
+    return keys
+
+
+def bounds_syllables(syll):
+    """The symbols of each syllable, sliced between consecutive bounds."""
+    bounds = [0, *syll.breaks, len(syll.symbols)]
+    return [syll.symbols[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def per_syllable_text(syll):
+    return TEXT_SYL_SEP.join("".join(s) for s in bounds_syllables(syll))
+
+
+def per_syllable_phone_text(syll):
+    return PHONE_SYL_SEP.join(" ".join(s) for s in bounds_syllables(syll))

@@ -211,7 +211,7 @@ class TestC6ArcticAnnotation:
     def test_word_accuracy(self):
         t0 = time.perf_counter()
         records = _arctic_records()
-        accuracy = word_accuracy(records)
+        accuracy = word_accuracy((r, 1) for r in records)
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0
         assert accuracy >= 99.0, f"ARCTIC word accuracy {accuracy:.2f} < 99.0"

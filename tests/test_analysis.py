@@ -54,14 +54,14 @@ class TestAblationEquivalence:
                 assert result.accuracies[method] is None
             else:
                 assert result.accuracies[method] == word_accuracy(
-                    [syllabify_word(w, res, method) for w in res.lexicon])
+                    (syllabify_word(w, res, method), 1) for w in res.lexicon)
 
     def test_partial_sample_matches(self, mini_resources):
         result = run_ablation(mini_resources, 40, 7)
         sample = random.Random(7).sample(sorted(mini_resources.lexicon), 40)
         for method in METHOD_CHOICES:
             assert result.accuracies[method] == word_accuracy(
-                [syllabify_word(w, mini_resources, method) for w in sample])
+                (syllabify_word(w, mini_resources, method), 1) for w in sample)
 
     def test_unknown_method_rejected(self, mini_resources):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ def immutable_values(resources) -> dict:
     values = (rec.pronunciations[0], rec.phone_syll, analysis.phone_seq,
               dtw(analysis.phone_seq, analysis.letter_seq), rec, resources,
               FallbackConfig("g2p --batch"), CorpusFormat.preset("lexique"),
-              run_ablation(resources, 5, 0), consistency_report([rec]))
+              run_ablation(resources, 5, 0), consistency_report([(rec, 1)]))
     return {type(value).__name__: value for value in values}
 
 

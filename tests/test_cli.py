@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import ChainMap
@@ -19,16 +20,18 @@ from syllab.cli import (
     read_annotation_file,
     read_corpus_file,
 )
+from syllab.evaluate import word_accuracy
 from syllab.lexicon import Pronunciation
 from syllab.pipeline import (
     METHOD_CHOICES,
     analyze_words,
     annotate_corpus,
+    consistency_report,
     syllabify_word,
     word_record,
 )
 
-from conftest import DATA
+from conftest import DATA, sentence_records
 
 SRC = str(DATA.parent.parent / "src")
 
@@ -318,6 +321,30 @@ class TestAnnotateCommand:
         warning, accuracy = err.splitlines()
         assert warning == "warning: dropped 2 prompt units holding the reserved '|'"
         assert accuracy.startswith("word_accuracy\t")
+
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    def test_report_and_accuracy_equal_per_token_records(self, capsys, tmp_path,
+                                                         mini_resources, method):
+        # "3.5" and "2nd" are flagged numeral-unsupported alone and plain inside
+        # a hyphenated unit, so each word has two keys; flagged words repeat
+        prompts = ["3.5 zzxq a-3.5 the 3.5 sentence", "2nd x-2nd zzxq sentence.",
+                   "zzxq 2nd leaves x"]
+        corpus, rep = tmp_path / "c.txt", tmp_path / "rep.tsv"
+        corpus.write_text("\n".join(prompts) + "\n")
+        code, _, err = run(capsys, "annotate", str(corpus), "--dict", DICT,
+                           "--corpus", CORPUS, "--method", method,
+                           "--out", str(tmp_path / "a.tsv"), "--report", str(rep))
+        assert code == 0
+        tokens = [rec for recs in sentence_records(prompts, mini_resources, method)
+                  for rec in recs]
+        assert {(r.word, r.flags) for r in tokens if r.word == "3.5"} == {
+            ("3.5", frozenset({"oov", "no-stress", "count-mismatch"})),
+            ("3.5", frozenset({"oov", "no-stress", "count-mismatch",
+                               "numeral-unsupported"}))}
+        once = [(rec, 1) for rec in tokens]
+        assert rep.read_text() == consistency_report(once).to_tsv()
+        assert err == (f"word_accuracy\t{word_accuracy(once):.2f}"
+                       f"\twords\t{len(tokens)}\n")
 
     def test_clean_prompt_prints_only_word_accuracy(self, capsys, tmp_path):
         code, _, err = run(capsys, "annotate", PROMPTS, "--dict", DICT,
@@ -890,6 +917,22 @@ def run_limited(argv, tmp_path):
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, timeout=30, cwd=tmp_path,
                           env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC})
+
+
+def test_annotate_with_g2p_flooding_stdout_ends(tmp_path):
+    # the G2P prints without end; the run reads at most the output cap per
+    # word, kills it and flags the word, well before the 30 s G2P timeout
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("the zzxq leaves\n")
+    fake = shlex.join([sys.executable, "-I", "-S", str(DATA / "fake_g2p.py"),
+                       "stdout-flood"])
+    proc = run_limited(["annotate", str(prompts), "--dict", DICT, "--out", "a.tsv",
+                        "--fallback-cmd", fake], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "printed more than 4096 bytes for 1 words" in proc.stderr
+    row = (tmp_path / "a.tsv").read_text().splitlines()[2].split("\t")
+    assert row[2] == "zzxq" and "oov" in row[8].split(",")
 
 
 def test_syllabify_dictionary_word_past_dtw_budget(tmp_path):

@@ -15,12 +15,12 @@ from syllab.pipeline import syllabify_word
 class TestWordAccuracy:
     def test_all_matching(self, mini_resources):
         recs = [syllabify_word(w, mini_resources) for w in ("leaves", "oceanic")]
-        assert word_accuracy(recs) == 100.0
+        assert word_accuracy((r, 1) for r in recs) == 100.0
 
     def test_half_matching(self, mini_resources):
         recs = [syllabify_word("sentence", mini_resources, "ssp"),
                 syllabify_word("leaves", mini_resources, "ssp")]
-        assert word_accuracy(recs) == 50.0
+        assert word_accuracy((r, 1) for r in recs) == 50.0
 
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
@@ -82,7 +82,7 @@ class TestAblation:
         recs = [syllabify_word(w, mini_resources, m)
                 for w in ("the", "saw", "leaves", "through")
                 for m in ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")]
-        assert word_accuracy(recs) == 100.0
+        assert word_accuracy((r, 1) for r in recs) == 100.0
 
     def test_oversized_sample_rejected(self, mini_resources):
         with pytest.raises(ValueError):

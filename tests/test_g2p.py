@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from syllab import pipeline
 from syllab.cli import main
 from syllab.lexicon import (
+    G2P_OUTPUT_LIMIT,
     G2P_TIMEOUT_LIMIT,
     FallbackConfig,
     g2p_fallback,
@@ -149,8 +150,32 @@ class TestHostileG2p:
         assert rows == [["zzxq", "QQ1 XX", "-", "zzxq", "-", "oov-unresolved",
                          "count-mismatch,no-stress,oov"]] * 3
 
+    def test_unknown_phones_warned_once_per_run(self, tmp_path, capsys, caplog):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("zzxq the blorp\nblorp zzxq\n")
+        with caplog.at_level("WARNING"):
+            assert main(["annotate", str(prompts), "--dict", DICT,
+                         "--out", str(tmp_path / "a.tsv"),
+                         "--fallback-cmd", shlex.join(fake_argv("unknown-phones"))]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if "treating as unresolved" in r.getMessage()]
+        assert line == ("2 word(s) with phones the hierarchy does not classify, "
+                        "treating as unresolved (first 'zzxq': symbol 'QQ1' is not "
+                        "classified in the cmu-arpabet hierarchy)")
+
     def test_stderr_flood(self, good):
         assert strs(g2p_fallback(OOV, fake("stderr-flood"))) == [good[w] for w in OOV]
+
+    def test_stdout_flood_killed_past_the_cap(self, tmp_path, caplog):
+        count = tmp_path / "calls"
+        with caplog.at_level("WARNING"):
+            result = g2p_fallback(OOV[:2], fake("stdout-flood", count=count))
+        assert result == [None, None]
+        # the batch and its two halves each end at the cap, none at the timeout
+        assert invocations(count) == 3
+        assert f"printed more than {2 * G2P_OUTPUT_LIMIT} bytes for 2 words" in caplog.text
+        assert f"printed more than {G2P_OUTPUT_LIMIT} bytes for 1 words" in caplog.text
+        assert "timed out" not in caplog.text
 
     def test_non_utf8_output(self, caplog):
         with caplog.at_level("WARNING"):
@@ -275,7 +300,8 @@ class TestRunCache:
 ALL_OOV = {"zzxq", "blorp", "wug"}
 HOSTILE = {
     "hang": ALL_OOV, "exit": ALL_OOV, "fewer": ALL_OOV, "more": set(),
-    "unknown-phones": ALL_OOV, "stderr-flood": set(), "non-utf8": ALL_OOV,
+    "unknown-phones": ALL_OOV, "stderr-flood": set(), "stdout-flood": ALL_OOV,
+    "non-utf8": ALL_OOV,
     "poison blorp": {"blorp"},
     # a stress mark that is a digit but not ASCII leaves the vowel unknown;
     # zzxq has no vowel, so its phones stay classifiable

@@ -270,25 +270,25 @@ class TestConsistencyInvariant:
 class TestConsistencyReport:
     def test_clean_input(self, mini_resources):
         recs = [syllabify_word(w, mini_resources) for w in ("leaves", "oceanic")]
-        report = consistency_report([r for r in recs if not r.flags])
+        report = consistency_report((r, 1) for r in recs if not r.flags)
         assert report.counts == {} and report.groups == {}
 
     def test_single_mismatch(self, mini_resources):
         rec = syllabify_word("sentence", mini_resources, "ssp")
-        report = consistency_report([rec])
+        report = consistency_report([(rec, 1)])
         assert report.counts["count-mismatch"] == 1
 
     def test_record_with_two_flags_in_both_groups(self, mini_resources):
         rec = syllabify_word("zzxq", mini_resources)
-        report = consistency_report([rec])
+        report = consistency_report([(rec, 1)])
         assert "oov" in report.groups and "count-mismatch" in report.groups
         assert report.groups["oov"][0] is rec
 
     def test_deterministic_ordering(self, mini_resources):
         recs = [syllabify_word(w, mini_resources, "ssp")
                 for w in ("zzxq", "sentence", "blorp")]
-        r1 = consistency_report(recs).to_tsv()
-        r2 = consistency_report(list(reversed(recs))).to_tsv()
+        r1 = consistency_report((r, 1) for r in recs).to_tsv()
+        r2 = consistency_report((r, 1) for r in reversed(recs)).to_tsv()
         assert r1 == r2
 
 

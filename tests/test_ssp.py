@@ -7,7 +7,14 @@ from syllab.pipeline import Resources, analyze_words
 from syllab.sonority import hierarchy_for
 from syllab.ssp import Syllabification, ssp_breaks, syllabify_symbols
 
-from oracles import all_expanded_sequences, oracle_breaks, sequence_from_levels
+from oracles import (
+    all_expanded_sequences,
+    bounds_syllables,
+    oracle_breaks,
+    per_syllable_phone_text,
+    per_syllable_text,
+    sequence_from_levels,
+)
 
 
 def expanded_levels(max_symbols=6):
@@ -90,6 +97,39 @@ class TestSyllabification:
 
     def test_empty(self):
         assert Syllabification((), ()).n_syllables == 0
+
+
+@st.composite
+def syllabifications(draw):
+    """Symbols of zero to several characters, empty ones included, with any
+    strictly increasing breaks, from none to one before every inner symbol."""
+    symbols = tuple(draw(st.lists(st.text(alphabet="abˈ.| ", max_size=3), max_size=12)))
+    inner = range(1, len(symbols))
+    breaks = draw(st.sets(st.sampled_from(inner))) if inner else set()
+    return Syllabification(symbols, tuple(sorted(breaks)))
+
+
+class TestSyllableJoins:
+    """The joins walk the breaks once and equal the per-syllable definitions."""
+
+    @given(syllabifications())
+    @settings(max_examples=300)
+    def test_equal_per_syllable_definitions(self, syll):
+        assert syll.syllables() == bounds_syllables(syll)
+        assert syll.text() == per_syllable_text(syll)
+        assert syll.phone_text() == per_syllable_phone_text(syll)
+
+    @pytest.mark.parametrize("syll", [
+        Syllabification((), ()),
+        Syllabification(("", ""), (1,)),
+        Syllabification(tuple("leaves"), ()),
+        Syllabification(("AA1", "SH", "AH0", "N"), (2,)),
+        Syllabification(tuple("ab" * 50), tuple(range(1, 100))),
+    ])
+    def test_edge_cases(self, syll):
+        assert syll.syllables() == bounds_syllables(syll)
+        assert syll.text() == per_syllable_text(syll)
+        assert syll.phone_text() == per_syllable_phone_text(syll)
 
 
 class TestOracleEquivalence:

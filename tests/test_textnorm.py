@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from syllab.errors import UnsupportedNumeralError
 from syllab.textnorm import normalize, num_to_words
 
+from oracles import full_path_normalize
+
 PLAIN = frozenset()
 UNSUPPORTED = frozenset({"numeral-unsupported"})
 
@@ -371,3 +373,35 @@ class TestNormalize:
     def test_idempotent_without_numerals_acronyms(self, text):
         once = words(text)
         assert words(" ".join(once)) == once
+
+
+# letters of both cases, a capital that lower-cases to two code points (İ),
+# a titlecase digraph (ǅ), Σ, a combining mark, digits, the punctuation the
+# full path handles and whitespace
+_UNIT_ALPHABET = ("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                  "İǅǄΣ\u0301" "0123456789" ".,-'’|()" " \t\n")
+
+
+class TestPlainWordPath:
+    """A plain word takes one step; every unit gets the keys of the full path."""
+
+    @pytest.mark.parametrize("lang", ["en", "fr", "es"])
+    @given(text=st.text(alphabet=_UNIT_ALPHABET, max_size=60))
+    @settings(max_examples=300)
+    def test_equals_full_path(self, lang, text):
+        assert normalize(text, lang) == full_path_normalize(text, lang)
+
+    @pytest.mark.parametrize("text", ["İ", "İstanbul", "I", "A", "BBC", "ǄA", "ǅ",
+                                      "Σοφία", "cafe\u0301", "Hello"])
+    def test_edge_cases_equal_full_path(self, text):
+        assert normalize(text) == full_path_normalize(text)
+
+    def test_dotted_capital_i_loses_its_dot(self):
+        # "İ".lower() is "i" + U+0307; the mark is stripped at the edge
+        assert normalize("İ") == [("i", PLAIN)]
+        assert normalize("İstanbul") == [("i\u0307stanbul", PLAIN)]
+
+    def test_capitals(self):
+        assert normalize("I A") == [("i", PLAIN), ("a", PLAIN)]
+        assert normalize("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
+        assert normalize("ǄA") == [("ǆ", PLAIN), ("a", PLAIN)]
