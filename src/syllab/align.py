@@ -4,100 +4,163 @@ The pronunciation-domain and spelling-domain sonority curves of a word are
 aligned with DTW (cost = absolute level difference, steps diagonal /
 a-advance / b-advance).  Each phone-domain break is then carried over to
 the letter whose expanded point is linked to the break's cut point.
+
+`dtw` aligns many words at once.  It sorts the curve pairs by shape and
+cuts them into chunks of at most `DTW_CHUNK_CELLS` padded cells.  One pass
+of the kernel aligns a chunk, with cell (i, j) of every word of the chunk
+in the lanes of one Python int, so one big-int operation serves a cell of
+hundreds of words.  The memory of a pass is bounded by its chunk, whatever
+the number of words aligned.
 """
 
-from collections import namedtuple
 from itertools import accumulate
 
-from .errors import CheckedFields
 from .sonority import VOWEL_LEVEL, SonoritySequence
 from .ssp import Syllabification
 
-
-class AlignmentPath(CheckedFields, namedtuple("AlignmentPath", "pairs cost")):
-    """Monotone warping path between two expanded sequences."""
-
-    __slots__ = ()
-
-    def __new__(cls, pairs: tuple[tuple[int, int], ...], cost: int):
-        if not pairs:
-            raise ValueError("empty alignment path")
-        return tuple.__new__(cls, (pairs, cost))
-
-
-class _Distances(dict):
-    """Level x -> the translation table mapping each byte y to |x - y|,
-    built the first time x is seen."""
-
-    def __missing__(self, x: int) -> bytes:
-        table = self[x] = bytes(abs(x - y) for y in range(256))
-        return table
-
-
-_DISTANCES = _Distances()
-
-# the most cost cells `project_ssp` lets one `dtw` fill: the whole matrix is
-# kept for the backtrack, so one very long word could exhaust memory
+# the most cost cells one word's projection may fill: the kernel keeps a
+# step code per cell for the backtrack, so one very long word could exhaust
+# memory
 DTW_CELL_BUDGET = 10 ** 5
 
+# the most padded cells (words x rows x columns) one pass of the kernel
+# fills; a word larger than this is aligned in a pass of its own
+DTW_CHUNK_CELLS = 2 ** 16
 
-def dtw(a: SonoritySequence, b: SonoritySequence) -> AlignmentPath:
-    """Minimal-cost monotone alignment of two sonority sequences.
 
+def fits_budget(a: SonoritySequence, b: SonoritySequence) -> bool:
+    """Whether the DTW of `a` and `b` fills at most `DTW_CELL_BUDGET` cells."""
+    return len(a.levels) * len(b.levels) <= DTW_CELL_BUDGET
+
+
+def dtw(curve_pairs) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Minimal-cost monotone alignment of each (a, b) pair of sonority
+    sequences, as (pairs, cost) in the order of `curve_pairs`.
+
+    `pairs` is the warping path from (0, 0) to the last points of a and b.
     Levels must be byte-sized (0-255; sonority levels are 1-5 by
-    construction); any other level raises ValueError.  Ties between
-    predecessors are resolved diagonal first, then a-advance, then
-    b-advance, so the returned path is unique and reproducible.
+    construction); any other level raises ValueError, as does an empty
+    sequence.  Ties between predecessors are resolved diagonal first, then
+    a-advance, then b-advance, so each path is unique and reproducible, and
+    the same whatever the other pairs of the batch.
     """
-    la, lb = a.levels, b.levels
-    m, n = len(la), len(lb)
-    if m == 0 or n == 0:
+    levels = [(bytes(a.levels), bytes(b.levels)) for a, b in curve_pairs]
+    shapes = [(len(a), len(b)) for a, b in levels]
+    if not all(m and n for m, n in shapes):
         raise ValueError("dtw requires two non-empty sequences")
 
-    # accumulated costs; the first row and column can only be reached
-    # straight.  Levels are 1-5, so there are at most five cost rows, and a
-    # cell needs only the cheapest predecessor's value: ties matter only to
-    # the backtrack.  A cost row is b's levels as bytes, translated through
-    # the distance table of the row's level.
-    lb = bytes(lb)
-    costs = {x: lb.translate(_DISTANCES[x]) for x in set(la)}
-    row = list(accumulate(costs[la[0]]))
-    acc = [row]
-    for x in la[1:]:
-        cost = costs[x]
-        prev, left = row, row[0] + cost[0]
+    results = [None] * len(levels)
+
+    def run(chunk, rows, cols):
+        paths = _dtw_lanes([levels[k] for k in chunk], rows, cols)
+        for k, path in zip(chunk, paths):
+            results[k] = path
+
+    # a chunk closes before its padded cells would pass DTW_CHUNK_CELLS
+    chunk, rows, cols = [], 0, 0
+    for k in sorted(range(len(shapes)), key=shapes.__getitem__):
+        m, n = shapes[k]
+        if chunk and (len(chunk) + 1) * max(rows, m) * max(cols, n) > DTW_CHUNK_CELLS:
+            run(chunk, rows, cols)
+            chunk, rows, cols = [], 0, 0
+        chunk.append(k)
+        rows, cols = max(rows, m), max(cols, n)
+    if chunk:
+        run(chunk, rows, cols)
+    return results
+
+
+def _dtw_lanes(levels: list[tuple[bytes, bytes]], rows: int, cols: int) -> list:
+    """The DTW of K curve pairs at once, each padded to `rows` x `cols` points.
+
+    Lane k of each int holds the value of pair k at one cell (SWAR: SIMD
+    within a register).  Levels are shifted down by the lowest level of the
+    chunk, which also pads the curves, so a cost is at most `top`, the level
+    range.  A diagonal-first path reaches cell (i, j) through max(i, j) + 1
+    cells, so no accumulated cost exceeds top * max(rows, cols); a lane holds
+    that in whole bytes, with its highest bit spare as the guard of the SWAR
+    compare.
+    """
+    k_pairs = len(levels)
+    lo = min(min(min(a), min(b)) for a, b in levels)
+    top = max(max(max(a), max(b)) for a, b in levels) - lo
+    width = (top * max(rows, cols)).bit_length() // 8 + 1  # bytes per lane
+    s = 8 * width - 1  # the guard bit of a lane
+    size = k_pairs * width
+    guard = int.from_bytes((bytes(width - 1) + b"\x80") * k_pairs, "little")
+    down, pad = bytes((v - lo) % 256 for v in range(256)), bytes([lo])
+
+    def lanes(curves, length):
+        """Point t of every curve, one per lane, for each t < length."""
+        flat = b"".join([c.ljust(length, pad) for c in curves]).translate(down)
+        lane = bytearray(size)
+        points = []
+        for t in range(length):
+            lane[::width] = flat[t::length]
+            points.append(int.from_bytes(lane, "little"))
+        return points
+
+    a_points = lanes([a for a, _ in levels], rows)
+    b_points = lanes([b for _, b in levels], cols)
+
+    def cost(a, b):
+        # |a - b| = b - a + 2 (a - b) in the lanes where a >= b
+        d = (a | guard) - b
+        ge = d & guard
+        return ((d & (ge - (ge >> s))) << 1) + b - a
+
+    # A cell's step code is the top byte of its lane: 0x40 when the diagonal
+    # is no dearer than the a-advance, 0x80 when the cheaper of those two is
+    # no dearer than the b-advance.  Row 0 steps back along b, column 0
+    # along a (the guard bits read 0x80).
+    a = a_points[0]
+    acc = [list(accumulate(cost(a, b) for b in b_points))]
+    codes = bytearray(size * cols)
+    back_along_a = guard.to_bytes(size, "little")
+    for a in a_points[1:]:
+        a_guarded = a | guard
+        prev = acc[-1]
+        left = prev[0] + cost(a, b_points[0])
         row = [left]
-        for c, diag, up in zip(cost[1:], prev, prev[1:]):
-            if up < diag:
-                diag = up
-            if left < diag:
-                diag = left
-            left = diag + c
+        codes += back_along_a
+        for b, diag, up in zip(b_points[1:], prev, prev[1:]):
+            d = a_guarded - b  # the cost, as in cost(a, b)
+            ge = d & guard
+            c = ((d & (ge - (ge >> s))) << 1) + b - a
+            # the diagonal unless the a-advance is cheaper
+            d = (up | guard) - diag
+            ge1 = d & guard
+            up -= d & (ge1 - (ge1 >> s))
+            # that unless the b-advance is cheaper
+            d = (left | guard) - up
+            ge2 = d & guard
+            left += c - (d & (ge2 - (ge2 >> s)))
             row.append(left)
+            codes += ((ge1 >> 1) | ge2).to_bytes(size, "little")
         acc.append(row)
 
-    # backtrack, preferring diagonal, then a-advance, then b-advance
-    i, j = m - 1, n - 1
-    pairs = [(i, j)]
-    while i and j:
-        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
-        if diag <= up and diag <= left:
-            i, j = i - 1, j - 1
-        elif up <= left:
-            i -= 1
-        else:
-            j -= 1
-        pairs.append((i, j))
-    pairs += [(k, 0) for k in range(i - 1, -1, -1)]
-    pairs += [(0, k) for k in range(j - 1, -1, -1)]
-    pairs.reverse()
-    return AlignmentPath(tuple(pairs), acc[-1][-1])
+    # backtrack each pair along its own lane of step codes
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    step = [1] * 256
+    step[0x80], step[0xC0] = cols, cols + 1
+    lane_mask = (1 << 8 * width) - 1
+    paths = []
+    for k, (la, lb) in enumerate(levels):
+        own = codes[k * width + width - 1::size]
+        p = (len(la) - 1) * cols + len(lb) - 1
+        pairs = [cells[p]]
+        while p:
+            p -= step[own[p]]
+            pairs.append(cells[p])
+        pairs.reverse()
+        total = acc[len(la) - 1][len(lb) - 1] >> 8 * width * k
+        paths.append((tuple(pairs), total & lane_mask))
+    return paths
 
 
-def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
-                   phone_seq: SonoritySequence, letter_seq: SonoritySequence,
-                   ) -> tuple[Syllabification, bool]:
-    """Carry phone-domain breaks onto the letters through the DTW path.
+def project_breaks(phone_syll: Syllabification, pairs, phone_seq: SonoritySequence,
+                   letter_seq: SonoritySequence) -> tuple[Syllabification, bool]:
+    """Carry phone-domain breaks onto the letters through the DTW path `pairs`.
 
     A break before phone `p` cuts the expanded curve at p's first point;
     the break lands before the source letter of the leftmost path link at
@@ -106,7 +169,7 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
     positions, or a tail left without a vowel letter).
     """
     # the path is monotone: over its reversal, a row's last link is its leftmost
-    leftmost = dict(reversed(path.pairs))
+    leftmost = dict(reversed(pairs))
     cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
             for brk in phone_syll.breaks]
 
@@ -124,27 +187,10 @@ def project_breaks(phone_syll: Syllabification, path: AlignmentPath,
     return Syllabification(letter_seq.symbols, tuple(kept)), degenerate
 
 
-def project_ssp(phone_syll: Syllabification, phone_seq: SonoritySequence,
-                letter_seq: SonoritySequence,
-                ) -> tuple[Syllabification, bool] | None:
-    """Carry the SSP breaks `phone_syll` of `phone_seq` onto the letters.
-
-    None when the DTW would fill more than `DTW_CELL_BUDGET` cells; DTW
-    runs only when there is a break to carry.
-    """
-    if len(phone_seq.levels) * len(letter_seq.levels) > DTW_CELL_BUDGET:
-        return None
-    if not phone_syll.breaks:
-        return Syllabification(letter_seq.symbols, ()), False
-    path = dtw(phone_seq, letter_seq)
-    return project_breaks(phone_syll, path, phone_seq, letter_seq)
-
-
-def alignment_debug_tsv(path: AlignmentPath, a: SonoritySequence,
-                        b: SonoritySequence) -> str:
+def alignment_debug_tsv(pairs, a: SonoritySequence, b: SonoritySequence) -> str:
     """Path dump as TSV rows (i, j, level_a, level_b) for curve plotting."""
     la, lb = a.levels, b.levels
     lines = ["i\tj\tlevel_a\tlevel_b"]
-    for i, j in path.pairs:
+    for i, j in pairs:
         lines.append(f"{i}\t{j}\t{la[i]}\t{lb[j]}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from . import errors, evaluate, pipeline
-from .align import alignment_debug_tsv, dtw
+from .align import alignment_debug_tsv
 from .errors import ConfigurationError, DictParseError, SyllabError
 from .lexicon import (
     CorpusFormat,
@@ -29,6 +29,7 @@ from .pipeline import (
     RECORD_METHODS,
     Resources,
     WordRecord,
+    align,
     analyze_words,
     annotate_corpus,
     consistency_report,
@@ -265,18 +266,18 @@ def cmd_normalize(args) -> int:
 def cmd_syllabify(args) -> int:
     resources = build_resources(args)
     _warn_if_lookup_disabled(args, resources)
-    if args.words:
-        words = _utf8_args(args.words)
-    else:
-        words = [w for line in _stdin_lines() for w in line.split()]
+    # an argument is split into words as a line of stdin is; one that holds
+    # a line break is no line, and is skipped whole
+    lines = _utf8_args(args.words) if args.words else _stdin_lines()
     usable = []
-    for w in words:
-        if any(sep in w for sep in ("\t", "\n", "\r", TEXT_SYL_SEP)):
-            print(f"warning: skipping {w!r}: reserved separator characters",
-                  file=sys.stderr)
-        elif w:
-            usable.append(w)
-    analyses = {a.word: a for a in analyze_words(usable, resources)}
+    for line in lines:
+        for w in [line] if "\n" in line or "\r" in line else line.split():
+            if any(sep in w for sep in ("\n", "\r", TEXT_SYL_SEP)):
+                print(f"warning: skipping {w!r}: reserved separator characters",
+                      file=sys.stderr)
+            else:
+                usable.append(w)
+    analyses = {a.word: a for a in analyze_words(usable, resources, (args.method,))}
     records = [word_record(analyses[w.lower()], args.method) for w in usable]
     if args.format == "json":
         import json
@@ -292,13 +293,14 @@ def cmd_syllabify(args) -> int:
 
 def _dump_alignments(analyses, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
+    analyses = list(analyses)
+    align(analyses)  # only the words no projection has aligned
     for a in analyses:
-        if a.phone_seq is None or a.letter_seq is None or a.projection is None:
-            continue  # a projection past the DTW cell budget is skipped
-        path = dtw(a.phone_seq, a.letter_seq)
+        if a.alignment is None:
+            continue  # no curve, or past the DTW cell budget
         with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(alignment_debug_tsv(path, a.phone_seq, a.letter_seq))
+            fh.write(alignment_debug_tsv(a.alignment[0], a.phone_seq, a.letter_seq))
 
 
 def read_corpus_file(path) -> list[tuple[str, str]]:

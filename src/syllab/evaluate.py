@@ -56,7 +56,7 @@ def run_ablation(resources: Resources, sample_size: int, seed: int,
     # without building its records
     hits = {m: 0 for m in methods
             if not (m.startswith("lkp") and resources.syllabified is None)}
-    for analysis in analyze_words(words, resources):
+    for analysis in analyze_words(words, resources, tuple(hits)):
         phone_count = analysis.phone_syll.n_syllables
         for method in hits:
             text_syll, _ = text_syllabification(analysis, method)

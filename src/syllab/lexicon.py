@@ -164,9 +164,10 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     result has one entry per input word: None where no command is
     configured or the command gave no phones for the word.  An invocation
     that fails (non-zero exit, timeout, OSError, output that is not UTF-8 or
-    passes `G2P_OUTPUT_LIMIT`, or a wrong line count) is logged once and
-    retried as two halves, down to single words, so only the words that
-    cause the failure come back None.  After `G2P_TIMEOUT_LIMIT` timed-out
+    passes `G2P_OUTPUT_LIMIT`, or a wrong line count) is retried as two
+    halves, down to single words, so only the words that cause the failure
+    come back None; one warning counts the failed invocations by kind and
+    names the first failure.  After `G2P_TIMEOUT_LIMIT` timed-out
     invocations no more are started: the words not yet answered come back
     None, and one warning counts them.  A word that is not exactly one line
     (empty, or holding a line break) would shift the lines of the words
@@ -177,16 +178,22 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
     if config is None or not distinct:
         return [None] * len(words)
-    timeouts = left = 0
+    timeouts = left = invocations = 0
+    failed: dict[str, int] = {}  # kind of failure -> invocations
+    first = None  # (words, reason) of the first failed invocation
 
     def batch(words: list[str]) -> list[Pronunciation | None]:
-        nonlocal timeouts, left
+        nonlocal timeouts, left, invocations, first
         if timeouts == G2P_TIMEOUT_LIMIT:
             left += len(words)
             return [None] * len(words)
-        lines, timed_out = _run_g2p(words, config)
-        timeouts += timed_out
-        if lines is None:
+        lines, failure = _run_g2p(words, config)
+        invocations += 1
+        if failure is not None:
+            kind, reason = failure
+            failed[kind] = failed.get(kind, 0) + 1
+            first = first or (len(words), reason)
+            timeouts += kind == "timed out"
             if len(words) == 1:
                 return [None]
             mid = len(words) // 2
@@ -195,6 +202,10 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
                 for line in lines]
 
     found = dict(zip(distinct, batch(distinct)))
+    if failed:
+        log.warning("g2p: %d of %d invocations failed (%s); the first, for %d "
+                    "word(s): %s", sum(failed.values()), invocations,
+                    ", ".join(f"{n} {kind}" for kind, n in failed.items()), *first)
     if left:
         log.warning("g2p: %d word(s) left unresolved after %d timed-out "
                     "invocations, the limit per run", left, G2P_TIMEOUT_LIMIT)
@@ -202,15 +213,14 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
 
 
 def _run_g2p(words: list[str], config: FallbackConfig,
-             ) -> tuple[list[str] | None, bool]:
-    """One invocation: the output line of each word, or None if it failed,
-    and whether it timed out.
+             ) -> tuple[list[str] | None, tuple[str, str] | None]:
+    """One invocation: the output line of each word, or None and the kind
+    and reason of its failure.
 
     A batch of n > 1 words must print exactly n lines; for a single word the
     first non-empty line is its answer.
     """
     import subprocess
-    timed_out = False
     cap = sum(max(G2P_OUTPUT_LIMIT, 16 * len(w)) for w in words)
     try:
         with subprocess.Popen(config.command, stdin=subprocess.PIPE,
@@ -222,27 +232,26 @@ def _run_g2p(words: list[str], config: FallbackConfig,
             finally:
                 proc.kill()  # nothing to do once it has been waited for
         if stdout is None:
-            reason = f"printed more than {cap} bytes for {len(words)} words"
-        elif proc.returncode != 0:
+            return None, ("over the output cap",
+                          f"printed more than {cap} bytes for {len(words)} words")
+        if proc.returncode != 0:
             stderr = stderr.decode("utf-8", "replace").strip()
-            reason = f"exited {proc.returncode}: {stderr[-200:]}"
-        else:
-            lines = stdout.decode("utf-8").split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            if len(words) == 1:
-                return [next((line for line in lines if line.split()), "")], False
-            if len(lines) == len(words):
-                return lines, False
-            reason = f"printed {len(lines)} lines for {len(words)} words"
+            return None, ("non-zero exit", f"exited {proc.returncode}: {stderr[-200:]}")
+        lines = stdout.decode("utf-8").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if len(words) == 1:
+            return [next((line for line in lines if line.split()), "")], None
+        if len(lines) == len(words):
+            return lines, None
+        return None, ("wrong line count",
+                      f"printed {len(lines)} lines for {len(words)} words")
     except subprocess.TimeoutExpired:
-        reason, timed_out = f"timed out after {config.timeout:g} s", True
+        return None, ("timed out", f"timed out after {config.timeout:g} s")
     except UnicodeError as exc:
-        reason = f"not UTF-8 ({exc})"
+        return None, ("not UTF-8", f"not UTF-8 ({exc})")
     except OSError as exc:
-        reason = str(exc)
-    log.warning("g2p: invocation for %d word(s) failed: %s", len(words), reason)
-    return None, timed_out
+        return None, ("not started", str(exc))
 
 
 def _exchange(proc, data: bytes, cap: int, timeout: float,

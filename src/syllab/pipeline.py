@@ -7,16 +7,17 @@ matches the phone-domain nucleus count, then cross-domain projection (or
 plain letters-SSP for the non-DTW methods).  Anomalies never raise; they
 become record flags.  `analyze_words` turns the distinct words of a run
 into one `WordAnalysis` each, from which `word_record` derives the record
-of any method.
+of any method; it analyzes the words in chunks, so that the words of a
+chunk are aligned with one DTW.
 """
 
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
-from .align import project_ssp
+from .align import dtw, fits_budget, project_breaks
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
 from .lexicon import ParsedOnAccess, Pronunciation, g2p_fallback, lookup
 from .sonority import (
@@ -38,6 +39,11 @@ RECORD_METHODS = ("corpus-lookup", "single-vowel", "ssp-dtw", "ssp-letters",
 RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projection",
                           "projection-skipped", "count-mismatch",
                           "numeral-unsupported"})
+
+# the most distinct words `analyze_words` holds analyzed before it yields
+# them: their DTW runs as one batch, and a larger chunk packs the kernel's
+# lanes better but holds more analyses at once
+ANALYSIS_CHUNK = 192
 
 
 Resources = namedtuple(
@@ -76,8 +82,9 @@ class WordAnalysis:
 
     `phone_seq` is None when the word has no pronunciation whose phones the
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
-    accepted by count consensus, if any.  The letter curve, letters-SSP and
-    the DTW projection are each computed on first use, at most once.
+    accepted by count consensus, if any.  The letter curve, letters-SSP,
+    the DTW alignment and the projection are each computed on first use, at
+    most once; `align` sets the alignment of many analyses at once.
     """
 
     def __init__(self, word: str, pronunciations: list[Pronunciation],
@@ -114,41 +121,85 @@ class WordAnalysis:
         return ssp_breaks(self.letter_seq)
 
     @cached_property
+    def alignment(self) -> tuple | None:
+        """The DTW (pairs, cost) of the phone curve onto the letter curve;
+        None without both curves or past `DTW_CELL_BUDGET` cells.  Unless
+        `align` has set it, a batch of one."""
+        align([self])
+        return vars(self)["alignment"]
+
+    @cached_property
     def projection(self) -> tuple[Syllabification, bool] | None:
         """DTW-projected letter syllabification and its degenerate flag;
-        None when the DTW would exceed its cell budget."""
+        None when the DTW would exceed its cell budget.  DTW runs only when
+        there is a break to carry."""
         if self.letter_seq is None:
             return self.unbroken, False
-        return project_ssp(self.phone_syll, self.phone_seq, self.letter_seq)
+        if not fits_budget(self.phone_seq, self.letter_seq):
+            return None
+        if not self.phone_syll.breaks:
+            return Syllabification(self.letter_seq.symbols, ()), False
+        return project_breaks(self.phone_syll, self.alignment[0], self.phone_seq,
+                              self.letter_seq)
 
 
-def analyze_words(words: Iterable[str], resources: Resources,
+def align(analyses: list[WordAnalysis]) -> None:
+    """Set the alignment of each analysis that has none yet, with one `dtw`
+    call over those with both curves within the cell budget."""
+    todo = [a for a in analyses if "alignment" not in vars(a)]
+    for a in todo:
+        a.alignment = None
+    todo = [a for a in todo if a.phone_seq is not None and a.letter_seq is not None
+            and fits_budget(a.phone_seq, a.letter_seq)]
+    for a, path in zip(todo, dtw([(a.phone_seq, a.letter_seq) for a in todo])):
+        a.alignment = path
+
+
+def analyze_words(words: Iterable[str], resources: Resources, methods=(),
                   ) -> Iterator[WordAnalysis]:
     """One analysis per distinct lower-cased word of `words`, in first-seen order.
 
-    Every distinct word is looked up once; the lexicon misses go to the
-    external G2P, if one is configured, in one batch.  The analyses are
-    made one at a time as the result is consumed.  The words whose phones
-    the phone hierarchy does not classify are counted in one warning, logged
-    when the result is exhausted or dropped.
+    The analyses are made `ANALYSIS_CHUNK` at a time as the result is
+    consumed: first the facts of each word of a chunk, then one DTW over
+    those whose records under one of `methods` read a projection.  Every
+    distinct word is looked up once, by its chunk, or up front when an
+    external G2P is configured: the lexicon misses go to it in one batch.
+    The words whose phones the phone hierarchy does not classify are counted
+    in one warning, logged when the result is exhausted or dropped.
     """
-    found = {word: lookup(resources.lexicon, word)
-             for word in dict.fromkeys(map(str.lower, words))}
+    # word -> its pronunciations, or None until its chunk looks it up
+    found = dict.fromkeys(map(str.lower, words))
     g2p = {}
-    missing = [word for word, prons in found.items() if not prons]
-    if resources.fallback is not None and missing:
-        results = g2p_fallback(missing, resources.fallback)
-        g2p = {word: [pron] for word, pron in zip(missing, results)
-               if pron is not None}
-        unresolved = len(missing) - len(g2p)
-        if unresolved:
-            log.warning("g2p: %d of %d OOV words unresolved",
-                        unresolved, len(missing))
+    if resources.fallback is not None:
+        found = {word: lookup(resources.lexicon, word) for word in found}
+        missing = [word for word, prons in found.items() if not prons]
+        if missing:
+            results = g2p_fallback(missing, resources.fallback)
+            g2p = {word: [pron] for word, pron in zip(missing, results)
+                   if pron is not None}
+            unresolved = len(missing) - len(g2p)
+            if unresolved:
+                log.warning("g2p: %d of %d OOV words unresolved",
+                            unresolved, len(missing))
+    # as text_syllabification reads them: a word of two or more nuclei under
+    # a DTW method, unless every such method is a lookup and the corpus has it
+    projects = any(m.endswith("dtw") for m in methods)
+    lookup_first = all(m.startswith("lkp") for m in methods if m.endswith("dtw"))
     unclassified: list[tuple[str, UnknownSymbolError]] = []
+    items = iter(found.items())
+
+    def analysis(word, prons):
+        if prons is None:
+            prons = lookup(resources.lexicon, word)
+        return analyze_word(word, resources, prons or g2p.get(word, []), oov=not prons,
+                            unclassified=unclassified)
+
     try:
-        for word, prons in found.items():
-            yield analyze_word(word, resources, prons or g2p.get(word, []),
-                               oov=not prons, unclassified=unclassified)
+        while chunk := [analysis(*item) for item in islice(items, ANALYSIS_CHUNK)]:
+            if projects:
+                align([a for a in chunk if a.nuclei > 1 and a.phone_syll.breaks
+                       and not (lookup_first and a.corpus_syll is not None)])
+            yield from chunk
     finally:
         if unclassified:
             log.warning("%d word(s) with phones the hierarchy does not classify, "
@@ -251,7 +302,7 @@ def syllabify_word(word: str, resources: Resources,
                    method: str = "lkp-ssp-dtw",
                    extra_flags=()) -> WordRecord:
     """Produce the unified annotation record for one word token."""
-    return word_record(next(analyze_words([word], resources)), method,
+    return word_record(next(analyze_words([word], resources, (method,))), method,
                        extra_flags)
 
 
@@ -363,7 +414,8 @@ def annotate_corpus(sentences, lang: str, resources: Resources,
         by_word.setdefault(key[0], []).append(key)
     records = {key: word_record(analysis, method, key[1])
                for keys, analysis in zip(by_word.values(),
-                                         analyze_words(by_word, resources))
+                                         analyze_words(by_word, resources,
+                                                       (method,)))
                for key in keys}
     return sentence_keys, records
 

@@ -40,6 +40,11 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def aligned_words(dtw_calls) -> int:
+    """The curve pairs that the recorded calls of `align.dtw` aligned."""
+    return sum(len(args[0]) for args in dtw_calls)
+
+
 def sentence_records(sentences, resources, method="lkp-ssp-dtw") -> list:
     """The records of each sentence's tokens, in order, from `annotate_corpus`."""
     sentence_keys, records = annotate_corpus(sentences, "en", resources, method)

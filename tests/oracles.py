@@ -4,6 +4,8 @@ Everything here is deliberately built with different mechanics from the
 package code: the break oracle reasons per inter-nucleus gap instead of
 scanning with mutable state, and the alignment oracles search the path
 space top-down (exhaustively for small grids, with memoization above).
+`row_dtw` is the definition that the lane-batched DTW kernel replaced: one
+word, a full cost matrix and a backtrack in tie order.
 `sequence_from_levels` builds the curves they are given straight from
 expanded levels, with placeholder symbols.  The loader oracles parse every
 line of a resource file at once, the way the loaders did before they
@@ -142,6 +144,36 @@ def enum_tie_path(a, b):
     walk(len(a) - 1, len(b) - 1, 0, (), [])
     (cost, _), cells = min(best)
     return tuple(reversed(cells)), cost
+
+
+def row_dtw(a, b):
+    """DTW path and cost of one pair of level lists: the whole accumulated
+    cost matrix, then a backtrack that prefers the diagonal, then the
+    a-advance, then the b-advance.  Polynomial, so it checks any length."""
+    inf = float("inf")
+    acc = []
+    for i, x in enumerate(a):
+        row = []
+        for j, y in enumerate(b):
+            prev = min(acc[i - 1][j - 1] if i and j else inf,
+                       acc[i - 1][j] if i else inf,
+                       row[j - 1] if j else inf)
+            row.append((0 if i == j == 0 else prev) + abs(x - y))
+        acc.append(row)
+    i, j = len(a) - 1, len(b) - 1
+    pairs = [(i, j)]
+    while i or j:
+        diag = acc[i - 1][j - 1] if i and j else inf
+        up = acc[i - 1][j] if i else inf
+        left = acc[i][j - 1] if j else inf
+        if diag <= min(up, left):
+            i, j = i - 1, j - 1
+        elif up <= left:
+            i -= 1
+        else:
+            j -= 1
+        pairs.append((i, j))
+    return tuple(reversed(pairs)), acc[-1][-1]
 
 
 def leftmost_links(pairs):

@@ -18,7 +18,7 @@ from syllab.lexicon import CorpusFormat, load_pron_dict, load_syllabified_corpus
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
 from syllab.sonority import VOWEL_LETTERS, sonority_sequence
 from syllab.ssp import ssp_breaks, syllabify_symbols
-from syllab.align import dtw, project_ssp
+from syllab.align import dtw, project_breaks
 
 from conftest import DATA, real_resource
 from oracles import (
@@ -91,8 +91,9 @@ class TestC2PaperExamples:
         assert naive.text() == "sen|ten|ce"
 
         phones = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
-        projected, _ = project_ssp(ssp_breaks(phones), phones,
-                                   sonority_sequence(list("sentence"), letters_en))
+        letters = sonority_sequence(list("sentence"), letters_en)
+        [(pairs, _)] = dtw([(phones, letters)])
+        projected, _ = project_breaks(ssp_breaks(phones), pairs, phones, letters)
         assert projected.text() == "sen|tence"
 
         elapsed = time.perf_counter() - t0
@@ -105,11 +106,11 @@ class TestC3DtwOracleEquivalence:
     def test_thousand_random_pairs(self):
         rng = random.Random(20240901)
         t0 = time.perf_counter()
-        for case in range(1000):
-            a = sequence_from_levels(random_expanded_levels(rng, 12))
-            b = sequence_from_levels(random_expanded_levels(rng, 12))
-            path = dtw(a, b)
-            assert path.cost == recursive_min_cost(a.levels, b.levels), \
+        curves = [(sequence_from_levels(random_expanded_levels(rng, 12)),
+                   sequence_from_levels(random_expanded_levels(rng, 12)))
+                  for _ in range(1000)]
+        for case, ((a, b), (_, cost)) in enumerate(zip(curves, dtw(curves))):
+            assert cost == recursive_min_cost(a.levels, b.levels), \
                 f"case {case}: {a.levels} vs {b.levels}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0

@@ -33,7 +33,7 @@ from syllab.sonority import hierarchy_for, sonority_sequence
 from syllab.ssp import ssp_breaks, syllabify_symbols
 from syllab.textnorm import normalize
 
-from conftest import DATA, count_calls, sentence_records
+from conftest import DATA, aligned_words, count_calls, sentence_records
 
 WORDS = ["sentence", "leaves", "beautiful", "rhythm", "the", "people",
          "oceanic", "qqqzz", "another", "picture"]
@@ -72,8 +72,7 @@ def immutable_values(resources) -> dict:
     """One instance of each immutable value type, by type name."""
     rec = syllabify_word("sentence", resources, "ssp")
     analysis = next(analyze_words(["sentence"], resources))
-    values = (rec.pronunciations[0], rec.phone_syll, analysis.phone_seq,
-              dtw(analysis.phone_seq, analysis.letter_seq), rec, resources,
+    values = (rec.pronunciations[0], rec.phone_syll, analysis.phone_seq, rec, resources,
               FallbackConfig("g2p --batch"), CorpusFormat.preset("lexique"),
               run_ablation(resources, 5, 0), consistency_report([(rec, 1)]))
     return {type(value).__name__: value for value in values}
@@ -81,8 +80,7 @@ def immutable_values(resources) -> dict:
 
 class TestRecords:
     @pytest.mark.parametrize("type_name", [
-        "Pronunciation", "Syllabification", "SonoritySequence", "AlignmentPath",
-        "WordRecord", "Resources", "FallbackConfig", "CorpusFormat",
+        "Pronunciation", "Syllabification", "SonoritySequence", "WordRecord", "Resources", "FallbackConfig", "CorpusFormat",
         "AblationResult", "Report"])
     def test_record_is_frozen(self, mini_resources, type_name):
         value = immutable_values(mini_resources)[type_name]
@@ -93,7 +91,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("type_name, field, bad", [
         ("Pronunciation", "raw", ()), ("Syllabification", "breaks", (99,)),
-        ("AlignmentPath", "pairs", ()), ("FallbackConfig", "command", "foo 'bar")])
+        ("FallbackConfig", "command", "foo 'bar")])
     def test_replace_checks_like_the_constructor(self, mini_resources, type_name,
                                                  field, bad):
         value = immutable_values(mini_resources)[type_name]
@@ -164,7 +162,52 @@ class TestWorkCounts:
         assert len(curves) - letter_curves <= n
         assert letter_curves <= n
         assert len(breaks) <= 2 * n
-        assert 0 < len(alignments) <= n
+        assert 0 < aligned_words(alignments) <= n
+
+    def test_ablation_aligns_each_word_with_breaks_once(self, mini_resources,
+                                                        monkeypatch):
+        alignments = count_calls(monkeypatch, dtw)
+        n = len(mini_resources.lexicon)
+        run_ablation(mini_resources, n, 0)
+        # analyses made apart from any method align nothing
+        multi = [a for a in analyze_words(mini_resources.lexicon, mini_resources)
+                 if a.nuclei > 1 and a.phone_syll.breaks and a.letter_seq is not None]
+        assert aligned_words(alignments) == len(multi) > 0
+        run_ablation(mini_resources, n, 0, ("ssp", "lkp-ssp"))
+        assert aligned_words(alignments) == len(multi)
+
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    def test_annotate_aligns_only_the_words_it_projects(self, mini_resources,
+                                                        monkeypatch, method):
+        alignments = count_calls(monkeypatch, dtw)
+        words = sorted(mini_resources.lexicon)
+        _, records = annotate_corpus([" ".join(words)] * 2, "en", mini_resources,
+                                     method)
+        projected = {rec.word for rec in records.values()
+                     if rec.method == "ssp-dtw" and rec.phone_syll.breaks}
+        assert aligned_words(alignments) == len(projected)
+        assert bool(projected) == method.endswith("dtw")
+        # under lkp-ssp-dtw, the words the corpus syllabifies are not aligned
+        assert any(rec.method == "corpus-lookup" for rec in records.values()) \
+            == method.startswith("lkp")
+
+    def test_dump_alignment_adds_no_alignment_work(self, tmp_path, monkeypatch, capsys):
+        alignments = count_calls(monkeypatch, dtw)
+        words = ["sentence", "beautiful", "oceanic", "Sentence"]
+        options = ["--dict", str(DATA / "mini_cmu.dict"), "--method", "ssp-dtw"]
+        assert main(["syllabify", *words, *options]) == 0
+        assert aligned_words(alignments) == 3
+        alignments.clear()
+        dump = tmp_path / "aligns"
+        assert main(["syllabify", *words, *options, "--dump-alignment", str(dump)]) == 0
+        assert aligned_words(alignments) == 3
+        assert sorted(p.name for p in dump.iterdir()) == [
+            "beautiful.tsv", "oceanic.tsv", "sentence.tsv"]
+        # a word without a break to project is aligned for the dump alone, once
+        alignments.clear()
+        assert main(["syllabify", *words, "leaves", *options,
+                     "--dump-alignment", str(dump)]) == 0
+        assert aligned_words(alignments) == 4
 
     def test_annotate_syllabifies_each_distinct_token_once(self, mini_resources,
                                                            monkeypatch):
@@ -249,4 +292,4 @@ def test_histogram_runs_no_dtw_and_keeps_its_output(fmt, method, monkeypatch, ca
         main(command + ["--method", method])
     assert exc.value.code == 2
     assert "unrecognized arguments: --method" in capsys.readouterr().err
-    assert alignments == []
+    assert aligned_words(alignments) == 0

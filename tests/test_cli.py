@@ -173,6 +173,16 @@ class TestSyllabifyCommand:
         assert out.startswith("leaves\t") and out.count("\n") == 1 and "\r" not in out
         assert err.count("reserved separator") == 3
 
+    def test_argument_split_into_words_as_a_stdin_line(self, capsys, monkeypatch):
+        code, from_argv, _ = run(capsys, "syllabify", "a b", "leaves\tsentence",
+                                 "--dict", DICT)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"a b\nleaves\tsentence\n")))
+        _, from_stdin, _ = run(capsys, "syllabify", "--dict", DICT)
+        assert code == 0 and from_argv == from_stdin
+        assert [row.split("\t")[0] for row in from_argv.splitlines()] == [
+            "a", "b", "leaves", "sentence"]
+
     def test_words_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"leaves\nsentence oceanic\n")))
         code, out, _ = run(capsys, "syllabify", "--dict", DICT)

@@ -171,11 +171,23 @@ class TestHostileG2p:
         with caplog.at_level("WARNING"):
             result = g2p_fallback(OOV[:2], fake("stdout-flood", count=count))
         assert result == [None, None]
-        # the batch and its two halves each end at the cap, none at the timeout
+        # the batch and its two halves each end at the cap, none at the timeout,
+        # and one line counts them
         assert invocations(count) == 3
-        assert f"printed more than {2 * G2P_OUTPUT_LIMIT} bytes for 2 words" in caplog.text
-        assert f"printed more than {G2P_OUTPUT_LIMIT} bytes for 1 words" in caplog.text
-        assert "timed out" not in caplog.text
+        assert [r.getMessage() for r in caplog.records] == [
+            "g2p: 3 of 3 invocations failed (3 over the output cap); the first, for "
+            f"2 word(s): printed more than {2 * G2P_OUTPUT_LIMIT} bytes for 2 words"]
+
+    def test_failures_counted_by_kind_in_one_line(self, caplog):
+        # one poisoned word among four: the batch, the half holding it and the
+        # word itself fail
+        cfg = fake("poison", "dax")
+        with caplog.at_level("WARNING"):
+            result = g2p_fallback(["wug", "blick", "dax", "zorb"], cfg)
+        assert [pron is None for pron in result] == [False, False, True, False]
+        [line] = [r.getMessage() for r in caplog.records]
+        assert line.startswith("g2p: 3 of 5 invocations failed (3 non-zero exit); "
+                               "the first, for 4 word(s): exited 1")
 
     def test_non_utf8_output(self, caplog):
         with caplog.at_level("WARNING"):

@@ -3,6 +3,7 @@ the modules that `--lang` reaches know the same languages."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import syllab
@@ -92,3 +93,20 @@ def test_only_errors_module_opens_files_for_reading():
         if lines:
             readers[path.name] = lines
     assert list(readers) == ["errors.py"], readers
+
+
+def test_src_imports_only_the_standard_library():
+    # numpy may be installed, but the package runs on the standard library alone
+    outside = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            if roots - sys.stdlib_module_names:
+                outside[path.name] = sorted(roots - sys.stdlib_module_names)
+    assert outside == {}
