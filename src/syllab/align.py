@@ -10,7 +10,10 @@ cuts them into chunks of at most `DTW_CHUNK_CELLS` padded cells.  One pass
 of the kernel aligns a chunk, with cell (i, j) of every word of the chunk
 in the lanes of one Python int, so one big-int operation serves a cell of
 hundreds of words.  The memory of a pass is bounded by its chunk, whatever
-the number of words aligned.
+the number of words aligned.  The more words a call gets, the fuller and
+less padded its passes: the pipeline aligns up to `ANALYSIS_CHUNK` (1024)
+words a call, which on the benchmark's inputs gives passes of 120-160 words
+padded to about 1.55 times their cells.
 """
 
 from itertools import accumulate
@@ -173,18 +176,16 @@ def project_breaks(phone_syll: Syllabification, pairs, phone_seq: SonoritySequen
     cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
             for brk in phone_syll.breaks]
 
-    # never strand a tail without a vowel letter (mirrors ssp_breaks)
-    last_vowel = max((s for s, level in zip(letter_seq.sources, letter_seq.levels)
-                      if level == VOWEL_LEVEL), default=-1)
-    degenerate = len(set(cuts)) < len(cuts)
-    kept: list[int] = []
-    for cut in sorted(set(cuts)):
-        if 0 < cut <= last_vowel:
-            kept.append(cut)
-        else:
-            degenerate = True
-
-    return Syllabification(letter_seq.symbols, tuple(kept)), degenerate
+    # never strand a tail without a vowel letter (mirrors ssp_breaks); the
+    # sources never fall along the curve, so the last vowel point is the
+    # last vowel letter's
+    levels = letter_seq.levels
+    last_vowel = -1
+    if VOWEL_LEVEL in levels:
+        last_vowel = letter_seq.sources[len(levels) - 1 - levels[::-1].index(VOWEL_LEVEL)]
+    kept = [cut for cut in sorted(set(cuts)) if 0 < cut <= last_vowel]
+    # a cut is lost when two breaks share it or it is dropped at an edge
+    return Syllabification(letter_seq.symbols, tuple(kept)), len(kept) < len(cuts)
 
 
 def alignment_debug_tsv(pairs, a: SonoritySequence, b: SonoritySequence) -> str:

@@ -11,8 +11,10 @@ from .sonority import VOWEL_LETTERS
 
 log = LazyLogger(__name__)
 
-# timed-out G2P invocations a run waits for; the words not yet answered then
-# stay unresolved, so a hanging command costs at most this many timeouts
+# the G2P time of a run, in timeouts: once this many timeouts' worth of wall
+# time has passed, no more invocations start and the words not yet answered
+# stay unresolved, so a command that hangs or fails slowly costs at most
+# this many timeouts
 G2P_TIMEOUT_LIMIT = 4
 # bytes of stdout an invocation may print per word of its batch (16 per
 # character for a longer word); past them the command is killed and the
@@ -167,9 +169,11 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     passes `G2P_OUTPUT_LIMIT`, or a wrong line count) is retried as two
     halves, down to single words, so only the words that cause the failure
     come back None; one warning counts the failed invocations by kind and
-    names the first failure.  After `G2P_TIMEOUT_LIMIT` timed-out
-    invocations no more are started: the words not yet answered come back
-    None, and one warning counts them.  A word that is not exactly one line
+    names the first failure.  The invocations of a call share a budget of
+    `G2P_TIMEOUT_LIMIT` timeouts of wall time, and each may take the
+    timeout or what is left of the budget, whichever is less; once it is
+    spent no more are started: the words not yet answered come back None,
+    and one warning counts them.  A word that is not exactly one line
     (empty, or holding a line break) would shift the lines of the words
     after it; it is not sent and comes back None.
     """
@@ -178,16 +182,21 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
     if config is None or not distinct:
         return [None] * len(words)
+    import time
+    budget = G2P_TIMEOUT_LIMIT * config.timeout
+    deadline = time.monotonic() + budget
     timeouts = left = invocations = 0
     failed: dict[str, int] = {}  # kind of failure -> invocations
     first = None  # (words, reason) of the first failed invocation
 
     def batch(words: list[str]) -> list[Pronunciation | None]:
         nonlocal timeouts, left, invocations, first
-        if timeouts == G2P_TIMEOUT_LIMIT:
+        budget_left = deadline - time.monotonic()
+        if budget_left <= 0:
             left += len(words)
             return [None] * len(words)
-        lines, failure = _run_g2p(words, config)
+        lines, failure = _run_g2p(words, config.command,
+                                  min(config.timeout, budget_left))
         invocations += 1
         if failure is not None:
             kind, reason = failure
@@ -207,15 +216,18 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
                     "word(s): %s", sum(failed.values()), invocations,
                     ", ".join(f"{n} {kind}" for kind, n in failed.items()), *first)
     if left:
-        log.warning("g2p: %d word(s) left unresolved after %d timed-out "
-                    "invocations, the limit per run", left, G2P_TIMEOUT_LIMIT)
+        # G2P_TIMEOUT_LIMIT timeouts spend the whole budget
+        log.warning("g2p: %d word(s) left unresolved after %s", left,
+                    f"{timeouts} timed-out invocations, the limit per run"
+                    if timeouts == G2P_TIMEOUT_LIMIT else
+                    f"{budget:g} s of invocations, the G2P time per run")
     return [found.get(w) for w in words]
 
 
-def _run_g2p(words: list[str], config: FallbackConfig,
+def _run_g2p(words: list[str], command: tuple[str, ...], timeout: float,
              ) -> tuple[list[str] | None, tuple[str, str] | None]:
-    """One invocation: the output line of each word, or None and the kind
-    and reason of its failure.
+    """One invocation of `command`, killed after `timeout` seconds: the
+    output line of each word, or None and the kind and reason of its failure.
 
     A batch of n > 1 words must print exactly n lines; for a single word the
     first non-empty line is its answer.
@@ -223,12 +235,12 @@ def _run_g2p(words: list[str], config: FallbackConfig,
     import subprocess
     cap = sum(max(G2P_OUTPUT_LIMIT, 16 * len(w)) for w in words)
     try:
-        with subprocess.Popen(config.command, stdin=subprocess.PIPE,
+        with subprocess.Popen(command, stdin=subprocess.PIPE,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             try:
                 stdout, stderr = _exchange(
                     proc, "".join(w + "\n" for w in words).encode("utf-8"), cap,
-                    config.timeout)
+                    timeout)
             finally:
                 proc.kill()  # nothing to do once it has been waited for
         if stdout is None:
@@ -247,7 +259,7 @@ def _run_g2p(words: list[str], config: FallbackConfig,
         return None, ("wrong line count",
                       f"printed {len(lines)} lines for {len(words)} words")
     except subprocess.TimeoutExpired:
-        return None, ("timed out", f"timed out after {config.timeout:g} s")
+        return None, ("timed out", f"timed out after {timeout:.3g} s")
     except UnicodeError as exc:
         return None, ("not UTF-8", f"not UTF-8 ({exc})")
     except OSError as exc:

@@ -7,15 +7,16 @@ matches the phone-domain nucleus count, then cross-domain projection (or
 plain letters-SSP for the non-DTW methods).  Anomalies never raise; they
 become record flags.  `analyze_words` turns the distinct words of a run
 into one `WordAnalysis` each, from which `word_record` derives the record
-of any method; it analyzes the words in chunks, so that the words of a
-chunk are aligned with one DTW.
+of any method; it analyzes the words in chunks of `ANALYSIS_CHUNK`, so
+that the words of a chunk are aligned with one DTW.  An analysis keeps its
+facts in slots and fills the costlier ones (letter curve, letters-SSP,
+projection) on first read, so a chunk holds no more than its words need.
 """
 
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice, product
 
 from .align import dtw, fits_budget, project_breaks
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
@@ -42,8 +43,11 @@ RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projecti
 
 # the most distinct words `analyze_words` holds analyzed before it yields
 # them: their DTW runs as one batch, and a larger chunk packs the kernel's
-# lanes better but holds more analyses at once
-ANALYSIS_CHUNK = 192
+# lanes better but holds more analyses at once.  An analysis with its curves,
+# breaks and DTW path holds about 2.3 KB, so a chunk about 2.4 MB.  On the
+# benchmark's inputs 1024 was faster than 512, and than 2048 on annotate
+# (on ablate 2048 tied, holding twice the memory)
+ANALYSIS_CHUNK = 1024
 
 
 Resources = namedtuple(
@@ -82,10 +86,17 @@ class WordAnalysis:
 
     `phone_seq` is None when the word has no pronunciation whose phones the
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
-    accepted by count consensus, if any.  The letter curve, letters-SSP,
-    the DTW alignment and the projection are each computed on first use, at
-    most once; `align` sets the alignment of many analyses at once.
+    accepted by count consensus, if any; `alignment`, the DTW (pairs, cost)
+    of the phone curve onto the letter curve, is None until `align` sets
+    it.  The letter curve, the letters as one syllable (`unbroken`),
+    letters-SSP and the DTW projection are slots filled on first read, at
+    most once.  Analyses with equal flags share one frozenset.
     """
+
+    _LAZY = ("letter_seq", "unbroken", "letters_ssp", "projection")
+    __slots__ = ("word", "pronunciations", "phone_seq", "phone_syll", "nuclei",
+                 "corpus_syll", "stress_index", "flags", "letter_hierarchy",
+                 "alignment") + _LAZY
 
     def __init__(self, word: str, pronunciations: list[Pronunciation],
                  phone_seq: SonoritySequence | None, phone_syll: Syllabification,
@@ -101,56 +112,51 @@ class WordAnalysis:
         self.stress_index = stress_index
         self.flags = flags
         self.letter_hierarchy = letter_hierarchy
+        self.alignment = None
 
-    @cached_property
-    def letter_seq(self) -> SonoritySequence | None:
+    def __getattr__(self, name: str):
+        # only the read of an unset slot gets here: fill a lazy one
+        if name not in WordAnalysis._LAZY:
+            raise AttributeError(f"'WordAnalysis' object has no attribute {name!r}")
+        value = getattr(self, "_" + name)()
+        setattr(self, name, value)
+        return value
+
+    def _letter_seq(self) -> SonoritySequence | None:
         try:
             return sonority_sequence(tuple(self.word), self.letter_hierarchy)
         except UnknownSymbolError:  # the letters stay unbroken
             return None
 
-    @cached_property
-    def unbroken(self) -> Syllabification:
-        """The letters as one syllable."""
+    def _unbroken(self) -> Syllabification:
         return Syllabification(tuple(self.word), ())
 
-    @cached_property
-    def letters_ssp(self) -> Syllabification:
+    def _letters_ssp(self) -> Syllabification:
         if self.letter_seq is None:
             return self.unbroken
         return ssp_breaks(self.letter_seq)
 
-    @cached_property
-    def alignment(self) -> tuple | None:
-        """The DTW (pairs, cost) of the phone curve onto the letter curve;
-        None without both curves or past `DTW_CELL_BUDGET` cells.  Unless
-        `align` has set it, a batch of one."""
-        align([self])
-        return vars(self)["alignment"]
-
-    @cached_property
-    def projection(self) -> tuple[Syllabification, bool] | None:
+    def _projection(self) -> tuple[Syllabification, bool] | None:
         """DTW-projected letter syllabification and its degenerate flag;
         None when the DTW would exceed its cell budget.  DTW runs only when
-        there is a break to carry."""
+        there is a break to carry; unless `align` has run, a batch of one."""
         if self.letter_seq is None:
             return self.unbroken, False
         if not fits_budget(self.phone_seq, self.letter_seq):
             return None
         if not self.phone_syll.breaks:
             return Syllabification(self.letter_seq.symbols, ()), False
+        if self.alignment is None:
+            align([self])
         return project_breaks(self.phone_syll, self.alignment[0], self.phone_seq,
                               self.letter_seq)
 
 
 def align(analyses: list[WordAnalysis]) -> None:
-    """Set the alignment of each analysis that has none yet, with one `dtw`
-    call over those with both curves within the cell budget."""
-    todo = [a for a in analyses if "alignment" not in vars(a)]
-    for a in todo:
-        a.alignment = None
-    todo = [a for a in todo if a.phone_seq is not None and a.letter_seq is not None
-            and fits_budget(a.phone_seq, a.letter_seq)]
+    """Set the alignment of each analysis that has none yet and has both
+    curves within the cell budget, with one `dtw` call over them all."""
+    todo = [a for a in analyses if a.alignment is None and a.phone_seq is not None
+            and a.letter_seq is not None and fits_budget(a.phone_seq, a.letter_seq)]
     for a, path in zip(todo, dtw([(a.phone_seq, a.letter_seq) for a in todo])):
         a.alignment = path
 
@@ -207,6 +213,12 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
                         len(unclassified), *unclassified[0])
 
 
+# an analysis's flags by (oov, no-stress, no-nucleus): one frozenset for
+# each combination, which every analysis with those flags shares
+_FLAG_SETS = {key: frozenset(compress(("oov", "no-stress", "no-nucleus"), key))
+              for key in product((False, True), repeat=3)}
+
+
 def analyze_word(word: str, resources: Resources,
                  prons: list[Pronunciation], oov: bool,
                  unclassified: list | None = None) -> WordAnalysis:
@@ -216,8 +228,6 @@ def analyze_word(word: str, resources: Resources,
     word whose phones the phone hierarchy does not classify is handled as
     OOV, and the word and the error are appended to `unclassified`, if given.
     """
-    flags = {"oov"} if oov else set()
-
     phone_seq = None
     if prons:
         try:
@@ -226,17 +236,15 @@ def analyze_word(word: str, resources: Resources,
             # hierarchy does not cover this entry's phones; same handling as OOV
             if unclassified is not None:
                 unclassified.append((word, exc))
-            flags.add("oov")
+            oov = True
 
     if phone_seq is None:
-        flags.add("no-stress")
         return WordAnalysis(word, prons, None, Syllabification((), ()), 0, None,
-                            None, frozenset(flags), resources.letter_hierarchy)
+                            None, _FLAG_SETS[oov, True, False],
+                            resources.letter_hierarchy)
 
     phone_syll = ssp_breaks(phone_seq)
     nuclei = phone_seq.levels.count(VOWEL_LEVEL)
-    if nuclei == 0:
-        flags.add("no-nucleus")
 
     corpus_syll = None
     if nuclei > 1 and resources.syllabified is not None:
@@ -251,11 +259,10 @@ def analyze_word(word: str, resources: Resources,
         sec = resources.secondary_stress.get(word)
         if sec is not None:
             stress = merge_stress(phone_syll, sec[0], sec[1])
-    if stress is None:
-        flags.add("no-stress")
 
     return WordAnalysis(word, prons, phone_seq, phone_syll, nuclei, corpus_syll,
-                        stress, frozenset(flags), resources.letter_hierarchy)
+                        stress, _FLAG_SETS[oov, stress is None, nuclei == 0],
+                        resources.letter_hierarchy)
 
 
 def text_syllabification(analysis: WordAnalysis, method: str,

@@ -10,8 +10,10 @@ word, a full cost matrix and a backtrack in tie order.
 expanded levels, with placeholder symbols.  The loader oracles parse every
 line of a resource file at once, the way the loaders did before they
 deferred parsing to lookup.  The text oracles are the definitions that
-faster code replaced: `normalize` with every unit on the full path, and the
-syllable joins through a list of bounds and one generator per syllable.
+faster code replaced: `normalize` with every unit on the full path, the
+syllable joins through a list of bounds and one generator per syllable, and
+`zip_project_breaks`, the projection with the last vowel letter from a
+generator over the whole letter curve and the degenerate flag from a set.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from functools import lru_cache
 from syllab.errors import DictParseError, UnknownSymbolError, UnsupportedNumeralError
 from syllab.lexicon import Pronunciation, sc_correction
 from syllab.sonority import VOWEL_LETTERS, VOWEL_LEVEL, SonoritySequence
-from syllab.ssp import PHONE_SYL_SEP, TEXT_SYL_SEP, syllabify_symbols
+from syllab.ssp import PHONE_SYL_SEP, TEXT_SYL_SEP, Syllabification, syllabify_symbols
 from syllab.textnorm import _NUMERAL, _ORDINAL, _edge_span, _numeral_value, num_to_words
 
 
@@ -395,3 +397,20 @@ def per_syllable_text(syll):
 
 def per_syllable_phone_text(syll):
     return PHONE_SYL_SEP.join(" ".join(s) for s in bounds_syllables(syll))
+
+
+def zip_project_breaks(phone_syll, pairs, phone_seq, letter_seq):
+    """`align.project_breaks` as it was before its reverse-index rewrite."""
+    leftmost = dict(reversed(pairs))
+    cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
+            for brk in phone_syll.breaks]
+    last_vowel = max((s for s, level in zip(letter_seq.sources, letter_seq.levels)
+                      if level == VOWEL_LEVEL), default=-1)
+    degenerate = len(set(cuts)) < len(cuts)
+    kept = []
+    for cut in sorted(set(cuts)):
+        if 0 < cut <= last_vowel:
+            kept.append(cut)
+        else:
+            degenerate = True
+    return Syllabification(letter_seq.symbols, tuple(kept)), degenerate

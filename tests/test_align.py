@@ -23,6 +23,7 @@ from oracles import (
     recursive_min_cost,
     row_dtw,
     sequence_from_levels,
+    zip_project_breaks,
 )
 
 from conftest import count_calls
@@ -269,6 +270,68 @@ class TestProjectionOracle:
         for (la, lb), (phone, letters), (pairs, _) in zip(cases, curves, dtw(curves)):
             got = project_breaks(ssp_breaks(phone), pairs, phone, letters)
             assert got == oracle_projection(phone, letters), (la, lb)
+
+
+def curve_levels(vowels=True):
+    """Expanded levels of a random curve: vowels as 5, 4 pairs, consonants 1-4."""
+    unit = st.integers(1, 4).map(lambda v: (v,))
+    if vowels:
+        unit = st.one_of(st.just((VOWEL_LEVEL, VOWEL_LEVEL - 1)), unit)
+    return st.lists(unit, min_size=1, max_size=7).map(
+        lambda units: [v for u in units for v in u])
+
+
+def monotone_path(data, m, n):
+    """A random warping path from (0, 0) to (m - 1, n - 1)."""
+    i = j = 0
+    pairs = [(0, 0)]
+    while (i, j) != (m - 1, n - 1):
+        steps = [(di, dj) for di, dj in ((1, 1), (1, 0), (0, 1))
+                 if i + di < m and j + dj < n]
+        di, dj = data.draw(st.sampled_from(steps))
+        i, j = i + di, j + dj
+        pairs.append((i, j))
+    return tuple(pairs)
+
+
+class TestProjectionReference:
+    """`project_breaks` equals `zip_project_breaks`, the projection it
+    replaced, on any monotone path, not only the DTW's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(curve_levels(), st.booleans().flatmap(curve_levels), st.data())
+    def test_random_curves_breaks_and_paths(self, phone_levels, letter_levels, data):
+        phone = sequence_from_levels(phone_levels)
+        letters = sequence_from_levels(letter_levels)
+        n = len(phone.symbols)
+        breaks = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
+        phone_syll = Syllabification(phone.symbols, tuple(sorted(breaks)))
+        pairs = monotone_path(data, len(phone.levels), len(letters.levels))
+        assert project_breaks(phone_syll, pairs, phone, letters) == \
+            zip_project_breaks(phone_syll, pairs, phone, letters)
+
+    # (phone levels, breaks, letter levels, path, kept breaks); each drops a cut
+    CASES = {
+        "duplicate cuts": ([5, 4, 1, 5, 4, 1, 5, 4], (1, 3), [5, 4, 1, 5, 4],
+                           ((0, 0), (1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 3),
+                            (7, 4)), (1,)),
+        "cut at 0": ([5, 4, 1, 5, 4], (1,), [1, 5, 4],
+                     ((0, 0), (1, 0), (2, 0), (3, 1), (4, 2)), ()),
+        "cut past the last vowel letter": ([5, 4, 1, 5, 4], (1,), [5, 4, 1, 1],
+                                           ((0, 0), (1, 1), (2, 2), (3, 3), (4, 3)), ()),
+        "no vowel letter": ([5, 4, 1, 5, 4], (1,), [1, 3, 1],
+                            ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2)), ()),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dropped_cut(self, case):
+        phone_levels, breaks, letter_levels, pairs, kept = self.CASES[case]
+        phone = sequence_from_levels(phone_levels)
+        letters = sequence_from_levels(letter_levels)
+        phone_syll = Syllabification(phone.symbols, breaks)
+        got = project_breaks(phone_syll, pairs, phone, letters)
+        assert got == zip_project_breaks(phone_syll, pairs, phone, letters)
+        assert got == (Syllabification(letters.symbols, kept), True)
 
 
 def ssp_dtw(word, phones, phone_h, letter_h):

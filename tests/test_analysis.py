@@ -1,5 +1,6 @@
 """One analysis per word: records equal the per-call path, and the work done is bounded."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from syllab.lexicon import (
     sc_correction,
 )
 from syllab.pipeline import (
+    ANALYSIS_CHUNK,
     METHOD_CHOICES,
     Resources,
     analyze_word,
@@ -208,6 +210,35 @@ class TestWorkCounts:
         assert main(["syllabify", *words, "leaves", *options,
                      "--dump-alignment", str(dump)]) == 0
         assert aligned_words(alignments) == 4
+
+    def test_words_aligned_in_chunks_of_analysis_chunk(self, arpabet, letters_en,
+                                                        monkeypatch):
+        alignments = count_calls(monkeypatch, dtw)
+        # distinct words of three open syllables, each with two breaks to project
+        phones = {"b": "B", "d": "D", "k": "K", "m": "M", "s": "S", "t": "T",
+                  "a": "AA1", "i": "IY0", "o": "OW0"}
+        syllables = [c + v for c in "bdkmst" for v in "aio"]
+        n = 2 * ANALYSIS_CHUNK + 5
+        words = ["".join(parts) for parts in
+                 itertools.islice(itertools.product(syllables, repeat=3), n)]
+        lexicon = {w: [Pronunciation(tuple(phones[ch] for ch in w))] for w in words}
+        analyses = list(analyze_words(words, Resources(lexicon, arpabet, letters_en),
+                                      ("ssp-dtw",)))
+        assert all(a.nuclei == 3 and len(a.phone_syll.breaks) == 2 for a in analyses)
+        sizes = [len(args[0]) for args in alignments]
+        assert len(sizes) == -(-n // ANALYSIS_CHUNK) == 3
+        assert max(sizes) <= ANALYSIS_CHUNK and sum(sizes) == n
+
+    def test_analyses_hold_no_dict_and_share_flag_sets(self, mini_resources):
+        sentence, beautiful, qqqzz, zzxq = analyze_words(
+            ["sentence", "beautiful", "qqqzz", "zzxq"], mini_resources)
+        assert not hasattr(sentence, "__dict__")
+        assert sentence.flags is beautiful.flags and not sentence.flags
+        assert qqqzz.flags is zzxq.flags == {"oov", "no-stress"}
+        # a lazy slot is filled on its first read, and only a lazy slot is
+        assert sentence.letters_ssp is sentence.letters_ssp
+        with pytest.raises(AttributeError, match="no attribute 'stress'"):
+            sentence.stress
 
     def test_annotate_syllabifies_each_distinct_token_once(self, mini_resources,
                                                            monkeypatch):

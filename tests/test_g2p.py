@@ -3,6 +3,7 @@
 import functools
 import shlex
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,12 @@ from syllab.lexicon import (
     G2P_OUTPUT_LIMIT,
     G2P_TIMEOUT_LIMIT,
     FallbackConfig,
+    Pronunciation,
     g2p_fallback,
     load_pron_dict,
     lookup,
 )
-from syllab.pipeline import Resources, annotate_corpus, syllabify_word
+from syllab.pipeline import Resources, analyze_words, annotate_corpus, syllabify_word
 from syllab.textnorm import normalize
 
 from conftest import DATA, count_calls, sentence_records
@@ -107,6 +109,20 @@ class TestHostileG2p:
         assert [r.getMessage() for r in caplog.records if "limit" in r.getMessage()] == [
             f"g2p: 16 word(s) left unresolved after {G2P_TIMEOUT_LIMIT} timed-out "
             "invocations, the limit per run"]
+
+    def test_slow_failures_bounded_in_wall_time(self, caplog):
+        # 16 words split down to single words cost 2 * 16 - 1 = 31 slow
+        # failures, over 9 s; the run's budget is 4 timeouts
+        script = "import sys, time; sys.stdin.read(); time.sleep(0.3); sys.exit(1)"
+        cfg = FallbackConfig((sys.executable, "-I", "-S", "-c", script), timeout=0.5)
+        words = [f"{w}{i}" for i in range(2) for w in OOV]
+        start = time.monotonic()
+        with caplog.at_level("WARNING"):
+            assert g2p_fallback(words, cfg) == [None] * 16
+        assert time.monotonic() - start < G2P_TIMEOUT_LIMIT * 0.5 + 1.0
+        [summary] = [r.getMessage() for r in caplog.records if "left" in r.getMessage()]
+        assert summary.startswith("g2p: ") and summary.endswith(
+            " word(s) left unresolved after 2 s of invocations, the G2P time per run")
 
     def test_nonzero_exit(self, caplog):
         with caplog.at_level("WARNING"):
@@ -233,6 +249,19 @@ class TestHostileG2p:
         with caplog.at_level("WARNING"):
             annotate_corpus(["the glark leaves a wug", "wug wug"], "en", res)
         assert "g2p: 1 of 2 OOV words unresolved" in caplog.text
+
+
+def test_word_mapped_to_no_pronunciation_is_oov(arpabet, letters_en, monkeypatch, good):
+    # a caller's own mapping may map a word to []; a loaded dictionary never does
+    batches = count_calls(monkeypatch, g2p_fallback)
+    lexicon = {"cat": [Pronunciation(("K", "AE1", "T"))], "wug": []}
+    cat, wug = analyze_words(["cat", "wug"], Resources(lexicon, arpabet, letters_en,
+                                                       fallback=fake("ok")))
+    assert [args[0] for args in batches] == [["wug"]]
+    assert "oov" not in cat.flags and "oov" in wug.flags
+    assert strs(wug.pronunciations) == [good["wug"]]
+    [wug] = analyze_words(["wug"], Resources(lexicon, arpabet, letters_en))
+    assert "oov" in wug.flags and wug.pronunciations == []
 
 
 @settings(max_examples=10, deadline=None)
