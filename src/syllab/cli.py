@@ -266,17 +266,13 @@ def cmd_normalize(args) -> int:
 def cmd_syllabify(args) -> int:
     resources = build_resources(args)
     _warn_if_lookup_disabled(args, resources)
-    # an argument is split into words as a line of stdin is; one that holds
-    # a line break is no line, and is skipped whole
+    # an argument is split into words at whitespace, as a line of stdin is
     lines = _utf8_args(args.words) if args.words else _stdin_lines()
-    usable = []
-    for line in lines:
-        for w in [line] if "\n" in line or "\r" in line else line.split():
-            if any(sep in w for sep in ("\n", "\r", TEXT_SYL_SEP)):
-                print(f"warning: skipping {w!r}: reserved separator characters",
-                      file=sys.stderr)
-            else:
-                usable.append(w)
+    words = [w for line in lines for w in line.split()]
+    usable = [w for w in words if TEXT_SYL_SEP not in w]
+    if len(usable) < len(words):
+        print(f"warning: skipped {len(words) - len(usable)} words holding the "
+              f"reserved {TEXT_SYL_SEP!r}", file=sys.stderr)
     analyses = {a.word: a for a in analyze_words(usable, resources, (args.method,))}
     records = [word_record(analyses[w.lower()], args.method) for w in usable]
     if args.format == "json":
@@ -300,7 +296,7 @@ def _dump_alignments(analyses, directory: str) -> None:
             continue  # no curve, or past the DTW cell budget
         with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(alignment_debug_tsv(a.alignment[0], a.phone_seq, a.letter_seq))
+            fh.write(alignment_debug_tsv(a.alignment, a.phone_seq, a.letter_seq))
 
 
 def read_corpus_file(path) -> list[tuple[str, str]]:
@@ -340,11 +336,10 @@ def cmd_annotate(args) -> int:
     # the report and the accuracy read each distinct key once, with its token count
     tokens = Counter(itertools.chain.from_iterable(sentence_keys))
     counted = [(table[key], n) for key, n in tokens.items()]
-    report = consistency_report(counted)
     report_path = args.report
     if report_path is None and args.out and args.out != "-":
         report_path = args.out + ".report.tsv"
-    _write_output((report.to_tsv(),), report_path)
+    _write_output((consistency_report(counted),), report_path)
 
     if dropped:
         print(f"warning: dropped {dropped} prompt units holding the reserved "
@@ -418,7 +413,7 @@ def read_annotation_file(path) -> list[WordRecord]:
 
 def cmd_report(args) -> int:
     records = read_annotation_file(args.annotations)
-    _write_output((consistency_report((rec, 1) for rec in records).to_tsv(),), args.out)
+    _write_output((consistency_report((rec, 1) for rec in records),), args.out)
     return 0
 
 

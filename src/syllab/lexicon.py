@@ -172,25 +172,26 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
     names the first failure.  The invocations of a call share a budget of
     `G2P_TIMEOUT_LIMIT` timeouts of wall time, and each may take the
     timeout or what is left of the budget, whichever is less; once it is
-    spent no more are started: the words not yet answered come back None,
-    and one warning counts them.  A word that is not exactly one line
-    (empty, or holding a line break) would shift the lines of the words
-    after it; it is not sent and comes back None.
+    spent no more are started, and the words not yet answered come back
+    None.  A word that is not exactly one line (empty, or holding a line
+    break) would shift the lines of the words after it; it is not sent and
+    comes back None.  When K of the M distinct words come back None (K > 0),
+    one warning counts them, and the words left unsent by a spent budget.
     """
     if isinstance(words, str):
         raise TypeError("g2p_fallback takes a sequence of words, not a str")
-    distinct = [w for w in dict.fromkeys(words) if w.splitlines() == [w]]
-    if config is None or not distinct:
+    distinct = list(dict.fromkeys(words))
+    if config is None:
         return [None] * len(words)
     import time
     budget = G2P_TIMEOUT_LIMIT * config.timeout
     deadline = time.monotonic() + budget
-    timeouts = left = invocations = 0
+    left = invocations = 0
     failed: dict[str, int] = {}  # kind of failure -> invocations
     first = None  # (words, reason) of the first failed invocation
 
     def batch(words: list[str]) -> list[Pronunciation | None]:
-        nonlocal timeouts, left, invocations, first
+        nonlocal left, invocations, first
         budget_left = deadline - time.monotonic()
         if budget_left <= 0:
             left += len(words)
@@ -202,7 +203,6 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
             kind, reason = failure
             failed[kind] = failed.get(kind, 0) + 1
             first = first or (len(words), reason)
-            timeouts += kind == "timed out"
             if len(words) == 1:
                 return [None]
             mid = len(words) // 2
@@ -210,17 +210,17 @@ def g2p_fallback(words: Sequence[str], config: FallbackConfig | None,
         return [Pronunciation(tuple(line.split())) if line.split() else None
                 for line in lines]
 
-    found = dict(zip(distinct, batch(distinct)))
+    sent = [w for w in distinct if w.splitlines() == [w]]
+    found = dict(zip(sent, batch(sent))) if sent else {}
     if failed:
         log.warning("g2p: %d of %d invocations failed (%s); the first, for %d "
                     "word(s): %s", sum(failed.values()), invocations,
                     ", ".join(f"{n} {kind}" for kind, n in failed.items()), *first)
-    if left:
-        # G2P_TIMEOUT_LIMIT timeouts spend the whole budget
-        log.warning("g2p: %d word(s) left unresolved after %s", left,
-                    f"{timeouts} timed-out invocations, the limit per run"
-                    if timeouts == G2P_TIMEOUT_LIMIT else
-                    f"{budget:g} s of invocations, the G2P time per run")
+    unresolved = len(distinct) - sum(pron is not None for pron in found.values())
+    if unresolved:
+        log.warning("g2p: %d of %d OOV words unresolved%s", unresolved, len(distinct),
+                    f" ({left} left unsent when the G2P time budget of {budget:g} s "
+                    "ran out)" if left else "")
     return [found.get(w) for w in words]
 
 

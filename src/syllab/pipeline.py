@@ -86,11 +86,11 @@ class WordAnalysis:
 
     `phone_seq` is None when the word has no pronunciation whose phones the
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
-    accepted by count consensus, if any; `alignment`, the DTW (pairs, cost)
-    of the phone curve onto the letter curve, is None until `align` sets
-    it.  The letter curve, the letters as one syllable (`unbroken`),
-    letters-SSP and the DTW projection are slots filled on first read, at
-    most once.  Analyses with equal flags share one frozenset.
+    accepted by count consensus, if any; `alignment`, the DTW path of the
+    phone curve onto the letter curve, is None until `align` sets it.  The
+    letter curve, the letters as one syllable (`unbroken`), letters-SSP and
+    the DTW projection are slots filled on first read, at most once.
+    Analyses with equal flags share one frozenset.
     """
 
     _LAZY = ("letter_seq", "unbroken", "letters_ssp", "projection")
@@ -145,10 +145,10 @@ class WordAnalysis:
         if not fits_budget(self.phone_seq, self.letter_seq):
             return None
         if not self.phone_syll.breaks:
-            return Syllabification(self.letter_seq.symbols, ()), False
+            return self.unbroken, False
         if self.alignment is None:
             align([self])
-        return project_breaks(self.phone_syll, self.alignment[0], self.phone_seq,
+        return project_breaks(self.phone_syll, self.alignment, self.phone_seq,
                               self.letter_seq)
 
 
@@ -157,7 +157,7 @@ def align(analyses: list[WordAnalysis]) -> None:
     curves within the cell budget, with one `dtw` call over them all."""
     todo = [a for a in analyses if a.alignment is None and a.phone_seq is not None
             and a.letter_seq is not None and fits_budget(a.phone_seq, a.letter_seq)]
-    for a, path in zip(todo, dtw([(a.phone_seq, a.letter_seq) for a in todo])):
+    for a, (path, _) in zip(todo, dtw([(a.phone_seq, a.letter_seq) for a in todo])):
         a.alignment = path
 
 
@@ -183,10 +183,6 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
             results = g2p_fallback(missing, resources.fallback)
             g2p = {word: [pron] for word, pron in zip(missing, results)
                    if pron is not None}
-            unresolved = len(missing) - len(g2p)
-            if unresolved:
-                log.warning("g2p: %d of %d OOV words unresolved",
-                            unresolved, len(missing))
     # as text_syllabification reads them: a word of two or more nuclei under
     # a DTW method, unless every such method is a lookup and the corpus has it
     projects = any(m.endswith("dtw") for m in methods)
@@ -427,32 +423,21 @@ def annotate_corpus(sentences, lang: str, resources: Resources,
     return sentence_keys, records
 
 
-class Report(namedtuple("Report", "counts groups")):
-    """Flagged records grouped by flag (`groups`: flag -> list of
-    `WordRecord`s), with per-flag counts (`counts`: flag -> int)."""
-
-    __slots__ = ()
-
-    def to_tsv(self) -> str:
-        lines = ["# flag counts"]
-        for flag in sorted(self.counts):
-            lines.append(f"# {flag}\t{self.counts[flag]}")
-        lines.append("flag\tword\tphone_syllables\ttext_syllables\tmethod")
-        for flag in sorted(self.groups):
-            for rec in self.groups[flag]:
-                lines.append("\t".join((
-                    flag, rec.word, rec.phone_syll.phone_text(),
-                    rec.text_syll.text(), rec.method)))
-        return "\n".join(lines) + "\n"
-
-
-def consistency_report(counted) -> Report:
-    """The report over `counted` (record, count) pairs: each record stands for
-    `count` tokens, so the records of a run's distinct keys give the same
-    report as one record per token."""
-    groups: dict[str, list[WordRecord]] = {}
+def consistency_report(counted) -> str:
+    """The report TSV over `counted` (record, count) pairs: each record stands
+    for `count` tokens, so the records of a run's distinct keys give the same
+    report as one record per token.  Records are stably sorted by word, and
+    the groups by flag."""
+    groups: dict[str, list[tuple[WordRecord, int]]] = {}
     for rec, n in sorted(counted, key=lambda pair: pair[0].word):
         for flag in rec.flags:
-            groups.setdefault(flag, []).extend([rec] * n)
-    groups = dict(sorted(groups.items()))
-    return Report({f: len(rs) for f, rs in groups.items()}, groups)
+            groups.setdefault(flag, []).append((rec, n))
+    flags = sorted(groups)
+    lines = ["# flag counts", *(f"# {flag}\t{sum(n for _, n in groups[flag])}"
+                                for flag in flags),
+             "flag\tword\tphone_syllables\ttext_syllables\tmethod"]
+    for flag in flags:
+        for rec, n in groups[flag]:
+            lines += ["\t".join((flag, rec.word, rec.phone_syll.phone_text(),
+                                 rec.text_syll.text(), rec.method))] * n
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ from syllab.pipeline import (
     analyze_word,
     analyze_words,
     annotate_corpus,
-    consistency_report,
     load_secondary_stress,
     syllabify_word,
     text_syllabification,
@@ -76,14 +75,14 @@ def immutable_values(resources) -> dict:
     analysis = next(analyze_words(["sentence"], resources))
     values = (rec.pronunciations[0], rec.phone_syll, analysis.phone_seq, rec, resources,
               FallbackConfig("g2p --batch"), CorpusFormat.preset("lexique"),
-              run_ablation(resources, 5, 0), consistency_report([(rec, 1)]))
+              run_ablation(resources, 5, 0))
     return {type(value).__name__: value for value in values}
 
 
 class TestRecords:
     @pytest.mark.parametrize("type_name", [
         "Pronunciation", "Syllabification", "SonoritySequence", "WordRecord", "Resources", "FallbackConfig", "CorpusFormat",
-        "AblationResult", "Report"])
+        "AblationResult"])
     def test_record_is_frozen(self, mini_resources, type_name):
         value = immutable_values(mini_resources)[type_name]
         # neither a field nor a new attribute can be set

@@ -166,12 +166,26 @@ class TestSyllabifyCommand:
         assert out.split("\t")[3] == "sen|ten|ce"
 
     def test_reserved_characters_skipped_with_warning(self, capsys):
-        # a line break inside a word would split its TSV row
+        # a line break inside an argument splits it into words, as on stdin
         code, out, err = run(capsys, "syllabify", "lea|ves", "ca\nt", "do\rg",
-                             "leaves", "--dict", DICT)
+                             "leaves", "--dict", DICT, "--method", "ssp-dtw")
         assert code == 0
-        assert out.startswith("leaves\t") and out.count("\n") == 1 and "\r" not in out
-        assert err.count("reserved separator") == 3
+        assert [row.split("\t")[0] for row in out.split("\n")[:-1]] == [
+            "ca", "t", "do", "g", "leaves"]
+        assert "\r" not in out
+        assert err == "warning: skipped 1 words holding the reserved '|'\n"
+
+    def test_argument_with_line_break_read_as_stdin_lines(self, capsys, monkeypatch):
+        options = ("--dict", DICT, "--method", "ssp-dtw")
+        code, from_argv, argv_err = run(capsys, "syllabify", "ca\nt", "lea|ves",
+                                        "a|b", *options)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"ca\nt\nlea|ves\na|b\n")))
+        _, from_stdin, stdin_err = run(capsys, "syllabify", *options)
+        assert code == 0 and from_argv == from_stdin
+        assert [row.split("\t")[0] for row in from_argv.splitlines()] == ["ca", "t"]
+        assert argv_err == stdin_err == (
+            "warning: skipped 2 words holding the reserved '|'\n")
 
     def test_argument_split_into_words_as_a_stdin_line(self, capsys, monkeypatch):
         code, from_argv, _ = run(capsys, "syllabify", "a b", "leaves\tsentence",
@@ -352,7 +366,7 @@ class TestAnnotateCommand:
             ("3.5", frozenset({"oov", "no-stress", "count-mismatch",
                                "numeral-unsupported"}))}
         once = [(rec, 1) for rec in tokens]
-        assert rep.read_text() == consistency_report(once).to_tsv()
+        assert rep.read_text() == consistency_report(once)
         assert err == (f"word_accuracy\t{word_accuracy(once):.2f}"
                        f"\twords\t{len(tokens)}\n")
 

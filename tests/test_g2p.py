@@ -106,9 +106,11 @@ class TestHostileG2p:
         with caplog.at_level("WARNING"):
             assert g2p_fallback(words, cfg) == [None] * 16
         assert invocations(count) == G2P_TIMEOUT_LIMIT >= 3
-        assert [r.getMessage() for r in caplog.records if "limit" in r.getMessage()] == [
-            f"g2p: 16 word(s) left unresolved after {G2P_TIMEOUT_LIMIT} timed-out "
-            "invocations, the limit per run"]
+        budget = f"{G2P_TIMEOUT_LIMIT * 0.2:g}"
+        assert [r.getMessage() for r in caplog.records
+                if "unresolved" in r.getMessage()] == [
+            "g2p: 16 of 16 OOV words unresolved (16 left unsent when the G2P time "
+            f"budget of {budget} s ran out)"]
 
     def test_slow_failures_bounded_in_wall_time(self, caplog):
         # 16 words split down to single words cost 2 * 16 - 1 = 31 slow
@@ -120,9 +122,20 @@ class TestHostileG2p:
         with caplog.at_level("WARNING"):
             assert g2p_fallback(words, cfg) == [None] * 16
         assert time.monotonic() - start < G2P_TIMEOUT_LIMIT * 0.5 + 1.0
-        [summary] = [r.getMessage() for r in caplog.records if "left" in r.getMessage()]
-        assert summary.startswith("g2p: ") and summary.endswith(
-            " word(s) left unresolved after 2 s of invocations, the G2P time per run")
+        [summary] = [r.getMessage() for r in caplog.records
+                     if "unresolved" in r.getMessage()]
+        assert summary.startswith("g2p: 16 of 16 OOV words unresolved (") and \
+            summary.endswith(" left unsent when the G2P time budget of 2 s ran out)")
+
+    def test_each_invocation_takes_at_most_the_budget_left(self):
+        # four failures of 0.95 s leave 0.05 s of the 4 s budget; the fifth
+        # invocation may take only that, not its whole 1 s timeout
+        script = "import sys, time; sys.stdin.read(); time.sleep(0.95); sys.exit(1)"
+        cfg = FallbackConfig((sys.executable, "-I", "-S", "-c", script), timeout=1.0)
+        words = [f"{w}{i}" for i in range(2) for w in OOV]
+        start = time.monotonic()
+        assert g2p_fallback(words, cfg) == [None] * 16
+        assert time.monotonic() - start < G2P_TIMEOUT_LIMIT * 1.0 + 0.4
 
     def test_nonzero_exit(self, caplog):
         with caplog.at_level("WARNING"):
@@ -192,7 +205,8 @@ class TestHostileG2p:
         assert invocations(count) == 3
         assert [r.getMessage() for r in caplog.records] == [
             "g2p: 3 of 3 invocations failed (3 over the output cap); the first, for "
-            f"2 word(s): printed more than {2 * G2P_OUTPUT_LIMIT} bytes for 2 words"]
+            f"2 word(s): printed more than {2 * G2P_OUTPUT_LIMIT} bytes for 2 words",
+            "g2p: 2 of 2 OOV words unresolved"]
 
     def test_failures_counted_by_kind_in_one_line(self, caplog):
         # one poisoned word among four: the batch, the half holding it and the
@@ -201,9 +215,10 @@ class TestHostileG2p:
         with caplog.at_level("WARNING"):
             result = g2p_fallback(["wug", "blick", "dax", "zorb"], cfg)
         assert [pron is None for pron in result] == [False, False, True, False]
-        [line] = [r.getMessage() for r in caplog.records]
+        [line, summary] = [r.getMessage() for r in caplog.records]
         assert line.startswith("g2p: 3 of 5 invocations failed (3 non-zero exit); "
                                "the first, for 4 word(s): exited 1")
+        assert summary == "g2p: 1 of 4 OOV words unresolved"
 
     def test_non_utf8_output(self, caplog):
         with caplog.at_level("WARNING"):
@@ -244,11 +259,27 @@ class TestHostileG2p:
         assert [args[0] for args in batches] == [["zzxq", "blorp", "wug"]]
 
     def test_summary_warning(self, mini_lexicon, arpabet, letters_en, caplog):
+        # the G2P alone counts the words it leaves unresolved, in one line
         res = Resources(mini_lexicon, arpabet, letters_en,
                         fallback=fake("poison", "glark"))
         with caplog.at_level("WARNING"):
             annotate_corpus(["the glark leaves a wug", "wug wug"], "en", res)
-        assert "g2p: 1 of 2 OOV words unresolved" in caplog.text
+        [summary] = [r for r in caplog.records
+                     if "OOV words unresolved" in r.getMessage()]
+        assert (summary.name, summary.getMessage()) == (
+            "syllab.lexicon", "g2p: 1 of 2 OOV words unresolved")
+
+    def test_spent_budget_named_in_the_one_unresolved_line(self, mini_lexicon, arpabet,
+                                                           letters_en, caplog):
+        words = [f"{w}{i}" for i in range(2) for w in OOV]
+        res = Resources(mini_lexicon, arpabet, letters_en,
+                        fallback=FallbackConfig(fake_argv("hang"), timeout=0.2))
+        with caplog.at_level("WARNING"):
+            annotate_corpus([" ".join(words), "the leaves"], "en", res)
+        assert [r.getMessage() for r in caplog.records
+                if "unresolved" in r.getMessage()] == [
+            "g2p: 16 of 16 OOV words unresolved (16 left unsent when the G2P time "
+            f"budget of {G2P_TIMEOUT_LIMIT * 0.2:g} s ran out)"]
 
 
 def test_word_mapped_to_no_pronunciation_is_oov(arpabet, letters_en, monkeypatch, good):

@@ -268,28 +268,43 @@ class TestConsistencyInvariant:
 
 
 class TestConsistencyReport:
+    HEADER = "flag\tword\tphone_syllables\ttext_syllables\tmethod"
+
     def test_clean_input(self, mini_resources):
         recs = [syllabify_word(w, mini_resources) for w in ("leaves", "oceanic")]
         report = consistency_report((r, 1) for r in recs if not r.flags)
-        assert report.counts == {} and report.groups == {}
+        assert report == f"# flag counts\n{self.HEADER}\n"
 
     def test_single_mismatch(self, mini_resources):
         rec = syllabify_word("sentence", mini_resources, "ssp")
-        report = consistency_report([(rec, 1)])
-        assert report.counts["count-mismatch"] == 1
+        report = consistency_report([(rec, 1)]).splitlines()
+        assert "# count-mismatch\t1" in report
 
     def test_record_with_two_flags_in_both_groups(self, mini_resources):
         rec = syllabify_word("zzxq", mini_resources)
-        report = consistency_report([(rec, 1)])
-        assert "oov" in report.groups and "count-mismatch" in report.groups
-        assert report.groups["oov"][0] is rec
+        rows = consistency_report([(rec, 1)]).split(f"{self.HEADER}\n")[1]
+        groups = {row.split("\t")[0]: row.split("\t")[1] for row in rows.splitlines()}
+        assert groups["oov"] == groups["count-mismatch"] == "zzxq"
 
     def test_deterministic_ordering(self, mini_resources):
         recs = [syllabify_word(w, mini_resources, "ssp")
                 for w in ("zzxq", "sentence", "blorp")]
-        r1 = consistency_report((r, 1) for r in recs).to_tsv()
-        r2 = consistency_report((r, 1) for r in reversed(recs)).to_tsv()
+        r1 = consistency_report((r, 1) for r in recs)
+        r2 = consistency_report((r, 1) for r in reversed(recs))
         assert r1 == r2
+
+    def test_counted_records_give_the_per_token_text(self, mini_resources):
+        recs = [syllabify_word(w, mini_resources, "ssp")
+                for w in ("zzxq", "sentence", "blorp", "leaves")]
+        counts = [3, 1, 2, 4]
+        report = consistency_report(zip(recs, counts))
+        assert isinstance(report, str)
+        assert report == consistency_report(
+            (rec, 1) for rec, n in zip(recs, counts) for _ in range(n))
+        assert "# oov\t5" in report.splitlines()
+        words = [row.split("\t")[1] for row in report.split(f"{self.HEADER}\n")[1]
+                 .splitlines()]
+        assert words.count("zzxq") == 3 * len(recs[0].flags)
 
 
 class TestAnnotateCorpus:

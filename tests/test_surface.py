@@ -8,8 +8,10 @@ from pathlib import Path
 
 import syllab
 from syllab import sonority, textnorm
+from syllab.align import DTW_CELL_BUDGET
 from syllab.cli import _build_parser
-from syllab.pipeline import RECORD_FLAGS, RECORD_METHODS
+from syllab.lexicon import G2P_OUTPUT_LIMIT, G2P_TIMEOUT_LIMIT, FallbackConfig
+from syllab.pipeline import ANALYSIS_CHUNK, RECORD_FLAGS, RECORD_METHODS
 
 README = Path(__file__).parent.parent / "README.md"
 PACKAGE = Path(syllab.__file__).parent
@@ -43,6 +45,22 @@ def test_record_vocabulary_matches_readme():
     listed = {kind: re.findall(r"`([\w-]+)`", values) for kind, values in
               re.findall(r"^- record (methods|flags): (.*)$", text, re.MULTILINE)}
     assert listed == {"methods": list(RECORD_METHODS), "flags": sorted(RECORD_FLAGS)}
+
+
+def test_readme_numbers_match_the_constants():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+
+    def number(pattern: str) -> list[int]:
+        return [int(n) for n in re.search(pattern, text).groups()]
+
+    timeout = FallbackConfig("g2p").timeout
+    assert number(r"a chunk of (\d+) of its distinct words") == [ANALYSIS_CHUNK]
+    [exponent] = number(r"more than 10\^(\d+) cells")
+    assert 10 ** exponent == DTW_CELL_BUDGET
+    assert number(r"The timeout \((\d+) s\) applies") == [timeout]
+    assert number(r"a budget of (\d+) timeouts of wall time \((\d+) s\)") == [
+        G2P_TIMEOUT_LIMIT, G2P_TIMEOUT_LIMIT * timeout]
+    assert number(r"may print (\d+) KiB of stdout per word") == [G2P_OUTPUT_LIMIT / 1024]
 
 
 def test_languages_agree_across_modules():
