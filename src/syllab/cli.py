@@ -214,6 +214,8 @@ def build_resources(args) -> Resources:
         if not fmt.column_separator and (args.word_col, args.syll_col) != (None, None):
             raise ConfigurationError("--word-col/--syll-col need a column separator "
                                      "(--col-sep or --corpus-format lexique)")
+        if min(fmt.word_column, fmt.syllable_column) < 0:
+            raise ConfigurationError("--word-col/--syll-col must be 0 or more")
         syllabified = load_syllabified_corpus(corpus_path, fmt, lang)
 
     secondary = (load_secondary_stress(sec_path, hierarchy_for("mfa-ipa", lang))

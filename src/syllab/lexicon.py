@@ -83,12 +83,14 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True,
     every line and keeps its phone text; a word's `Pronunciation`s are
     built when it is looked up, in file order.  A malformed line raises
     `DictParseError`, or with `strict` off is skipped, counted in the
-    result's `skipped` and in one warning per file.  A file that is not
-    UTF-8 is read as Latin-1, as CMU dict releases are.
+    result's `skipped` and in one warning per file; a headword that is
+    blank once its (N) suffix is removed makes a line malformed.  A file
+    that is not UTF-8 is read as Latin-1, as CMU dict releases are.
     """
     if format not in ("cmu", "mfa"):
         raise ValueError(f"unknown dictionary format {format!r}")
-    phones_of: dict[str, str] = {}  # word -> phone text of each variant, one per line
+    phones_of: dict[str, str] = {}  # word -> phone text of its first variant
+    more: dict[str, list[str]] = {}  # word -> phone text of its later variants
     skipped: list[tuple[int, str]] = []  # (line number, reason)
     for line_no, line in enumerate(read_lines(path, latin1=True), 1):
         line = line.rstrip()
@@ -101,8 +103,12 @@ def load_pron_dict(path, format: str = "cmu", strict: bool = True,
                 raise DictParseError(path, line_no, str(exc)) from exc
             skipped.append((line_no, str(exc)))
             continue
-        known = phones_of.get(word)
-        phones_of[word] = phones if known is None else f"{known}\n{phones}"
+        if word in phones_of:
+            more.setdefault(word, []).append(phones)
+        else:
+            phones_of[word] = phones
+    for word, variants in more.items():  # one line per variant
+        phones_of[word] = "\n".join((phones_of[word], *variants))
     warn_skipped(log, path, skipped)
     return ParsedOnAccess(phones_of, _pronunciations, len(skipped))
 
@@ -118,10 +124,14 @@ def _split_dict_line(line: str, fmt: str) -> tuple[str, str]:
             m = _CMU_VARIANT.match(word)
             if m:
                 word = m.group(1)
+                if not word:
+                    raise ValueError("blank headword")
         return word.lower(), phones
     fields = line.split("\t")
     if len(fields) < 2 or not fields[0]:
         raise ValueError("expected 'word<TAB>phones'")
+    if fields[0].isspace():
+        raise ValueError("blank headword")
     phones = " ".join(f for f in fields[1:] if f and not _NUMERIC_FIELD.match(f))
     if not phones.strip():
         raise ValueError("no phones on line")

@@ -3,7 +3,7 @@
 Order of operations for every word: dictionary lookup (external G2P
 fallback for OOV words, in one batch per run), single-vowel short circuit,
 optional syllabified-corpus lookup accepted only when its syllable count
-matches the phone-domain nucleus count, then cross-domain projection (or
+matches the phone-domain syllable count, then cross-domain projection (or
 plain letters-SSP for the non-DTW methods).  Anomalies never raise; they
 become record flags.  `analyze_words` turns the distinct words of a run
 into one `WordAnalysis` each, from which `word_record` derives the record
@@ -63,16 +63,6 @@ WordRecord = namedtuple("WordRecord", "word pronunciations phone_syll text_syll 
 WordRecord.__doc__ = "The annotation of a word under the method it names."
 
 
-def merge_stress(phone_syll: Syllabification, secondary_syll_count: int,
-                 secondary_stress_index: int) -> int | None:
-    """Adopt the secondary transcription's stress index iff counts agree."""
-    if not 0 <= secondary_stress_index < secondary_syll_count:
-        raise ValueError("stress index outside the secondary syllable range")
-    if secondary_syll_count == phone_syll.n_syllables:
-        return secondary_stress_index
-    return None
-
-
 def _arpabet_stress(pron: Pronunciation, phone_syll: Syllabification) -> int | None:
     """Syllable of the first ARPABET phone that ends in the ASCII digit 1."""
     for pos, symbol in enumerate(pron.raw):
@@ -94,20 +84,18 @@ class WordAnalysis:
     """
 
     _LAZY = ("letter_seq", "unbroken", "letters_ssp", "projection")
-    __slots__ = ("word", "pronunciations", "phone_seq", "phone_syll", "nuclei",
-                 "corpus_syll", "stress_index", "flags", "letter_hierarchy",
-                 "alignment") + _LAZY
+    __slots__ = ("word", "pronunciations", "phone_seq", "phone_syll", "corpus_syll",
+                 "stress_index", "flags", "letter_hierarchy", "alignment") + _LAZY
 
     def __init__(self, word: str, pronunciations: list[Pronunciation],
                  phone_seq: SonoritySequence | None, phone_syll: Syllabification,
-                 nuclei: int, corpus_syll: Syllabification | None,
+                 corpus_syll: Syllabification | None,
                  stress_index: int | None, flags: frozenset[str],
                  letter_hierarchy: SonorityHierarchy):
         self.word = word
         self.pronunciations = pronunciations
         self.phone_seq = phone_seq
         self.phone_syll = phone_syll
-        self.nuclei = nuclei
         self.corpus_syll = corpus_syll
         self.stress_index = stress_index
         self.flags = flags
@@ -138,14 +126,12 @@ class WordAnalysis:
 
     def _projection(self) -> tuple[Syllabification, bool] | None:
         """DTW-projected letter syllabification and its degenerate flag;
-        None when the DTW would exceed its cell budget.  DTW runs only when
-        there is a break to carry; unless `align` has run, a batch of one."""
+        None when the DTW would exceed its cell budget.  Read only for a word
+        with a phone break to carry; unless `align` has run, a batch of one."""
         if self.letter_seq is None:
             return self.unbroken, False
         if not fits_budget(self.phone_seq, self.letter_seq):
             return None
-        if not self.phone_syll.breaks:
-            return self.unbroken, False
         if self.alignment is None:
             align([self])
         return project_breaks(self.phone_syll, self.alignment, self.phone_seq,
@@ -183,8 +169,8 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
             results = g2p_fallback(missing, resources.fallback)
             g2p = {word: [pron] for word, pron in zip(missing, results)
                    if pron is not None}
-    # as text_syllabification reads them: a word of two or more nuclei under
-    # a DTW method, unless every such method is a lookup and the corpus has it
+    # as text_syllabification reads them: a word with a phone break under a
+    # DTW method, unless every such method is a lookup and the corpus has it
     projects = any(m.endswith("dtw") for m in methods)
     lookup_first = all(m.startswith("lkp") for m in methods if m.endswith("dtw"))
     unclassified: list[tuple[str, UnknownSymbolError]] = []
@@ -199,7 +185,7 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
     try:
         while chunk := [analysis(*item) for item in islice(items, ANALYSIS_CHUNK)]:
             if projects:
-                align([a for a in chunk if a.nuclei > 1 and a.phone_syll.breaks
+                align([a for a in chunk if a.phone_syll.breaks
                        and not (lookup_first and a.corpus_syll is not None)])
             yield from chunk
     finally:
@@ -235,29 +221,32 @@ def analyze_word(word: str, resources: Resources,
             oov = True
 
     if phone_seq is None:
-        return WordAnalysis(word, prons, None, Syllabification((), ()), 0, None,
-                            None, _FLAG_SETS[oov, True, False],
-                            resources.letter_hierarchy)
+        return WordAnalysis(word, prons, None, Syllabification((), ()), None, None,
+                            _FLAG_SETS[oov, True, False], resources.letter_hierarchy)
 
+    # SSP breaks once between consecutive nuclei, so a word of n >= 1 nuclei
+    # has n phone syllables, and one of no nucleus has no break
     phone_syll = ssp_breaks(phone_seq)
-    nuclei = phone_seq.levels.count(VOWEL_LEVEL)
 
     corpus_syll = None
-    if nuclei > 1 and resources.syllabified is not None:
+    if phone_syll.breaks and resources.syllabified is not None:
         # a caller's mapping may hold entries with empty or wrong syllables
         entry = resources.syllabified.get(word, ())
-        if len(entry) == nuclei and all(entry) and "".join(entry) == word:
+        if len(entry) == phone_syll.n_syllables and all(entry) and "".join(entry) == word:
             corpus_syll = Syllabification.from_parts(entry)
 
     stress = (_arpabet_stress(prons[0], phone_syll)
               if resources.phone_hierarchy.symbol_set == "cmu-arpabet" else None)
     if stress is None and resources.secondary_stress:
-        sec = resources.secondary_stress.get(word)
-        if sec is not None:
-            stress = merge_stress(phone_syll, sec[0], sec[1])
+        # the secondary transcription's stress index, adopted iff its
+        # syllable count is the phones'; a caller's entry may be out of range
+        count, index = resources.secondary_stress.get(word, (0, 0))
+        if 0 <= index < count == phone_syll.n_syllables:
+            stress = index
 
-    return WordAnalysis(word, prons, phone_seq, phone_syll, nuclei, corpus_syll,
-                        stress, _FLAG_SETS[oov, stress is None, nuclei == 0],
+    return WordAnalysis(word, prons, phone_seq, phone_syll, corpus_syll, stress,
+                        _FLAG_SETS[oov, stress is None,
+                                   VOWEL_LEVEL not in phone_seq.levels],
                         resources.letter_hierarchy)
 
 
@@ -270,8 +259,8 @@ def text_syllabification(analysis: WordAnalysis, method: str,
     a = analysis
     if a.phone_seq is None:
         return a.letters_ssp, "oov-unresolved"
-    if a.nuclei < 2:
-        if a.nuclei == 1:
+    if not a.phone_syll.breaks:
+        if "no-nucleus" not in a.flags:
             return a.unbroken, "single-vowel"
         return a.unbroken, "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
     if method.startswith("lkp") and a.corpus_syll is not None:
@@ -287,8 +276,8 @@ def word_record(analysis: WordAnalysis, method: str,
     a = analysis
     text_syll, method_used = text_syllabification(a, method)
     flags = set(extra_flags) | a.flags
-    # ssp-dtw projects only a word of two or more nuclei
-    if method_used == "ssp-dtw" and a.nuclei > 1 and a.projection[1]:
+    # ssp-dtw projects only a word with a phone break
+    if method_used == "ssp-dtw" and a.phone_syll.breaks and a.projection[1]:
         flags.add("degenerate-projection")
     elif method_used == "ssp-letters" and method.endswith("dtw"):
         # a DTW method falls back to letters-SSP only past the DTW cell budget
@@ -332,8 +321,8 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
     word is looked up.  Lines without a tab or a primary-stress mark, or
     with a symbol the hierarchy does not classify, are skipped at load,
     counted in the result's `skipped` and in one warning per file.  Each
-    distinct symbol of the file is checked against the hierarchy once; the
-    lines are read one by one only when some line fails a check.
+    distinct symbol of the file is checked against the hierarchy once, and
+    the file is read in one regex pass.
     """
     lines = read_lines(path)
     entries = re.findall(_STRESS_ENTRY, "\n".join(lines))
@@ -349,18 +338,23 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
             unknown[symbol] = str(exc)
     skipped: list[tuple[int, str]] = []  # (line number, reason)
     if "" in phones or unknown:
-        # some line is no entry or holds a rejected symbol: read each line
-        # on its own, to name every skipped line and its reason
+        # some line is no entry or holds a rejected symbol: the entries are
+        # those of the lines neither empty nor comments, in order
+        numbered = [n for n, line in enumerate(lines, 1)
+                    if line and not line.startswith("#")]
         phones_of = {}
-        for line_no, line in enumerate(lines, 1):
-            if not line or line.startswith("#"):
-                continue
-            reason = _stress_line_fault(line, unknown)
+        for line_no, word, field in zip(numbered, words, phones):
+            reason = None
+            if not field:
+                reason = ("no primary stress mark" if "\t" in lines[line_no - 1]
+                          else "expected word<TAB>phones")
+            elif unknown:  # the first symbol the hierarchy rejects, if any
+                reason = next(filter(None, (unknown.get(tok.lstrip(_MARKS))
+                                            for tok in field.split())), None)
             if reason:
                 skipped.append((line_no, reason))
             else:
-                word, phone_field = line.split("\t", 2)[:2]
-                phones_of[word.lower()] = phone_field
+                phones_of[word.lower()] = field
     else:
         phones_of = dict(zip(map(str.lower, words), phones))
     warn_skipped(log, path, skipped)
@@ -371,18 +365,6 @@ def load_secondary_stress(path, hierarchy: SonorityHierarchy,
         return syll.n_syllables, syll.syllable_of(stress_pos)
 
     return ParsedOnAccess(phones_of, stress, len(skipped))
-
-
-def _stress_line_fault(line: str, unknown: Mapping[str, str]) -> str | None:
-    """Why a line of a secondary stress file is skipped, given the reason
-    of each symbol the hierarchy rejects; None for an entry."""
-    fields = line.split("\t")
-    if len(fields) < 2:
-        return "expected word<TAB>phones"
-    symbols, stress_pos = _marked_symbols(fields[1])
-    if stress_pos is None:
-        return "no primary stress mark"
-    return next((unknown[s] for s in symbols if s in unknown), None)
 
 
 def _marked_symbols(phones: str) -> tuple[list[str], int | None]:

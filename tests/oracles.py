@@ -251,14 +251,18 @@ def eager_pron_dict(path, fmt="cmu", strict=True):
         if fmt == "cmu":
             parts = line.split()
             ok = len(parts) >= 2
+            reason = "expected 'WORD  PHONES...'"
             if ok:
                 m = re.match(r"^(.*)\(([0-9]+)\)$", parts[0])
                 word, tokens = (m.group(1) if m else parts[0]), parts[1:]
-            reason = "expected 'WORD  PHONES...'"
+                if not word:
+                    ok, reason = False, "blank headword"
         else:
             fields = line.split("\t")
             ok = len(fields) >= 2 and bool(fields[0])
             reason = "expected 'word<TAB>phones'"
+            if ok and not fields[0].strip():
+                ok, reason = False, "blank headword"
             if ok:
                 word = fields[0]
                 tokens = " ".join(f for f in fields[1:] if f and not

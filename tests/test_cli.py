@@ -261,6 +261,26 @@ class TestSyllabifyCommand:
         assert code == 2 and out == ""
         assert "--word-col/--syll-col need a column separator" in err
 
+    @pytest.mark.parametrize("columns", [["--word-col", "-2", "--syll-col", "-1"],
+                                         ["--syll-col", "-1"]], ids=["both", "syll"])
+    def test_negative_column_exits_2(self, capsys, tmp_path, columns):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("beautiful\n")  # a row of one column
+        code, out, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                             "--corpus", str(corpus), "--col-sep", ",", *columns)
+        assert code == 2 and out == ""
+        assert err == "error: --word-col/--syll-col must be 0 or more\n"
+
+    def test_config_negative_column_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("beautiful\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus_path = {corpus}\ncol_sep = ,\nword_col = -2\n")
+        code, out, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: --word-col/--syll-col must be 0 or more\n"
+
     def test_empty_syllable_separator_exits_2(self, capsys):
         code, _, err = run(capsys, "syllabify", "beautiful", "--dict", DICT,
                            "--corpus", CORPUS, "--syll-sep", "")
@@ -548,6 +568,32 @@ class TestConfigFile:
         cfg.write_text(f"dict_path = {DICT}\nmethod = dtw\n")
         code, _, err = run(capsys, "syllabify", "x", "--config", str(cfg))
         assert code == 2 and "config key 'method': 'dtw' not in" in err
+
+
+    @pytest.mark.parametrize("value, code", [("yes", 0), ("true", 0), ("no", 2)])
+    def test_config_lenient(self, capsys, tmp_path, value, code):
+        bad = tmp_path / "bad.dict"
+        bad.write_text("CAT  K AE1 T\nJUNK\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dict_path = {bad}\nlenient = {value}\n")
+        got, out, err = run(capsys, "syllabify", "cat", "--config", str(cfg))
+        assert got == code
+        if code:  # the default: a malformed line ends the run
+            assert out == "" and err == f"error: {bad}:2: expected 'WORD  PHONES...'\n"
+        else:  # the line is skipped
+            assert out.startswith("cat\t")
+
+    @pytest.mark.parametrize("value, method", [("true", "ssp-dtw"),
+                                               ("no", "corpus-lookup")])
+    def test_config_corpus_header(self, capsys, tmp_path, value, method):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("beau-ti-ful\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus_path = {corpus}\ncorpus_header = {value}\n")
+        code, out, _ = run(capsys, "syllabify", "beautiful", "--dict", DICT,
+                           "--config", str(cfg))
+        # a header line is skipped, so the word is not in the corpus
+        assert code == 0 and out.split("\t")[5] == method
 
 
 class TestResourceRootEnv:

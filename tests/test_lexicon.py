@@ -1,5 +1,6 @@
 import gc
 import sys
+import time
 import warnings
 
 import pytest
@@ -105,6 +106,34 @@ class TestCmuFormat:
         p = tmp_path / "d.dict"
         p.write_bytes(b";;; caf\xe9 comment\nCAT  K AE1 T\n")
         assert "cat" in load_pron_dict(p, "cmu")
+
+    def test_many_variants_of_one_word_load_in_linear_time(self, tmp_path):
+        # each variant once joined the word's whole text so far: 200,000
+        # variants of one word took over 20 s
+        n = 200_000
+        p = tmp_path / "d.dict"
+        p.write_text("".join(f"A({i})  AH0 B {i}\n" for i in range(n)))
+        start = time.perf_counter()
+        lex = load_pron_dict(p, "cmu")
+        assert time.perf_counter() - start < 5
+        assert [pron.raw[-1] for pron in lex["a"]] == [str(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("fmt, good, blank", [
+    ("cmu", "CAT  K AE1 T", "(1)  HH AH0"),
+    ("mfa", "cat\tk æ t", " \th ə"),
+], ids=["cmu", "mfa"])
+def test_blank_headword_rejected(tmp_path, caplog, fmt, good, blank):
+    p = tmp_path / "d.dict"
+    p.write_text(f"{good}\n{blank}\n", encoding="utf-8")
+    with pytest.raises(DictParseError) as exc:
+        load_pron_dict(p, fmt)
+    assert str(exc.value) == f"{p}:2: blank headword"
+    with caplog.at_level("WARNING"):
+        lex = load_pron_dict(p, fmt, strict=False)
+    assert list(lex) == ["cat"] and lex.skipped == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{p}: skipped 1 lines (first at line 2: blank headword)"]
 
 
 def test_loaders_close_their_files():

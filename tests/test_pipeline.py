@@ -2,17 +2,16 @@ import sys
 
 import pytest
 
-from syllab.lexicon import FallbackConfig, load_pron_dict
+from syllab.lexicon import FallbackConfig, Pronunciation, load_pron_dict
 from syllab.pipeline import (
     Resources,
+    analyze_words,
     annotate_corpus,
     consistency_report,
     load_secondary_stress,
-    merge_stress,
     syllabify_word,
 )
 from syllab.sonority import SonorityHierarchy, hierarchy_for
-from syllab.ssp import Syllabification
 
 from conftest import DATA, sentence_records
 
@@ -144,23 +143,33 @@ class TestStress:
                 assert rec.stress_index < rec.phone_syll.n_syllables
 
 
+def merged(phones, entry, letters_en):
+    """The analysis of a word pronounced `phones` (IPA) whose secondary stress
+    entry, a caller's (syllable count, stressed syllable), is `entry`."""
+    res = Resources({"w": [Pronunciation(tuple(phones.split()))]},
+                    hierarchy_for("mfa-ipa"), letters_en, secondary_stress={"w": entry})
+    return next(analyze_words(["w"], res))
+
+
 class TestMergeStress:
-    def test_matching_counts(self):
-        syl = Syllabification(tuple("ab"), (1,))
-        assert merge_stress(syl, 2, 0) == 0
+    def test_matching_counts(self, letters_en):
+        a = merged("a b a", (2, 1), letters_en)  # a . b a
+        assert a.phone_syll.n_syllables == 2
+        assert a.stress_index == 1 and "no-stress" not in a.flags
 
-    def test_count_mismatch_gives_none(self):
-        syl = Syllabification(tuple("ab"), (1,))
-        assert merge_stress(syl, 3, 1) is None
+    def test_count_mismatch_gives_none(self, letters_en):
+        a = merged("a b a", (3, 1), letters_en)
+        assert a.stress_index is None and "no-stress" in a.flags
 
-    def test_monosyllable(self):
-        syl = Syllabification(tuple("ab"), ())
-        assert merge_stress(syl, 1, 0) == 0
+    def test_monosyllable(self, letters_en):
+        a = merged("a b", (1, 0), letters_en)
+        assert a.phone_syll.n_syllables == 1 and a.stress_index == 0
 
-    def test_bad_index_rejected(self):
-        syl = Syllabification(tuple("ab"), ())
-        with pytest.raises(ValueError):
-            merge_stress(syl, 2, 5)
+    def test_bad_index_rejected(self, letters_en):
+        # the counts agree but the index lies outside them: a flag, no error
+        for index in (2, 5, -1):
+            a = merged("a b a", (2, index), letters_en)
+            assert a.stress_index is None and "no-stress" in a.flags
 
     def test_secondary_file_path(self, arpabet, letters_en):
         mfa = load_pron_dict(DATA / "mini_mfa_en.dict", "mfa")

@@ -56,22 +56,25 @@ class TestPaperExamples:
         assert syl.breaks == ()
 
 
-def nuclei(phones, arpabet):
-    """The pipeline's nucleus count of a word pronounced `phones`."""
+def analysis(phones, arpabet):
+    """The pipeline's analysis of a word pronounced `phones`."""
     resources = Resources({"w": [Pronunciation(tuple(phones))]}, arpabet,
                           hierarchy_for("letters", "en"))
-    return next(analyze_words(["w"], resources)).nuclei
+    return next(analyze_words(["w"], resources))
 
 
 class TestCountNuclei:
     def test_leaves(self, arpabet):
-        assert nuclei("L IY1 V Z".split(), arpabet) == 1
+        a = analysis("L IY1 V Z".split(), arpabet)
+        assert a.phone_syll.n_syllables == 1 and "no-nucleus" not in a.flags
 
     def test_oceanic(self, arpabet):
-        assert nuclei("OW2 SH IY0 AE1 N IH0 K".split(), arpabet) == 4
+        a = analysis("OW2 SH IY0 AE1 N IH0 K".split(), arpabet)
+        assert a.phone_syll.n_syllables == 4 and "no-nucleus" not in a.flags
 
     def test_no_vowel(self, arpabet):
-        assert nuclei(["S", "T"], arpabet) == 0
+        a = analysis(["S", "T"], arpabet)
+        assert "no-nucleus" in a.flags and a.phone_syll.breaks == ()
 
     @given(expanded_levels())
     @settings(max_examples=300)
