@@ -2,8 +2,12 @@
 
 The pronunciation-domain and spelling-domain sonority curves of a word are
 aligned with DTW (cost = absolute level difference, steps diagonal /
-a-advance / b-advance).  Each phone-domain break is then carried over to
-the letter whose expanded point is linked to the break's cut point.
+a-advance / b-advance).  A curve is a sequence's levels as bytes with each
+vowel expanded into the points 5, 4 (`curve`); it is built only for the
+words that are aligned.  Each phone-domain break is then carried over to
+the letter whose point is linked to the break's cut point.  The first point
+of symbol s is s plus the vowels before it, and the symbol of point j is j
+minus the 5s before it, so no point keeps its source symbol.
 
 `dtw` aligns many words at once.  It sorts the curve pairs by shape and
 cuts them into chunks of at most `DTW_CHUNK_CELLS` padded cells.  One pass
@@ -21,6 +25,8 @@ from itertools import accumulate
 from .sonority import VOWEL_LEVEL, SonoritySequence
 from .ssp import Syllabification
 
+_VOWEL, _VOWEL_POINTS = bytes([VOWEL_LEVEL]), bytes([VOWEL_LEVEL, VOWEL_LEVEL - 1])
+
 # the most cost cells one word's projection may fill: the kernel keeps a
 # step code per cell for the backtrack, so one very long word could exhaust
 # memory
@@ -31,31 +37,37 @@ DTW_CELL_BUDGET = 10 ** 5
 DTW_CHUNK_CELLS = 2 ** 16
 
 
+def curve(seq: SonoritySequence) -> bytes:
+    """The curve DTW aligns: the levels with each vowel as the points 5, 4."""
+    return seq.levels.replace(_VOWEL, _VOWEL_POINTS)
+
+
 def fits_budget(a: SonoritySequence, b: SonoritySequence) -> bool:
-    """Whether the DTW of `a` and `b` fills at most `DTW_CELL_BUDGET` cells."""
-    return len(a.levels) * len(b.levels) <= DTW_CELL_BUDGET
+    """Whether the DTW of the curves of `a` and `b` fills at most
+    `DTW_CELL_BUDGET` cells."""
+    return ((len(a.levels) + a.levels.count(VOWEL_LEVEL))
+            * (len(b.levels) + b.levels.count(VOWEL_LEVEL)) <= DTW_CELL_BUDGET)
 
 
-def dtw(curve_pairs) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """Minimal-cost monotone alignment of each (a, b) pair of sonority
-    sequences, as (pairs, cost) in the order of `curve_pairs`.
+def dtw(curve_pairs: list[tuple[bytes, bytes]],
+        ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Minimal-cost monotone alignment of each (a, b) pair of curves, as
+    (pairs, cost) in the order of `curve_pairs`.
 
-    `pairs` is the warping path from (0, 0) to the last points of a and b.
-    Levels must be byte-sized (0-255; sonority levels are 1-5 by
-    construction); any other level raises ValueError, as does an empty
-    sequence.  Ties between predecessors are resolved diagonal first, then
+    A curve is bytes, one level (0-255) per point.  `pairs` is the warping
+    path from (0, 0) to the last points of a and b.  An empty curve raises
+    ValueError.  Ties between predecessors are resolved diagonal first, then
     a-advance, then b-advance, so each path is unique and reproducible, and
     the same whatever the other pairs of the batch.
     """
-    levels = [(bytes(a.levels), bytes(b.levels)) for a, b in curve_pairs]
-    shapes = [(len(a), len(b)) for a, b in levels]
+    shapes = [(len(a), len(b)) for a, b in curve_pairs]
     if not all(m and n for m, n in shapes):
-        raise ValueError("dtw requires two non-empty sequences")
+        raise ValueError("dtw requires two non-empty curves")
 
-    results = [None] * len(levels)
+    results = [None] * len(curve_pairs)
 
     def run(chunk, rows, cols):
-        paths = _dtw_lanes([levels[k] for k in chunk], rows, cols)
+        paths = _dtw_lanes([curve_pairs[k] for k in chunk], rows, cols)
         for k, path in zip(chunk, paths):
             results[k] = path
 
@@ -163,34 +175,31 @@ def _dtw_lanes(levels: list[tuple[bytes, bytes]], rows: int, cols: int) -> list:
 
 def project_breaks(phone_syll: Syllabification, pairs, phone_seq: SonoritySequence,
                    letter_seq: SonoritySequence) -> tuple[Syllabification, bool]:
-    """Carry phone-domain breaks onto the letters through the DTW path `pairs`.
+    """Carry phone-domain breaks onto the letters through the DTW path `pairs`
+    of their curves.
 
-    A break before phone `p` cuts the expanded curve at p's first point;
-    the break lands before the source letter of the leftmost path link at
-    that cut.  Returns the letter syllabification and a flag that is True
-    when any projected break had to be dropped (collapsed links, edge
-    positions, or a tail left without a vowel letter).
+    A break before phone `p` cuts the phone curve at p's first point; the
+    break lands before the letter of the leftmost path link at that cut.
+    Returns the letter syllabification and a flag that is True when any
+    projected break had to be dropped (collapsed links, edge positions, or a
+    tail left without a vowel letter).
     """
     # the path is monotone: over its reversal, a row's last link is its leftmost
     leftmost = dict(reversed(pairs))
-    cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
-            for brk in phone_syll.breaks]
-
-    # never strand a tail without a vowel letter (mirrors ssp_breaks); the
-    # sources never fall along the curve, so the last vowel point is the
-    # last vowel letter's
-    levels = letter_seq.levels
-    last_vowel = -1
-    if VOWEL_LEVEL in levels:
-        last_vowel = letter_seq.sources[len(levels) - 1 - levels[::-1].index(VOWEL_LEVEL)]
+    phones, letters = phone_seq.levels, curve(letter_seq)
+    links = [leftmost[brk + phones.count(VOWEL_LEVEL, 0, brk)] for brk in phone_syll.breaks]
+    cuts = [j - letters.count(VOWEL_LEVEL, 0, j) for j in links]
+    # never strand a tail without a vowel letter (mirrors ssp_breaks)
+    last_vowel = letter_seq.levels.rfind(VOWEL_LEVEL)
     kept = [cut for cut in sorted(set(cuts)) if 0 < cut <= last_vowel]
     # a cut is lost when two breaks share it or it is dropped at an edge
     return Syllabification(letter_seq.symbols, tuple(kept)), len(kept) < len(cuts)
 
 
 def alignment_debug_tsv(pairs, a: SonoritySequence, b: SonoritySequence) -> str:
-    """Path dump as TSV rows (i, j, level_a, level_b) for curve plotting."""
-    la, lb = a.levels, b.levels
+    """Path dump as TSV rows (i, j, level_a, level_b) over the curves of `a`
+    and `b`, for curve plotting."""
+    la, lb = curve(a), curve(b)
     lines = ["i\tj\tlevel_a\tlevel_b"]
     for i, j in pairs:
         lines.append(f"{i}\t{j}\t{la[i]}\t{lb[j]}")

@@ -9,7 +9,7 @@ become record flags.  `analyze_words` turns the distinct words of a run
 into one `WordAnalysis` each, from which `word_record` derives the record
 of any method; it analyzes the words in chunks of `ANALYSIS_CHUNK`, so
 that the words of a chunk are aligned with one DTW.  An analysis keeps its
-facts in slots and fills the costlier ones (letter curve, letters-SSP,
+facts in slots and fills the costlier ones (letter levels, letters-SSP,
 projection) on first read, so a chunk holds no more than its words need.
 """
 
@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, islice, product
 
-from .align import dtw, fits_budget, project_breaks
+from .align import curve, dtw, fits_budget, project_breaks
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
 from .lexicon import ParsedOnAccess, Pronunciation, g2p_fallback, lookup
 from .sonority import (
@@ -43,8 +43,8 @@ RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projecti
 
 # the most distinct words `analyze_words` holds analyzed before it yields
 # them: their DTW runs as one batch, and a larger chunk packs the kernel's
-# lanes better but holds more analyses at once.  An analysis with its curves,
-# breaks and DTW path holds about 2.3 KB, so a chunk about 2.4 MB.  On the
+# lanes better but holds more analyses at once.  An analysis with its levels,
+# breaks and DTW path holds about 1.7 KB, so a chunk about 1.7 MB.  On the
 # benchmark's inputs 1024 was faster than 512, and than 2048 on annotate
 # (on ablate 2048 tied, holding twice the memory)
 ANALYSIS_CHUNK = 1024
@@ -78,7 +78,7 @@ class WordAnalysis:
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
     accepted by count consensus, if any; `alignment`, the DTW path of the
     phone curve onto the letter curve, is None until `align` sets it.  The
-    letter curve, the letters as one syllable (`unbroken`), letters-SSP and
+    letters' levels, the letters as one syllable (`unbroken`), letters-SSP and
     the DTW projection are slots filled on first read, at most once.
     Analyses with equal flags share one frozenset.
     """
@@ -112,7 +112,7 @@ class WordAnalysis:
 
     def _letter_seq(self) -> SonoritySequence | None:
         try:
-            return sonority_sequence(tuple(self.word), self.letter_hierarchy)
+            return sonority_sequence(self.word, self.letter_hierarchy)
         except UnknownSymbolError:  # the letters stay unbroken
             return None
 
@@ -143,7 +143,8 @@ def align(analyses: list[WordAnalysis]) -> None:
     curves within the cell budget, with one `dtw` call over them all."""
     todo = [a for a in analyses if a.alignment is None and a.phone_seq is not None
             and a.letter_seq is not None and fits_budget(a.phone_seq, a.letter_seq)]
-    for a, (path, _) in zip(todo, dtw([(a.phone_seq, a.letter_seq) for a in todo])):
+    curves = [(curve(a.phone_seq), curve(a.letter_seq)) for a in todo]
+    for a, (path, _) in zip(todo, dtw(curves)):
         a.alignment = path
 
 
@@ -157,7 +158,8 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
     distinct word is looked up once, by its chunk, or up front when an
     external G2P is configured: the lexicon misses go to it in one batch.
     The words whose phones the phone hierarchy does not classify are counted
-    in one warning, logged when the result is exhausted or dropped.
+    in one warning, logged when the result is exhausted or dropped; the run
+    keeps only the first of their errors.
     """
     # word -> its pronunciations, or None until its chunk looks it up
     found = dict.fromkeys(map(str.lower, words))
@@ -173,7 +175,9 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
     # DTW method, unless every such method is a lookup and the corpus has it
     projects = any(m.endswith("dtw") for m in methods)
     lookup_first = all(m.startswith("lkp") for m in methods if m.endswith("dtw"))
-    unclassified: list[tuple[str, UnknownSymbolError]] = []
+    # how many words have phones the phone hierarchy does not classify, and
+    # the first of them with its error, as `analyze_word` records them
+    unclassified = [0, None]
     items = iter(found.items())
 
     def analysis(word, prons):
@@ -189,10 +193,10 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
                        and not (lookup_first and a.corpus_syll is not None)])
             yield from chunk
     finally:
-        if unclassified:
+        count, first = unclassified
+        if count:
             log.warning("%d word(s) with phones the hierarchy does not classify, "
-                        "treating as unresolved (first %r: %s)",
-                        len(unclassified), *unclassified[0])
+                        "treating as unresolved (first %r: %s)", count, *first)
 
 
 # an analysis's flags by (oov, no-stress, no-nucleus): one frozenset for
@@ -204,11 +208,12 @@ _FLAG_SETS = {key: frozenset(compress(("oov", "no-stress", "no-nucleus"), key))
 def analyze_word(word: str, resources: Resources,
                  prons: list[Pronunciation], oov: bool,
                  unclassified: list | None = None) -> WordAnalysis:
-    """The phone curve, SSP breaks, corpus entry and stress of a lower-cased word.
+    """The phone levels, SSP breaks, corpus entry and stress of a lower-cased word.
 
     `prons` come from the lexicon or, for an `oov` word, from the G2P.  A
     word whose phones the phone hierarchy does not classify is handled as
-    OOV, and the word and the error are appended to `unclassified`, if given.
+    OOV; if `unclassified`, a `[count, first]` pair, is given, the word is
+    counted in it, and the word and its error become `first` if it is None.
     """
     phone_seq = None
     if prons:
@@ -217,7 +222,9 @@ def analyze_word(word: str, resources: Resources,
         except UnknownSymbolError as exc:
             # hierarchy does not cover this entry's phones; same handling as OOV
             if unclassified is not None:
-                unclassified.append((word, exc))
+                unclassified[0] += 1
+                if unclassified[1] is None:
+                    unclassified[1] = (word, exc)
             oov = True
 
     if phone_seq is None:
@@ -259,10 +266,8 @@ def text_syllabification(analysis: WordAnalysis, method: str,
     a = analysis
     if a.phone_seq is None:
         return a.letters_ssp, "oov-unresolved"
-    if not a.phone_syll.breaks:
-        if "no-nucleus" not in a.flags:
-            return a.unbroken, "single-vowel"
-        return a.unbroken, "ssp-dtw" if method.endswith("dtw") else "ssp-letters"
+    if not a.phone_syll.breaks:  # no DTW runs for a word of one nucleus or none
+        return a.unbroken, "ssp-letters" if "no-nucleus" in a.flags else "single-vowel"
     if method.startswith("lkp") and a.corpus_syll is not None:
         return a.corpus_syll, "corpus-lookup"
     if method.endswith("dtw") and a.projection is not None:
@@ -276,10 +281,9 @@ def word_record(analysis: WordAnalysis, method: str,
     a = analysis
     text_syll, method_used = text_syllabification(a, method)
     flags = set(extra_flags) | a.flags
-    # ssp-dtw projects only a word with a phone break
-    if method_used == "ssp-dtw" and a.phone_syll.breaks and a.projection[1]:
+    if method_used == "ssp-dtw" and a.projection[1]:
         flags.add("degenerate-projection")
-    elif method_used == "ssp-letters" and method.endswith("dtw"):
+    elif method_used == "ssp-letters" and method.endswith("dtw") and a.phone_syll.breaks:
         # a DTW method falls back to letters-SSP only past the DTW cell budget
         flags.add("projection-skipped")
     if a.phone_syll.n_syllables != text_syll.n_syllables:

@@ -1,10 +1,11 @@
-"""Sonority hierarchies and expanded sonority sequences.
+"""Sonority hierarchies and sonority sequences.
 
 A hierarchy assigns every symbol of an inventory (ARPABET phones, IPA phones,
 or letters) to one of five classes: vowel(5) > approximant(4) > fricative(3)
-> nasal(2) > stop(1).  A sonority sequence expands each vowel into two
-adjacent points (5 then 4) so that vowel-vowel contacts (hiatus) expose a
-local minimum between the nuclei; consonants contribute one point each.
+> nasal(2) > stop(1).  A sonority sequence holds one level per symbol, as
+one byte each.  Break detection reads these levels; the alignment expands
+each vowel into two points (5 then 4), so that vowel-vowel contacts
+(hiatus) expose a dip between the nuclei.
 """
 
 import unicodedata
@@ -88,17 +89,31 @@ _LETTER_CLASSES = {
 }
 
 
+class _Levels(dict):
+    """symbol -> level, each symbol classified on its first lookup and kept.
+
+    An unknown symbol raises `UnknownSymbolError` and is never stored.
+    """
+
+    __slots__ = ("classify",)
+
+    def __missing__(self, symbol):
+        level = self[symbol] = CLASS_LEVELS[self.classify(symbol)]
+        return level
+
+
 class SonorityHierarchy:
     """Symbol -> class table with set-specific normalization.
 
-    Equality and repr ignore the memo of resolved levels.
+    `levels` is the memo of the levels resolved so far; equality and repr
+    ignore it.
     """
 
     def __init__(self, symbol_set: str, class_of: Mapping[str, str]):
         self.symbol_set = symbol_set  # "cmu-arpabet" | "mfa-ipa" | "letters" | "custom"
         self.class_of = class_of
-        # level of each symbol resolved so far; unknown symbols are never stored
-        self._levels: dict[str, int] = {}
+        self.levels = _Levels()
+        self.levels.classify = self.classify
 
     def __eq__(self, other):
         if not isinstance(other, SonorityHierarchy):
@@ -116,11 +131,7 @@ class SonorityHierarchy:
         return cls
 
     def level(self, symbol: str) -> int:
-        try:
-            return self._levels[symbol]
-        except KeyError:
-            level = self._levels[symbol] = CLASS_LEVELS[self.classify(symbol)]
-            return level
+        return self.levels[symbol]
 
     def _resolve(self, symbol: str) -> str | None:
         if symbol in self.class_of:
@@ -143,12 +154,9 @@ class SonorityHierarchy:
         return None
 
 
-SonoritySequence = namedtuple("SonoritySequence", "symbols levels sources")
-SonoritySequence.__doc__ = """Expanded sonority curve: vowels contribute (5, 4), consonants one point.
-
-`symbols` are the symbols expanded; `levels[k]` is the level of point k
-and `sources[k]` the index of the symbol that emitted it.
-"""
+SonoritySequence = namedtuple("SonoritySequence", "symbols levels")
+SonoritySequence.__doc__ = """A word's symbols and their sonority: `levels[k]`, one
+byte, is the level of `symbols[k]`."""
 
 
 def _table(classes: Mapping[str, Iterable[str]]) -> dict[str, str]:
@@ -201,16 +209,7 @@ def _read_table(path) -> dict[str, str]:
 
 def sonority_sequence(symbols: Sequence[str],
                       hierarchy: SonorityHierarchy) -> SonoritySequence:
-    """Expand symbols into the sonority curve used by break detection."""
-    levels: list[int] = []
-    sources: list[int] = []
-    memo = hierarchy._levels  # levels are never 0, so a miss reads as falsy
-    for i, sym in enumerate(symbols):
-        level = memo.get(sym) or hierarchy.level(sym)
-        if level == VOWEL_LEVEL:
-            levels += (VOWEL_LEVEL, VOWEL_LEVEL - 1)
-            sources += (i, i)
-        else:
-            levels.append(level)
-            sources.append(i)
-    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))
+    """The level of each symbol of `symbols`: phones, or the letters of a
+    word given as one str."""
+    return SonoritySequence(tuple(symbols),
+                            bytes(map(hierarchy.levels.__getitem__, symbols)))

@@ -1,28 +1,27 @@
-"""Syllable break detection on expanded sonority sequences.
+"""Syllable break detection on sonority sequences.
 
-Breaks are the qualifying local minima of the expanded curve:
+Each nucleus (a level-5 symbol) but the last closes its syllable at the
+first dip of the sonority curve after it, where a vowel counts as the two
+points 5, 4 and a consonant as one point:
 
-* a candidate minimum is a point strictly below its left neighbour whose
-  level rises again afterwards (on a flat bottom run only the first point
-  is a candidate);
-* it qualifies only if a nucleus (level-5 point) lies strictly after the
-  previous accepted break and strictly before the minimum;
-* a vowel-half minimum (the 4 of a 5,4 pair) puts the break after its
-  vowel, a consonant minimum puts the break before itself;
-* a break that would leave no nucleus in the remaining tail is rejected,
-  which is what keeps sibilant-stop clusters attached to their vowel.
+* after a nucleus the levels fall through runs of 4, 3, 2 and 1 until they
+  first rise; the break goes before the first symbol of the lowest of those
+  runs, which is right after the vowel when the next symbol is a vowel
+  (hiatus) or the fall holds only 4s;
+* a nucleus with no later nucleus breaks nothing, which keeps a trailing
+  cluster such as /s t/ attached to its vowel, and a word of n >= 1 nuclei
+  gets n syllables.
+
+The rule reads a few runs of five level values, so one regular expression
+states it, and the end of each match is a break.
 """
 
+import re
 from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import CheckedFields
-from .sonority import (
-    VOWEL_LEVEL,
-    SonorityHierarchy,
-    SonoritySequence,
-    sonority_sequence,
-)
+from .sonority import SonorityHierarchy, SonoritySequence, sonority_sequence
 
 TEXT_SYL_SEP = "|"     # between syllables in text()
 PHONE_SYL_SEP = " . "  # between syllables in phone_text()
@@ -85,48 +84,18 @@ class Syllabification(CheckedFields, namedtuple("Syllabification", "symbols brea
         return PHONE_SYL_SEP.join(self._parts(" ".join))
 
 
+# a nucleus, the fall after it up to the start of its lowest run, and a later
+# nucleus; the alternatives stop at a run of 1s, 2s, 3s or 4s in that order
+_BREAK = re.compile(rb"\x05(?:\x04*\x03*\x02*(?=\x01)|\x04*\x03*(?=\x02)|\x04*(?=\x03)|)"
+                    rb"(?=[\x01-\x04]*\x05)")
+_END = re.Match.end
+
+
 def ssp_breaks(seq: SonoritySequence) -> Syllabification:
-    """Place syllable breaks on an expanded sonority sequence, in linear time."""
-    levels, sources = seq.levels, seq.sources
-    n = len(levels)
-    breaks: list[int] = []
-    last_cut = 0  # expanded index of the first point after the last break
-    nucleus = -1  # expanded index of the last nucleus before i
-    last_nucleus = -1  # expanded index of the last nucleus
-    if VOWEL_LEVEL in levels:
-        last_nucleus = n - 1 - levels[::-1].index(VOWEL_LEVEL)
-
-    for i in range(1, n - 1):
-        lvl, prev = levels[i], levels[i - 1]
-        if prev == VOWEL_LEVEL:
-            nucleus = i - 1
-        if prev <= lvl:
-            continue
-        # first level to differ on the right must be a rise
-        k = i + 1
-        while k < n and levels[k] == lvl:
-            k += 1
-        if k == n or levels[k] < lvl:
-            continue
-        # a nucleus must sit between the previous break and the minimum
-        if nucleus < last_cut:
-            continue
-        if sources[i] == sources[i - 1]:
-            # second half of a vowel pair: break after the vowel
-            cut_source = sources[i] + 1
-            cut_expanded = i + 1
-        else:
-            cut_source = sources[i]
-            cut_expanded = i
-        # the tail past the break must still contain a nucleus
-        if last_nucleus < cut_expanded:
-            continue
-        breaks.append(cut_source)
-        last_cut = cut_expanded
-
-    return Syllabification(seq.symbols, tuple(breaks))
+    """Place syllable breaks on a sonority sequence, in linear time."""
+    return Syllabification(seq.symbols, tuple(map(_END, _BREAK.finditer(seq.levels))))
 
 
 def syllabify_symbols(symbols, hierarchy: SonorityHierarchy) -> Syllabification:
-    """Convenience: expand and break in one call."""
+    """Convenience: level and break in one call."""
     return ssp_breaks(sonority_sequence(symbols, hierarchy))

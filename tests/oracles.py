@@ -6,8 +6,10 @@ scanning with mutable state, and the alignment oracles search the path
 space top-down (exhaustively for small grids, with memoization above).
 `row_dtw` is the definition that the lane-batched DTW kernel replaced: one
 word, a full cost matrix and a backtrack in tie order.
-`sequence_from_levels` builds the curves they are given straight from
-expanded levels, with placeholder symbols.  The loader oracles parse every
+`sequence_from_levels` builds the sequences they are given straight from
+expanded levels, with placeholder symbols, and `points` expands a
+sequence's per-symbol levels back into the (level, source) points that the
+sequences once held.  The loader oracles parse every
 line of a resource file at once, the way the loaders did before they
 deferred parsing to lookup.  The text oracles are the definitions that
 faster code replaced: `normalize` with every unit on the full path, the
@@ -205,28 +207,49 @@ def random_expanded_levels(rng, max_points):
 
 
 def sequence_from_levels(levels):
-    """A sonority sequence with the given expanded levels.
+    """The sonority sequence whose expanded curve is `levels`.
 
-    Every 5 must be followed by a 4; the pair is attributed to one source
-    symbol, exactly as `sonority_sequence` emits a vowel.
+    Every 5 must be followed by a 4; the pair is one vowel symbol "V", and
+    any other level one consonant symbol.
     """
-    sources, symbols = [], []
+    symbol_levels, symbols = [], []
     i = 0
     while i < len(levels):
         lvl = levels[i]
         if lvl == VOWEL_LEVEL:
             if i + 1 >= len(levels) or levels[i + 1] != VOWEL_LEVEL - 1:
                 raise ValueError("level 5 must be followed by its level-4 half")
-            sources += (len(symbols), len(symbols))
             symbols.append("V")
             i += 2
         else:
             if not 1 <= lvl < VOWEL_LEVEL:
                 raise ValueError(f"level out of range: {lvl}")
-            sources.append(len(symbols))
             symbols.append(f"C{lvl}")
             i += 1
-    return SonoritySequence(tuple(symbols), tuple(levels), tuple(sources))
+        symbol_levels.append(lvl)
+    return SonoritySequence(tuple(symbols), bytes(symbol_levels))
+
+
+def points(seq):
+    """The expanded curve of a sonority sequence as (level, source) points:
+    a vowel (5) of symbol s is the points (5, s) and (4, s), any other
+    symbol s the one point (level, s)."""
+    out = []
+    for source, level in enumerate(seq.levels):
+        out.append((level, source))
+        if level == VOWEL_LEVEL:
+            out.append((VOWEL_LEVEL - 1, source))
+    return out
+
+
+def point_levels(seq):
+    """The levels of the expanded curve of `seq`, as a tuple."""
+    return tuple(level for level, _ in points(seq))
+
+
+def point_sources(seq):
+    """The source symbol of each point of the expanded curve of `seq`."""
+    return tuple(source for _, source in points(seq))
 
 
 def _file_lines(path):
@@ -404,12 +427,14 @@ def per_syllable_phone_text(syll):
 
 
 def zip_project_breaks(phone_syll, pairs, phone_seq, letter_seq):
-    """`align.project_breaks` as it was before its reverse-index rewrite."""
+    """`align.project_breaks` as it was before its reverse-index rewrite,
+    reading the sources of the expanded points."""
     leftmost = dict(reversed(pairs))
-    cuts = [letter_seq.sources[leftmost[phone_seq.sources.index(brk)]]
+    phone_sources, letter_points = point_sources(phone_seq), points(letter_seq)
+    cuts = [letter_points[leftmost[phone_sources.index(brk)]][1]
             for brk in phone_syll.breaks]
-    last_vowel = max((s for s, level in zip(letter_seq.sources, letter_seq.levels)
-                      if level == VOWEL_LEVEL), default=-1)
+    last_vowel = max((s for level, s in letter_points if level == VOWEL_LEVEL),
+                     default=-1)
     degenerate = len(set(cuts)) < len(cuts)
     kept = []
     for cut in sorted(set(cuts)):

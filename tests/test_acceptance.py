@@ -18,12 +18,13 @@ from syllab.lexicon import CorpusFormat, load_pron_dict, load_syllabified_corpus
 from syllab.pipeline import Resources, annotate_corpus, syllabify_word
 from syllab.sonority import VOWEL_LETTERS, sonority_sequence
 from syllab.ssp import ssp_breaks, syllabify_symbols
-from syllab.align import dtw, project_breaks
+from syllab.align import curve, dtw, project_breaks
 
 from conftest import DATA, real_resource
 from oracles import (
     all_level_tuples,
     oracle_breaks,
+    points,
     random_expanded_levels,
     recursive_min_cost,
     sequence_from_levels,
@@ -64,7 +65,7 @@ class TestC1SspOracleEquivalence:
             valid += 1
             seq = sequence_from_levels(levels)
             got = list(ssp_breaks(seq).breaks)
-            want = oracle_breaks(list(zip(seq.levels, seq.sources)))
+            want = oracle_breaks(points(seq))
             assert got == want, f"divergence at levels={levels}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
@@ -92,7 +93,7 @@ class TestC2PaperExamples:
 
         phones = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
         letters = sonority_sequence(list("sentence"), letters_en)
-        [(pairs, _)] = dtw([(phones, letters)])
+        [(pairs, _)] = dtw([(curve(phones), curve(letters))])
         projected, _ = project_breaks(ssp_breaks(phones), pairs, phones, letters)
         assert projected.text() == "sen|tence"
 
@@ -106,12 +107,12 @@ class TestC3DtwOracleEquivalence:
     def test_thousand_random_pairs(self):
         rng = random.Random(20240901)
         t0 = time.perf_counter()
-        curves = [(sequence_from_levels(random_expanded_levels(rng, 12)),
-                   sequence_from_levels(random_expanded_levels(rng, 12)))
+        curves = [(curve(sequence_from_levels(random_expanded_levels(rng, 12))),
+                   curve(sequence_from_levels(random_expanded_levels(rng, 12))))
                   for _ in range(1000)]
         for case, ((a, b), (_, cost)) in enumerate(zip(curves, dtw(curves))):
-            assert cost == recursive_min_cost(a.levels, b.levels), \
-                f"case {case}: {a.levels} vs {b.levels}"
+            assert cost == recursive_min_cost(a, b), \
+                f"case {case}: {list(a)} vs {list(b)}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
         report("C3 dtw-oracle-equivalence",

@@ -9,16 +9,19 @@ from syllab.align import (
     DTW_CELL_BUDGET,
     DTW_CHUNK_CELLS,
     alignment_debug_tsv,
+    curve,
     dtw,
     project_breaks,
 )
-from syllab.sonority import VOWEL_LEVEL, SonoritySequence, sonority_sequence
+from syllab.sonority import VOWEL_LEVEL, sonority_sequence
 from syllab.ssp import Syllabification, ssp_breaks
 
 from oracles import (
     enum_min_cost,
     enum_tie_path,
     leftmost_links,
+    point_levels,
+    point_sources,
     random_expanded_levels,
     recursive_min_cost,
     row_dtw,
@@ -37,33 +40,38 @@ def check_path_shape(pairs, m, n):
 
 
 def align(a, b):
-    """The (pairs, cost) of `a` and `b`, as a batch of one."""
+    """The (pairs, cost) of the curves `a` and `b`, as a batch of one."""
     [path] = dtw([(a, b)])
     return path
 
 
+def seq_curve(levels):
+    """The curve of the sequence whose expanded levels are `levels`."""
+    return curve(sequence_from_levels(levels))
+
+
 def level_pairs(cases):
-    """Sequences of each (levels a, levels b) case."""
-    return [(sequence_from_levels(la), sequence_from_levels(lb)) for la, lb in cases]
+    """Curves of each (levels a, levels b) case."""
+    return [(seq_curve(la), seq_curve(lb)) for la, lb in cases]
 
 
 class TestDtw:
     def test_identical_sequences_diagonal(self):
-        seq = sequence_from_levels([3, 5, 4, 2])
+        seq = seq_curve([3, 5, 4, 2])
         pairs, cost = align(seq, seq)
         assert cost == 0
         assert pairs == tuple((i, i) for i in range(4))
 
     def test_one_by_three_table(self):
-        a = sequence_from_levels([4])
-        b = sequence_from_levels([4, 3, 4])
+        a = seq_curve([4])
+        b = seq_curve([4, 3, 4])
         pairs, cost = align(a, b)
         assert pairs == ((0, 0), (0, 1), (0, 2))
         assert cost == 0 + 1 + 0
 
     def test_empty_input_rejected(self, arpabet):
-        empty = sonority_sequence([], arpabet)
-        other = sequence_from_levels([3])
+        empty = curve(sonority_sequence([], arpabet))
+        other = seq_curve([3])
         with pytest.raises(ValueError):
             align(empty, other)
         with pytest.raises(ValueError):
@@ -71,18 +79,8 @@ class TestDtw:
         with pytest.raises(ValueError):  # in a batch, too
             dtw([(other, other), (other, empty)])
 
-    @pytest.mark.parametrize("levels", [[1, 256], [-1, 3], [300]])
-    def test_level_outside_a_byte_rejected(self, levels):
-        n = len(levels)
-        odd = SonoritySequence(("x",) * n, tuple(levels), tuple(range(n)))
-        other = sequence_from_levels([3, 5, 4])
-        with pytest.raises(ValueError):
-            align(odd, other)
-        with pytest.raises(ValueError):
-            align(other, odd)
-
     def test_diagonal_preferred_on_ties(self):
-        seq = sequence_from_levels([1, 1])
+        seq = seq_curve([1, 1])
         assert align(seq, seq)[0] == ((0, 0), (1, 1))
 
     def test_tie_order_matches_path_oracle(self):
@@ -95,10 +93,9 @@ class TestDtw:
             assert path == enum_tie_path(la, lb), (la, lb)
 
     def test_cost_consistent_with_pairs(self):
-        a = sequence_from_levels([3, 5, 4, 2, 1])
-        b = sequence_from_levels([3, 5, 4, 1])
-        pairs, cost = align(a, b)
-        la, lb = a.levels, b.levels
+        la = seq_curve([3, 5, 4, 2, 1])
+        lb = seq_curve([3, 5, 4, 1])
+        pairs, cost = align(la, lb)
         assert cost == sum(abs(la[i] - lb[j]) for i, j in pairs)
 
     def test_oracles_agree_with_each_other(self):
@@ -127,27 +124,26 @@ class TestDtw:
     @settings(max_examples=100, deadline=None)
     def test_deterministic(self, seed):
         rng = random.Random(seed)
-        a = sequence_from_levels(random_expanded_levels(rng, 10))
-        b = sequence_from_levels(random_expanded_levels(rng, 10))
+        a = seq_curve(random_expanded_levels(rng, 10))
+        b = seq_curve(random_expanded_levels(rng, 10))
         assert align(a, b) == align(a, b)
 
     def test_sentence_cross_domain_cost(self, arpabet, letters_en):
-        a = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
-        b = sonority_sequence(list("sentence"), letters_en)
-        assert a.levels == (3, 5, 4, 2, 1, 5, 4, 2, 3)
-        assert b.levels == (3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4)
+        a = curve(sonority_sequence("S EH1 N T AH0 N S".split(), arpabet))
+        b = curve(sonority_sequence(list("sentence"), letters_en))
+        assert a == bytes((3, 5, 4, 2, 1, 5, 4, 2, 3))
+        assert b == bytes((3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4))
         pairs, cost = align(a, b)
-        assert cost == enum_min_cost(a.levels, b.levels)
+        assert cost == enum_min_cost(a, b)
         assert (4, 4) in pairs  # the T minimum aligns with the letter t
 
 
 def raw_curve(levels):
-    """A curve of any levels, one placeholder symbol per point."""
-    n = len(levels)
-    return SonoritySequence(("x",) * n, tuple(levels), tuple(range(n)))
+    """A curve of any byte levels."""
+    return bytes(levels)
 
 
-def curve(size, levels=st.integers(1, 5)):
+def level_list(size, levels=st.integers(1, 5)):
     return st.lists(levels, min_size=size[0], max_size=size[1])
 
 
@@ -163,12 +159,13 @@ def at_lane_boundary(case):
 # the shapes a batch mixes: single rows and columns, flat curves, the whole
 # byte range, and level range x length at a lane-width boundary
 CURVE_PAIRS = st.one_of(
-    st.tuples(curve((1, 1)), curve((1, 40))),
-    st.tuples(curve((1, 40)), curve((1, 1))),
+    st.tuples(level_list((1, 1)), level_list((1, 40))),
+    st.tuples(level_list((1, 40)), level_list((1, 1))),
     st.tuples(st.integers(0, 255), st.integers(1, 12), st.integers(1, 12)).map(
         lambda c: ([c[0]] * c[1], [c[0]] * c[2])),
-    st.tuples(curve((1, 12), st.integers(0, 255)), curve((1, 12), st.integers(0, 255))),
-    st.tuples(curve((1, 14)), curve((1, 14))),
+    st.tuples(level_list((1, 12), st.integers(0, 255)),
+              level_list((1, 12), st.integers(0, 255))),
+    st.tuples(level_list((1, 14)), level_list((1, 14))),
     st.tuples(st.sampled_from([(1, 5, 31), (1, 5, 32), (0, 255, 128), (0, 255, 129)]),
               st.integers(1, 3), st.booleans()).map(at_lane_boundary),
 )
@@ -217,7 +214,7 @@ class TestProjectBreaks:
         a = sonority_sequence(phones.split(), arpabet)
         b = sonority_sequence(list(word), letters_en)
         syl = ssp_breaks(a)
-        return project_breaks(syl, align(a, b)[0], a, b)
+        return project_breaks(syl, align(curve(a), curve(b))[0], a, b)
 
     def test_sentence(self, arpabet, letters_en):
         syl, degen = self._project("sentence", "S EH1 N T AH0 N S",
@@ -241,18 +238,21 @@ class TestProjectBreaks:
         letters = sequence_from_levels([5, 4, 1, 5, 4])
         syl = ssp_breaks(phone)
         assert len(syl.breaks) == 2
-        projected, degen = project_breaks(syl, align(phone, letters)[0], phone, letters)
+        projected, degen = project_breaks(syl, align(curve(phone), curve(letters))[0],
+                                          phone, letters)
         assert degen
         assert projected.n_syllables <= syl.n_syllables
 
 
 def oracle_projection(phone, letters):
     """SSP breaks of `phone` carried onto `letters` along the brute-force path."""
-    path, _ = enum_tie_path(phone.levels, letters.levels)
+    path, _ = enum_tie_path(point_levels(phone), point_levels(letters))
     links = leftmost_links(path)
-    cuts = [letters.sources[links[phone.sources.index(brk)]]
+    letter_sources = point_sources(letters)
+    cuts = [letter_sources[links[point_sources(phone).index(brk)]]
             for brk in ssp_breaks(phone).breaks]
-    vowels = [s for s, lvl in zip(letters.sources, letters.levels) if lvl == VOWEL_LEVEL]
+    vowels = [s for s, lvl in zip(letter_sources, point_levels(letters))
+              if lvl == VOWEL_LEVEL]
     kept = sorted({c for c in cuts if vowels and 0 < c <= vowels[-1]})
     return Syllabification(letters.symbols, tuple(kept)), len(kept) < len(cuts)
 
@@ -266,8 +266,9 @@ class TestProjectionOracle:
             la = random_expanded_levels(rng, 7)
             if ssp_breaks(sequence_from_levels(la)).breaks:  # else no DTW runs
                 cases.append((la, random_expanded_levels(rng, 7)))
-        curves = level_pairs(cases)
-        for (la, lb), (phone, letters), (pairs, _) in zip(cases, curves, dtw(curves)):
+        seqs = [(sequence_from_levels(la), sequence_from_levels(lb)) for la, lb in cases]
+        paths = dtw([(curve(phone), curve(letters)) for phone, letters in seqs])
+        for (la, lb), (phone, letters), (pairs, _) in zip(cases, seqs, paths):
             got = project_breaks(ssp_breaks(phone), pairs, phone, letters)
             assert got == oracle_projection(phone, letters), (la, lb)
 
@@ -306,7 +307,7 @@ class TestProjectionReference:
         n = len(phone.symbols)
         breaks = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
         phone_syll = Syllabification(phone.symbols, tuple(sorted(breaks)))
-        pairs = monotone_path(data, len(phone.levels), len(letters.levels))
+        pairs = monotone_path(data, len(curve(phone)), len(curve(letters)))
         assert project_breaks(phone_syll, pairs, phone, letters) == \
             zip_project_breaks(phone_syll, pairs, phone, letters)
 
@@ -338,7 +339,8 @@ def ssp_dtw(word, phones, phone_h, letter_h):
     """SSP breaks of `phones` projected onto the letters of `word`."""
     phone_seq = sonority_sequence(phones, phone_h)
     letter_seq = sonority_sequence(list(word), letter_h)
-    return project_breaks(ssp_breaks(phone_seq), align(phone_seq, letter_seq)[0],
+    return project_breaks(ssp_breaks(phone_seq),
+                          align(curve(phone_seq), curve(letter_seq))[0],
                           phone_seq, letter_seq)
 
 
@@ -385,11 +387,11 @@ class TestDebugDump:
     def test_tsv_shape(self, arpabet, letters_en):
         a = sonority_sequence("L IY1 V Z".split(), arpabet)
         b = sonority_sequence(list("leaves"), letters_en)
-        pairs, _ = align(a, b)
+        pairs, _ = align(curve(a), curve(b))
         dump = alignment_debug_tsv(pairs, a, b)
         lines = dump.strip().split("\n")
         assert lines[0] == "i\tj\tlevel_a\tlevel_b"
         assert len(lines) == len(pairs) + 1
         for line in lines[1:]:
             i, j, la, lb = map(int, line.split("\t"))
-            assert a.levels[i] == la and b.levels[j] == lb
+            assert curve(a)[i] == la and curve(b)[j] == lb

@@ -1,5 +1,6 @@
 """One analysis per word: records equal the per-call path, and the work done is bounded."""
 
+import gc
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from syllab.align import dtw
 from syllab.cli import format_record_row, main
+from syllab.errors import UnknownSymbolError
 from syllab.evaluate import run_ablation, word_accuracy
 from syllab.lexicon import (
     CorpusFormat,
@@ -228,6 +230,26 @@ class TestWorkCounts:
         sizes = [len(args[0]) for args in alignments]
         assert len(sizes) == -(-n // ANALYSIS_CHUNK) == 3
         assert max(sizes) <= ANALYSIS_CHUNK and sum(sizes) == n
+
+    def test_unclassified_words_keep_one_error(self, mini_lexicon, letters_en, caplog):
+        # the IPA hierarchy classifies no ARPABET phone: every word is unclassified
+        def live_errors():
+            gc.collect()
+            return sum(isinstance(o, UnknownSymbolError) for o in gc.get_objects())
+
+        before = live_errors()
+        words = sorted(mini_lexicon)
+        resources = Resources(mini_lexicon, hierarchy_for("mfa-ipa"), letters_en)
+        analyses = analyze_words(words, resources)
+        with caplog.at_level("WARNING"):
+            held = list(itertools.islice(analyses, len(words)))  # the run still open
+            retained = live_errors() - before
+            analyses.close()
+        assert all(a.phone_seq is None and a.pronunciations for a in held)
+        assert retained <= 1
+        [line] = [r.getMessage() for r in caplog.records]
+        assert line.startswith(f"{len(words)} word(s) with phones the hierarchy does "
+                               f"not classify, treating as unresolved (first 'a': ")
 
     def test_analyses_hold_no_dict_and_share_flag_sets(self, mini_resources):
         sentence, beautiful, qqqzz, zzxq = analyze_words(

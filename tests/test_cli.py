@@ -304,6 +304,14 @@ class TestSyllabifyCommand:
                            "--lenient")
         assert code == 0 and out.startswith("cat\t")
 
+    def test_no_nucleus_word_same_row_under_every_method(self, capsys, tmp_path):
+        # no DTW runs for a word without a vowel, so no method names it
+        lexicon = tmp_path / "d.dict"
+        lexicon.write_text("HMM  HH M\n")
+        rows = {run(capsys, "syllabify", "hmm", "--dict", str(lexicon),
+                    "--method", method)[1] for method in METHOD_CHOICES}
+        assert rows == {"hmm\tHH M\tHH M\thmm\t-\tssp-letters\tno-nucleus,no-stress\n"}
+
 
 class TestCorpusReader:
     def test_festival_prompts(self):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syllab.align import curve
 from syllab.errors import ConfigurationError, UnknownSymbolError
 from syllab.sonority import (
     CLASS_LEVELS,
@@ -10,7 +11,7 @@ from syllab.sonority import (
     sonority_sequence,
 )
 
-from oracles import sequence_from_levels
+from oracles import points, sequence_from_levels
 
 ARPABET_PHONES = ("AA AE AH AO AW AY B CH D DH EH ER EY F G HH IH IY JH K L M "
                   "N NG OW OY P R S SH T TH UH UW V W Y Z ZH").split()
@@ -139,20 +140,34 @@ class TestHierarchies:
 class TestSonoritySequence:
     def test_rhythm_expansion(self, arpabet):
         seq = sonority_sequence(["R", "IH1", "DH", "AH0", "M"], arpabet)
-        assert seq.levels == (4, 5, 4, 3, 5, 4, 2)
-        assert seq.sources == (0, 1, 1, 2, 3, 3, 4)
+        assert seq.levels == bytes((4, 5, 3, 5, 2))
+        assert curve(seq) == bytes((4, 5, 4, 3, 5, 4, 2))
 
     def test_letters_sentence_expansion(self, letters_en):
         seq = sonority_sequence(list("sentence"), letters_en)
-        assert seq.levels == (3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4)
+        assert seq.levels == bytes((3, 5, 2, 1, 5, 2, 1, 5))
+        assert curve(seq) == bytes((3, 5, 4, 2, 1, 5, 4, 2, 1, 5, 4))
+
+    @pytest.mark.parametrize("word", ["sentence", "Sentence", "o'neill", "", "y"])
+    def test_letters_of_a_str_as_of_their_list(self, letters_en, word):
+        seq = sonority_sequence(word, letters_en)
+        assert seq == sonority_sequence(list(word), letters_en)
+        assert seq.symbols == tuple(word)
+
+    @pytest.mark.parametrize("word", ["3d", "a3", "naïve", "ab\u0301c"])
+    def test_unknown_letter_of_a_str_raises(self, letters_en, word):
+        # an unknown letter is never stored, so it raises again
+        for _ in range(2):
+            with pytest.raises(UnknownSymbolError):
+                sonority_sequence(word, letters_en)
 
     def test_empty_sequence(self, arpabet):
         seq = sonority_sequence([], arpabet)
-        assert seq.levels == seq.sources == seq.symbols == ()
+        assert seq.levels == curve(seq) == b"" and seq.symbols == ()
 
     def test_vowel_contributes_two_points_same_source(self, arpabet):
         seq = sonority_sequence(["AY1"], arpabet)
-        assert (seq.levels, seq.sources) == ((5, 4), (0, 0))
+        assert (seq.levels, curve(seq)) == (b"\x05", b"\x05\x04")
 
     def test_unknown_symbol_propagates(self, arpabet):
         with pytest.raises(UnknownSymbolError):
@@ -164,12 +179,15 @@ class TestSonoritySequence:
         h = hierarchy_for("cmu-arpabet")
         seq = sonority_sequence(phones, h)
         vowels = sum(1 for p in phones if h.classify(p) == "vowel")
-        assert len(seq.levels) == len(seq.sources) == (len(phones) - vowels) + 2 * vowels
-        # max level per source recovers the per-symbol sonority
+        assert len(curve(seq)) == (len(phones) - vowels) + 2 * vowels
+        # one level per symbol: the per-symbol sonority
+        assert list(seq.levels) == [h.level(ph) for ph in phones]
+        # max level per source point recovers the per-symbol sonority
         per_source = {}
-        for level, source in zip(seq.levels, seq.sources):
+        for level, source in points(seq):
             per_source[source] = max(per_source.get(source, 0), level)
         assert per_source == {i: h.level(ph) for i, ph in enumerate(phones)}
+        assert bytes(level for level, _ in points(seq)) == curve(seq)
 
     def test_deterministic(self, arpabet):
         phones = ["S", "EH1", "N", "T", "AH0", "N", "S"]
@@ -179,8 +197,9 @@ class TestSonoritySequence:
 class TestSequenceFromLevels:
     def test_round_trip_with_expansion(self):
         seq = sequence_from_levels([3, 5, 4, 2])
-        assert seq.levels == (3, 5, 4, 2)
-        assert seq.sources == (0, 1, 1, 2)
+        assert seq.levels == bytes((3, 5, 2))
+        assert curve(seq) == bytes((3, 5, 4, 2))
+        assert points(seq) == [(3, 0), (5, 1), (4, 1), (2, 2)]
 
     def test_rejects_dangling_vowel_half(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.lexicon import Pronunciation
 from syllab.pipeline import Resources, analyze_words
-from syllab.sonority import hierarchy_for
+from syllab.sonority import SonoritySequence, hierarchy_for
 from syllab.ssp import Syllabification, ssp_breaks, syllabify_symbols
 
 from oracles import (
@@ -13,6 +16,7 @@ from oracles import (
     oracle_breaks,
     per_syllable_phone_text,
     per_syllable_text,
+    points,
     sequence_from_levels,
 )
 
@@ -141,17 +145,27 @@ class TestOracleEquivalence:
         for levels in all_expanded_sequences(5):
             seq = sequence_from_levels(levels)
             got = list(ssp_breaks(seq).breaks)
-            want = oracle_breaks(list(zip(seq.levels, seq.sources)))
+            want = oracle_breaks(points(seq))
             assert got == want, f"levels={levels}"
             checked += 1
         assert checked > 300
+
+    def test_exhaustive_symbol_sequences(self):
+        # every sequence of up to 7 symbol levels, so up to 14 points
+        checked = 0
+        for length in range(1, 8):
+            for levels in itertools.product(range(1, 6), repeat=length):
+                seq = SonoritySequence(levels, bytes(levels))
+                assert list(ssp_breaks(seq).breaks) == oracle_breaks(points(seq)), levels
+                checked += 1
+        assert checked == sum(5 ** n for n in range(1, 8))
 
     @given(expanded_levels(max_symbols=10))
     @settings(max_examples=1000)
     def test_random_long_sequences(self, levels):
         seq = sequence_from_levels(levels)
         got = list(ssp_breaks(seq).breaks)
-        want = oracle_breaks(list(zip(seq.levels, seq.sources)))
+        want = oracle_breaks(points(seq))
         assert got == want
 
     @given(expanded_levels(max_symbols=10))
@@ -168,3 +182,28 @@ class TestOracleEquivalence:
             for part in syl.syllables():
                 assert any(sym == "V" for sym in part)
             assert syl.n_syllables == nuclei
+
+
+# 400,000-symbol curves that a break rule with backtracking or rescans would
+# take quadratic time on: long falls, plateaus and nuclei with no later one
+HOSTILE = {
+    "one nucleus, then 4s": b"\x05" + b"\x04" * 399_999,
+    "one nucleus, then falls with no later nucleus": b"\x05" + b"\x04\x03\x02" * 133_333,
+    "a nucleus before every fall": (b"\x05" + b"\x04" * 999 + b"\x03" * 1000) * 200,
+    "nuclei only": b"\x05" * 400_000,
+    "alternating": b"\x05\x01" * 200_000,
+    "long plateau between two nuclei": b"\x05" + b"\x03" * 399_998 + b"\x05",
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_curves_break_in_linear_time(name):
+    levels = HOSTILE[name]
+    seq = SonoritySequence(tuple(levels), levels)
+    start = time.perf_counter()
+    breaks = ssp_breaks(seq).breaks
+    elapsed = time.perf_counter() - start
+    nuclei = levels.count(5)
+    assert len(breaks) == max(nuclei - 1, 0)
+    # a linear pass takes well under a second; a quadratic one, hours
+    assert elapsed < 2.0, f"{name}: {elapsed:.2f}s"
