@@ -6,11 +6,13 @@ Downloads into resources/ (or $SYLLAB_RESOURCES):
   cmudict-0.7b          CMU pronouncing dictionary (ARPABET)
   moby_hyphenated.txt   Gutenberg ebook 3204 (Moby Hyphenator II), normalized
                         to one lowercase word per line with '-' separators
-  Lexique383.tsv        French lexical database with a 'syll' column
-  lexique_syllables.tsv word<TAB>syllabification extracted from the above
+  Lexique383.tsv        French lexical database (Lexique 3.83)
+  lexique_syllables.tsv word<TAB>syllabification, the 'ortho' and
+                        'orthosyll' columns of the above
   cmuarctic.data        the 1132 CMU ARCTIC prompts (festival format)
 
 Needs network access.  Every step is idempotent: existing files are kept.
+Exits 1 when a fetch or a conversion failed, 0 otherwise.
 """
 
 import os
@@ -47,10 +49,10 @@ def fetch(url: str, dest: Path) -> bytes | None:
     return data
 
 
-def normalize_moby(raw: bytes, dest: Path) -> None:
+def normalize_moby(raw: bytes, dest: Path) -> bool:
     if dest.exists():
         print(f"  {dest.name}: already present")
-        return
+        return True
     lines = []
     for line in raw.splitlines():
         line = line.strip()
@@ -62,20 +64,29 @@ def normalize_moby(raw: bytes, dest: Path) -> None:
             lines.append(text)
     dest.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     print(f"  wrote {dest} ({len(lines)} entries)")
+    return True
 
 
-def extract_lexique_syllables(raw: bytes, dest: Path) -> None:
+def extract_lexique_syllables(raw: bytes, dest: Path) -> bool:
+    """Write the word and its spelling split into syllables, one row per
+    Lexique row.  Lexique's `syll` column is the phonological syllabification,
+    in its phone code ("ba-to" for bateau); `orthosyll` is the orthographic
+    one ("ba-teau"), whose syllables rejoin to the word."""
     if dest.exists():
         print(f"  {dest.name}: already present")
-        return
-    text = raw.decode("utf-8", errors="replace")
-    lines = text.splitlines()
-    header = lines[0].split("\t")
+        return True
     try:
-        ortho_col, syll_col = header.index("ortho"), header.index("syll")
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"  FAILED: Lexique file is not UTF-8 ({exc})")
+        return False
+    lines = text.splitlines()
+    header = lines[0].split("\t") if lines else []
+    try:
+        ortho_col, syll_col = header.index("ortho"), header.index("orthosyll")
     except ValueError:
-        print("  FAILED: Lexique header without ortho/syll columns")
-        return
+        print("  FAILED: Lexique header without ortho/orthosyll columns")
+        return False
     out = ["word\tsyll"]
     for line in lines[1:]:
         fields = line.split("\t")
@@ -83,6 +94,7 @@ def extract_lexique_syllables(raw: bytes, dest: Path) -> None:
             out.append(f"{fields[ortho_col]}\t{fields[syll_col]}")
     dest.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
     print(f"  wrote {dest} ({len(out) - 1} entries)")
+    return True
 
 
 def main() -> int:
@@ -90,21 +102,23 @@ def main() -> int:
     print(f"resource root: {RESOURCES}")
 
     print("CMU pronouncing dictionary")
-    fetch(CMUDICT_URL, RESOURCES / "cmudict-0.7b")
+    ok = fetch(CMUDICT_URL, RESOURCES / "cmudict-0.7b") is not None
 
     print("Moby hyphenated word list (Gutenberg 3204)")
     raw = fetch(MOBY_URL, RESOURCES / "mhyph.txt")
-    if raw:
-        normalize_moby(raw, RESOURCES / "moby_hyphenated.txt")
+    ok &= raw is not None and normalize_moby(raw, RESOURCES / "moby_hyphenated.txt")
 
     print("Lexique383 (French)")
     raw = fetch(LEXIQUE_URL, RESOURCES / "Lexique383.tsv")
-    if raw:
-        extract_lexique_syllables(raw, RESOURCES / "lexique_syllables.tsv")
+    ok &= raw is not None and extract_lexique_syllables(
+        raw, RESOURCES / "lexique_syllables.tsv")
 
     print("CMU ARCTIC prompts")
-    fetch(ARCTIC_URL, RESOURCES / "cmuarctic.data")
+    ok &= fetch(ARCTIC_URL, RESOURCES / "cmuarctic.data") is not None
 
+    if not ok:
+        print("FAILED: some resources are missing; see the lines above")
+        return 1
     print("done; rerun the test suite to enable the resource-dependent "
           "acceptance criteria")
     return 0

@@ -3,11 +3,11 @@
 The pronunciation-domain and spelling-domain sonority curves of a word are
 aligned with DTW (cost = absolute level difference, steps diagonal /
 a-advance / b-advance).  A curve is a sequence's levels as bytes with each
-vowel expanded into the points 5, 4 (`curve`); it is built only for the
-words that are aligned.  Each phone-domain break is then carried over to
-the letter whose point is linked to the break's cut point.  The first point
-of symbol s is s plus the vowels before it, and the symbol of point j is j
-minus the 5s before it, so no point keeps its source symbol.
+vowel expanded into the points 5, 4 (`curve`).  Each phone-domain break is
+then carried over to the letter whose point is linked to the break's cut
+point: the first point of symbol s is s plus the vowels before it, and the
+symbol of point j is j minus the 5s before it.  `project_words` does this
+for a batch: each curve built once, one budget check, one `dtw` call.
 
 `dtw` aligns many words at once.  It sorts the curve pairs by shape and
 cuts them into chunks of at most `DTW_CHUNK_CELLS` padded cells.  One pass
@@ -42,11 +42,18 @@ def curve(seq: SonoritySequence) -> bytes:
     return seq.levels.replace(_VOWEL, _VOWEL_POINTS)
 
 
-def fits_budget(a: SonoritySequence, b: SonoritySequence) -> bool:
-    """Whether the DTW of the curves of `a` and `b` fills at most
-    `DTW_CELL_BUDGET` cells."""
-    return ((len(a.levels) + a.levels.count(VOWEL_LEVEL))
-            * (len(b.levels) + b.levels.count(VOWEL_LEVEL)) <= DTW_CELL_BUDGET)
+def project_words(words: list[tuple[Syllabification, SonoritySequence, SonoritySequence]],
+                  ) -> list[tuple[tuple, tuple[Syllabification, bool]] | None]:
+    """(DTW path, `project_breaks`) of each (phone_syll, phone_seq, letter_seq)
+    word, or None for a word whose curves would fill more than
+    `DTW_CELL_BUDGET` cells; the others are aligned in one `dtw` call."""
+    curves = [(curve(phones), curve(letters)) for _, phones, letters in words]
+    fits = [k for k, (a, b) in enumerate(curves) if len(a) * len(b) <= DTW_CELL_BUDGET]
+    results = [None] * len(words)
+    for k, (path, _) in zip(fits, dtw([curves[k] for k in fits])):
+        phone_syll, phones, letters = words[k]
+        results[k] = path, project_breaks(phone_syll, path, phones, letters, curves[k][1])
+    return results
 
 
 def dtw(curve_pairs: list[tuple[bytes, bytes]],
@@ -174,9 +181,10 @@ def _dtw_lanes(levels: list[tuple[bytes, bytes]], rows: int, cols: int) -> list:
 
 
 def project_breaks(phone_syll: Syllabification, pairs, phone_seq: SonoritySequence,
-                   letter_seq: SonoritySequence) -> tuple[Syllabification, bool]:
+                   letter_seq: SonoritySequence, letter_curve: bytes,
+                   ) -> tuple[Syllabification, bool]:
     """Carry phone-domain breaks onto the letters through the DTW path `pairs`
-    of their curves.
+    of their curves, the second of which is `letter_curve`.
 
     A break before phone `p` cuts the phone curve at p's first point; the
     break lands before the letter of the leftmost path link at that cut.
@@ -186,9 +194,9 @@ def project_breaks(phone_syll: Syllabification, pairs, phone_seq: SonoritySequen
     """
     # the path is monotone: over its reversal, a row's last link is its leftmost
     leftmost = dict(reversed(pairs))
-    phones, letters = phone_seq.levels, curve(letter_seq)
+    phones = phone_seq.levels
     links = [leftmost[brk + phones.count(VOWEL_LEVEL, 0, brk)] for brk in phone_syll.breaks]
-    cuts = [j - letters.count(VOWEL_LEVEL, 0, j) for j in links]
+    cuts = [j - letter_curve.count(VOWEL_LEVEL, 0, j) for j in links]
     # never strand a tail without a vowel letter (mirrors ssp_breaks)
     last_vowel = letter_seq.levels.rfind(VOWEL_LEVEL)
     kept = [cut for cut in sorted(set(cuts)) if 0 < cut <= last_vowel]

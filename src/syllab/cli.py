@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from . import errors, evaluate, pipeline
-from .align import alignment_debug_tsv
+from .align import alignment_debug_tsv, project_words
 from .errors import ConfigurationError, DictParseError, SyllabError
 from .lexicon import (
     CorpusFormat,
@@ -29,7 +29,6 @@ from .pipeline import (
     RECORD_METHODS,
     Resources,
     WordRecord,
-    align,
     analyze_words,
     annotate_corpus,
     consistency_report,
@@ -291,14 +290,14 @@ def cmd_syllabify(args) -> int:
 
 def _dump_alignments(analyses, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    analyses = list(analyses)
-    align(analyses)  # only the words no projection has aligned
-    for a in analyses:
-        if a.alignment is None:
-            continue  # no curve, or past the DTW cell budget
+    analyses = [a for a in analyses if a.phone_seq is not None and a.letter_seq is not None]
+    results = project_words([(a.phone_syll, a.phone_seq, a.letter_seq) for a in analyses])
+    for a, result in zip(analyses, results):
+        if result is None:
+            continue  # past the DTW cell budget
         with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(alignment_debug_tsv(a.alignment, a.phone_seq, a.letter_seq))
+            fh.write(alignment_debug_tsv(result[0], a.phone_seq, a.letter_seq))
 
 
 def read_corpus_file(path) -> list[tuple[str, str]]:

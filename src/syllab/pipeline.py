@@ -8,9 +8,9 @@ plain letters-SSP for the non-DTW methods).  Anomalies never raise; they
 become record flags.  `analyze_words` turns the distinct words of a run
 into one `WordAnalysis` each, from which `word_record` derives the record
 of any method; it analyzes the words in chunks of `ANALYSIS_CHUNK`, so
-that the words of a chunk are aligned with one DTW.  An analysis keeps its
-facts in slots and fills the costlier ones (letter levels, letters-SSP,
-projection) on first read, so a chunk holds no more than its words need.
+that the words of a chunk are projected with one DTW.  An analysis keeps
+its facts in slots, never a DTW path, and fills the costlier ones (letter
+levels, letters-SSP, projection) on first read, as its records need them.
 """
 
 import re
@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, islice, product
 
-from .align import curve, dtw, fits_budget, project_breaks
+from .align import project_words
 from .errors import LazyLogger, UnknownSymbolError, read_lines, warn_skipped
 from .lexicon import ParsedOnAccess, Pronunciation, g2p_fallback, lookup
 from .sonority import (
@@ -43,8 +43,8 @@ RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projecti
 
 # the most distinct words `analyze_words` holds analyzed before it yields
 # them: their DTW runs as one batch, and a larger chunk packs the kernel's
-# lanes better but holds more analyses at once.  An analysis with its levels,
-# breaks and DTW path holds about 1.7 KB, so a chunk about 1.7 MB.  On the
+# lanes better but holds more analyses at once.  An analysis with its levels
+# and breaks holds about 1.5 KB, so a chunk about 1.5 MB.  On the
 # benchmark's inputs 1024 was faster than 512, and than 2048 on annotate
 # (on ablate 2048 tied, holding twice the memory)
 ANALYSIS_CHUNK = 1024
@@ -76,16 +76,15 @@ class WordAnalysis:
 
     `phone_seq` is None when the word has no pronunciation whose phones the
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
-    accepted by count consensus, if any; `alignment`, the DTW path of the
-    phone curve onto the letter curve, is None until `align` sets it.  The
-    letters' levels, the letters as one syllable (`unbroken`), letters-SSP and
-    the DTW projection are slots filled on first read, at most once.
-    Analyses with equal flags share one frozenset.
+    accepted by count consensus, if any.  The letters' levels, the letters
+    as one syllable (`unbroken`), letters-SSP and the DTW projection are
+    slots filled on first read, at most once; no DTW path is kept.  Analyses
+    with equal flags share one frozenset.
     """
 
     _LAZY = ("letter_seq", "unbroken", "letters_ssp", "projection")
     __slots__ = ("word", "pronunciations", "phone_seq", "phone_syll", "corpus_syll",
-                 "stress_index", "flags", "letter_hierarchy", "alignment") + _LAZY
+                 "stress_index", "flags", "letter_hierarchy") + _LAZY
 
     def __init__(self, word: str, pronunciations: list[Pronunciation],
                  phone_seq: SonoritySequence | None, phone_syll: Syllabification,
@@ -100,7 +99,6 @@ class WordAnalysis:
         self.stress_index = stress_index
         self.flags = flags
         self.letter_hierarchy = letter_hierarchy
-        self.alignment = None
 
     def __getattr__(self, name: str):
         # only the read of an unset slot gets here: fill a lazy one
@@ -127,25 +125,16 @@ class WordAnalysis:
     def _projection(self) -> tuple[Syllabification, bool] | None:
         """DTW-projected letter syllabification and its degenerate flag;
         None when the DTW would exceed its cell budget.  Read only for a word
-        with a phone break to carry; unless `align` has run, a batch of one."""
+        with a phone break to carry, and projected alone unless its chunk was."""
         if self.letter_seq is None:
             return self.unbroken, False
-        if not fits_budget(self.phone_seq, self.letter_seq):
-            return None
-        if self.alignment is None:
-            align([self])
-        return project_breaks(self.phone_syll, self.alignment, self.phone_seq,
-                              self.letter_seq)
+        return _projections([self])[0]
 
 
-def align(analyses: list[WordAnalysis]) -> None:
-    """Set the alignment of each analysis that has none yet and has both
-    curves within the cell budget, with one `dtw` call over them all."""
-    todo = [a for a in analyses if a.alignment is None and a.phone_seq is not None
-            and a.letter_seq is not None and fits_budget(a.phone_seq, a.letter_seq)]
-    curves = [(curve(a.phone_seq), curve(a.letter_seq)) for a in todo]
-    for a, (path, _) in zip(todo, dtw(curves)):
-        a.alignment = path
+def _projections(analyses: list[WordAnalysis]) -> list:
+    """Each analysis's projection, as `_projection` gives it, by one DTW."""
+    results = project_words([(a.phone_syll, a.phone_seq, a.letter_seq) for a in analyses])
+    return [None if result is None else result[1] for result in results]
 
 
 def analyze_words(words: Iterable[str], resources: Resources, methods=(),
@@ -153,8 +142,8 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
     """One analysis per distinct lower-cased word of `words`, in first-seen order.
 
     The analyses are made `ANALYSIS_CHUNK` at a time as the result is
-    consumed: first the facts of each word of a chunk, then one DTW over
-    those whose records under one of `methods` read a projection.  Every
+    consumed: first the facts of each word of a chunk, then, by one DTW, the
+    projection of those whose records under one of `methods` read one.  Every
     distinct word is looked up once, by its chunk, or up front when an
     external G2P is configured: the lexicon misses go to it in one batch.
     The words whose phones the phone hierarchy does not classify are counted
@@ -189,8 +178,11 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
     try:
         while chunk := [analysis(*item) for item in islice(items, ANALYSIS_CHUNK)]:
             if projects:
-                align([a for a in chunk if a.phone_syll.breaks
-                       and not (lookup_first and a.corpus_syll is not None)])
+                todo = [a for a in chunk if a.phone_syll.breaks
+                        and not (lookup_first and a.corpus_syll is not None)
+                        and a.letter_seq is not None]
+                for a, projection in zip(todo, _projections(todo)):
+                    a.projection = projection
             yield from chunk
     finally:
         count, first = unclassified

@@ -94,7 +94,8 @@ class TestC2PaperExamples:
         phones = sonority_sequence("S EH1 N T AH0 N S".split(), arpabet)
         letters = sonority_sequence(list("sentence"), letters_en)
         [(pairs, _)] = dtw([(curve(phones), curve(letters))])
-        projected, _ = project_breaks(ssp_breaks(phones), pairs, phones, letters)
+        projected, _ = project_breaks(ssp_breaks(phones), pairs, phones, letters,
+                                      curve(letters))
         assert projected.text() == "sen|tence"
 
         elapsed = time.perf_counter() - t0

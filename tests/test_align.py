@@ -12,6 +12,7 @@ from syllab.align import (
     curve,
     dtw,
     project_breaks,
+    project_words,
 )
 from syllab.sonority import VOWEL_LEVEL, sonority_sequence
 from syllab.ssp import Syllabification, ssp_breaks
@@ -214,7 +215,7 @@ class TestProjectBreaks:
         a = sonority_sequence(phones.split(), arpabet)
         b = sonority_sequence(list(word), letters_en)
         syl = ssp_breaks(a)
-        return project_breaks(syl, align(curve(a), curve(b))[0], a, b)
+        return project_breaks(syl, align(curve(a), curve(b))[0], a, b, curve(b))
 
     def test_sentence(self, arpabet, letters_en):
         syl, degen = self._project("sentence", "S EH1 N T AH0 N S",
@@ -239,9 +240,30 @@ class TestProjectBreaks:
         syl = ssp_breaks(phone)
         assert len(syl.breaks) == 2
         projected, degen = project_breaks(syl, align(curve(phone), curve(letters))[0],
-                                          phone, letters)
+                                          phone, letters, curve(letters))
         assert degen
         assert projected.n_syllables <= syl.n_syllables
+
+    def test_project_words_checks_the_budget_and_aligns_once(self, monkeypatch):
+        # one dtw call over the words within the cell budget, each result as
+        # for the word alone, and None for the word past the budget
+        calls = count_calls(monkeypatch, dtw)
+        rng = random.Random(5)
+        seqs = [(sequence_from_levels(random_expanded_levels(rng, 9)),
+                 sequence_from_levels(random_expanded_levels(rng, 9))) for _ in range(6)]
+        over = sequence_from_levels([1] * (DTW_CELL_BUDGET // 5 + 1))
+        seqs.insert(2, (sequence_from_levels([5, 4, 1, 5, 4]), over))
+        at_budget = sequence_from_levels([1] * (DTW_CELL_BUDGET // 5))
+        seqs.insert(4, (sequence_from_levels([5, 4, 1, 5, 4]), at_budget))
+        words = [(ssp_breaks(phone), phone, letters) for phone, letters in seqs]
+        got = project_words(words)
+        [(aligned,)] = calls
+        assert len(aligned) == len(words) - 1 and got[2] is None
+        for (syl, phone, letters), result in zip(words, got):
+            if letters is not over:
+                pairs, _ = align(curve(phone), curve(letters))
+                assert result == (pairs, project_breaks(syl, pairs, phone, letters,
+                                                        curve(letters)))
 
 
 def oracle_projection(phone, letters):
@@ -269,7 +291,7 @@ class TestProjectionOracle:
         seqs = [(sequence_from_levels(la), sequence_from_levels(lb)) for la, lb in cases]
         paths = dtw([(curve(phone), curve(letters)) for phone, letters in seqs])
         for (la, lb), (phone, letters), (pairs, _) in zip(cases, seqs, paths):
-            got = project_breaks(ssp_breaks(phone), pairs, phone, letters)
+            got = project_breaks(ssp_breaks(phone), pairs, phone, letters, curve(letters))
             assert got == oracle_projection(phone, letters), (la, lb)
 
 
@@ -308,7 +330,7 @@ class TestProjectionReference:
         breaks = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
         phone_syll = Syllabification(phone.symbols, tuple(sorted(breaks)))
         pairs = monotone_path(data, len(curve(phone)), len(curve(letters)))
-        assert project_breaks(phone_syll, pairs, phone, letters) == \
+        assert project_breaks(phone_syll, pairs, phone, letters, curve(letters)) == \
             zip_project_breaks(phone_syll, pairs, phone, letters)
 
     # (phone levels, breaks, letter levels, path, kept breaks); each drops a cut
@@ -330,7 +352,7 @@ class TestProjectionReference:
         phone = sequence_from_levels(phone_levels)
         letters = sequence_from_levels(letter_levels)
         phone_syll = Syllabification(phone.symbols, breaks)
-        got = project_breaks(phone_syll, pairs, phone, letters)
+        got = project_breaks(phone_syll, pairs, phone, letters, curve(letters))
         assert got == zip_project_breaks(phone_syll, pairs, phone, letters)
         assert got == (Syllabification(letters.symbols, kept), True)
 
@@ -339,9 +361,9 @@ def ssp_dtw(word, phones, phone_h, letter_h):
     """SSP breaks of `phones` projected onto the letters of `word`."""
     phone_seq = sonority_sequence(phones, phone_h)
     letter_seq = sonority_sequence(list(word), letter_h)
-    return project_breaks(ssp_breaks(phone_seq),
-                          align(curve(phone_seq), curve(letter_seq))[0],
-                          phone_seq, letter_seq)
+    letters = curve(letter_seq)
+    return project_breaks(ssp_breaks(phone_seq), align(curve(phone_seq), letters)[0],
+                          phone_seq, letter_seq, letters)
 
 
 class TestSspDtwSyllabify:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllab.align import dtw
+from syllab.align import alignment_debug_tsv, curve, dtw
 from syllab.cli import format_record_row, main
 from syllab.errors import UnknownSymbolError
 from syllab.evaluate import run_ablation, word_accuracy
@@ -156,6 +156,7 @@ class TestWorkCounts:
         curves = count_calls(monkeypatch, sonority_sequence)
         breaks = count_calls(monkeypatch, ssp_breaks)
         alignments = count_calls(monkeypatch, dtw)
+        expansions = count_calls(monkeypatch, curve)
         records = count_calls(monkeypatch, word_record)
         n = len(mini_resources.lexicon)
         run_ablation(mini_resources, n, 0)
@@ -166,6 +167,8 @@ class TestWorkCounts:
         assert letter_curves <= n
         assert len(breaks) <= 2 * n
         assert 0 < aligned_words(alignments) <= n
+        # an aligned word's phone and letter curves are each expanded once
+        assert len(expansions) == 2 * aligned_words(alignments)
 
     def test_ablation_aligns_each_word_with_breaks_once(self, mini_resources,
                                                         monkeypatch):
@@ -194,23 +197,29 @@ class TestWorkCounts:
         assert any(rec.method == "corpus-lookup" for rec in records.values()) \
             == method.startswith("lkp")
 
-    def test_dump_alignment_adds_no_alignment_work(self, tmp_path, monkeypatch, capsys):
+    def test_dump_alignment_aligns_each_dumped_word_once(self, tmp_path, monkeypatch,
+                                                         capsys, mini_resources):
         alignments = count_calls(monkeypatch, dtw)
-        words = ["sentence", "beautiful", "oceanic", "Sentence"]
+        words = ["sentence", "beautiful", "oceanic", "Sentence", "leaves"]
         options = ["--dict", str(DATA / "mini_cmu.dict"), "--method", "ssp-dtw"]
         assert main(["syllabify", *words, *options]) == 0
-        assert aligned_words(alignments) == 3
+        run = list(alignments)
+        assert aligned_words(run) == 3  # leaves has no break to project
         alignments.clear()
         dump = tmp_path / "aligns"
         assert main(["syllabify", *words, *options, "--dump-alignment", str(dump)]) == 0
-        assert aligned_words(alignments) == 3
-        assert sorted(p.name for p in dump.iterdir()) == [
-            "beautiful.tsv", "oceanic.tsv", "sentence.tsv"]
-        # a word without a break to project is aligned for the dump alone, once
-        alignments.clear()
-        assert main(["syllabify", *words, "leaves", *options,
-                     "--dump-alignment", str(dump)]) == 0
-        assert aligned_words(alignments) == 4
+        # the run aligns as without the dump; the dump adds one call, which
+        # aligns each word it dumps once, a word without a break too
+        *projected, (dumped_pairs,) = alignments
+        assert projected == run
+        dumped = sorted(p.stem for p in dump.iterdir())
+        assert dumped == ["beautiful", "leaves", "oceanic", "sentence"]
+        assert len(dumped_pairs) == len(dumped)
+        # each file holds the path of its word aligned alone
+        for a in analyze_words(dumped, mini_resources):
+            [(pairs, _)] = dtw([(curve(a.phone_seq), curve(a.letter_seq))])
+            assert (dump / f"{a.word}.tsv").read_bytes() == alignment_debug_tsv(
+                pairs, a.phone_seq, a.letter_seq).encode()
 
     def test_words_aligned_in_chunks_of_analysis_chunk(self, arpabet, letters_en,
                                                         monkeypatch):
