@@ -260,7 +260,7 @@ def _write_output(chunks: Iterable[str], out_path: str | None) -> None:
 def cmd_normalize(args) -> int:
     lines = _utf8_args(args.text) if args.text else _stdin_lines()
     for line in lines:
-        print(" ".join(word for word, _ in normalize(line, args.lang)))
+        print(" ".join(normalize(line, args.lang)))
     return 0
 
 
@@ -321,22 +321,22 @@ def cmd_annotate(args) -> int:
     resources = build_resources(args)
     _warn_if_lookup_disabled(args, resources)
     pairs = read_corpus_file(args.corpus_file)
-    sentence_keys, table = annotate_corpus([text for _, text in pairs], args.lang,
-                                           resources, args.method)
+    sentence_words, table = annotate_corpus([text for _, text in pairs], args.lang,
+                                            resources, args.method)
     # normalize drops a unit whose core holds the reserved separator
     dropped = sum(1 for _, text in pairs if TEXT_SYL_SEP in text
                   for unit in text.split()
                   if TEXT_SYL_SEP in unit and not normalize(unit, args.lang))
-    rows = {key: format_record_row(rec) for key, rec in table.items()}
+    rows = {word: format_record_row(rec) for word, rec in table.items()}
     _write_output(itertools.chain(
         ("\t".join(ANNOTATION_COLUMNS) + "\n",),
-        (f"{sid}\t{token_index}\t{rows[key]}\n"
-         for (sid, _), keys in zip(pairs, sentence_keys)
-         for token_index, key in enumerate(keys))), args.out)
+        (f"{sid}\t{token_index}\t{rows[word]}\n"
+         for (sid, _), words in zip(pairs, sentence_words)
+         for token_index, word in enumerate(words))), args.out)
 
-    # the report and the accuracy read each distinct key once, with its token count
-    tokens = Counter(itertools.chain.from_iterable(sentence_keys))
-    counted = [(table[key], n) for key, n in tokens.items()]
+    # the report and the accuracy read each distinct word once, with its token count
+    tokens = Counter(itertools.chain.from_iterable(sentence_words))
+    counted = [(table[word], n) for word, n in tokens.items()]
     report_path = args.report
     if report_path is None and args.out and args.out != "-":
         report_path = args.out + ".report.tsv"
@@ -533,6 +533,10 @@ def _build_parser(argv: list[str] | None = None
     return parser, by_name
 
 
+# the values a config file may give a flag, in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _config_defaults(path, sub_parser: argparse.ArgumentParser) -> dict:
     """The config file's values, checked and typed as defaults of `sub_parser`."""
     # only options can be configured; positionals come from the command line
@@ -543,7 +547,10 @@ def _config_defaults(path, sub_parser: argparse.ArgumentParser) -> dict:
             raise ConfigurationError(f"unknown config key {key!r}")
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            parsed = value.lower() in ("1", "true", "yes")
+            parsed = _BOOLEANS.get(value.lower())
+            if parsed is None:
+                raise ConfigurationError(
+                    f"config key {key!r}: {value!r} is not a boolean")
         elif action.type is int:
             try:
                 parsed = int(value)

@@ -28,7 +28,7 @@ from .sonority import (
     sonority_sequence,
 )
 from .ssp import Syllabification, ssp_breaks, syllabify_symbols
-from .textnorm import normalize
+from .textnorm import kept_numeral, normalize
 
 log = LazyLogger(__name__)
 
@@ -36,7 +36,8 @@ METHOD_CHOICES = ("ssp", "lkp-ssp", "ssp-dtw", "lkp-ssp-dtw")
 # a record's `method`: the step that made its letter syllabification
 RECORD_METHODS = ("corpus-lookup", "single-vowel", "ssp-dtw", "ssp-letters",
                   "oov-unresolved")
-# every flag a record can carry: its analysis's, its method's and its token's
+# every flag a record can carry: its analysis's, its method's, and
+# `numeral-unsupported` for a word that is a numeral or ordinal in digits
 RECORD_FLAGS = frozenset({"oov", "no-stress", "no-nucleus", "degenerate-projection",
                           "projection-skipped", "count-mismatch",
                           "numeral-unsupported"})
@@ -267,12 +268,13 @@ def text_syllabification(analysis: WordAnalysis, method: str,
     return a.letters_ssp, "ssp-letters"
 
 
-def word_record(analysis: WordAnalysis, method: str,
-                extra_flags=()) -> WordRecord:
-    """The record of an analyzed word under `method`, with the token's flags."""
+def word_record(analysis: WordAnalysis, method: str) -> WordRecord:
+    """The record of an analyzed word under `method`."""
     a = analysis
     text_syll, method_used = text_syllabification(a, method)
-    flags = set(extra_flags) | a.flags
+    flags = set(a.flags)
+    if kept_numeral(a.word):
+        flags.add("numeral-unsupported")
     if method_used == "ssp-dtw" and a.projection[1]:
         flags.add("degenerate-projection")
     elif method_used == "ssp-letters" and method.endswith("dtw") and a.phone_syll.breaks:
@@ -280,18 +282,14 @@ def word_record(analysis: WordAnalysis, method: str,
         flags.add("projection-skipped")
     if a.phone_syll.n_syllables != text_syll.n_syllables:
         flags.add("count-mismatch")
-    else:
-        flags.discard("count-mismatch")
     return WordRecord(a.word, a.pronunciations, a.phone_syll, text_syll,
                       a.stress_index, method_used, frozenset(flags))
 
 
 def syllabify_word(word: str, resources: Resources,
-                   method: str = "lkp-ssp-dtw",
-                   extra_flags=()) -> WordRecord:
-    """Produce the unified annotation record for one word token."""
-    return word_record(next(analyze_words([word], resources, (method,))), method,
-                       extra_flags)
+                   method: str = "lkp-ssp-dtw") -> WordRecord:
+    """Produce the unified annotation record for one word."""
+    return word_record(next(analyze_words([word], resources, (method,))), method)
 
 
 # a phone token starting with a primary mark carries primary stress; the
@@ -380,30 +378,24 @@ def _marked_symbols(phones: str) -> tuple[list[str], int | None]:
 
 def annotate_corpus(sentences, lang: str, resources: Resources,
                     method: str = "lkp-ssp-dtw",
-                    ) -> tuple[list[list[tuple]], dict[tuple, WordRecord]]:
+                    ) -> tuple[list[list[str]], dict[str, WordRecord]]:
     """Annotate sentences in order, analyzing each distinct word once.
 
-    Each sentence is normalized once into the (word, token flags) keys of
-    its tokens.  Returns those keys per sentence and the table of records:
-    every distinct key gets one record, which all its occurrences share.
-    The records of a word's keys are made from its analysis, which is then
-    dropped.
+    Each sentence is normalized once into its words.  Returns those words
+    per sentence and the table of records: every distinct word gets one
+    record, which all its occurrences share, made from its analysis, which
+    is then dropped.
     """
-    sentence_keys = [normalize(s, lang) for s in sentences]
-    by_word: dict[str, list] = {}
-    for key in dict.fromkeys(key for ks in sentence_keys for key in ks):
-        by_word.setdefault(key[0], []).append(key)
-    records = {key: word_record(analysis, method, key[1])
-               for keys, analysis in zip(by_word.values(),
-                                         analyze_words(by_word, resources,
-                                                       (method,)))
-               for key in keys}
-    return sentence_keys, records
+    sentence_words = [normalize(s, lang) for s in sentences]
+    records = {a.word: word_record(a, method)
+               for a in analyze_words(chain.from_iterable(sentence_words),
+                                      resources, (method,))}
+    return sentence_words, records
 
 
 def consistency_report(counted) -> str:
     """The report TSV over `counted` (record, count) pairs: each record stands
-    for `count` tokens, so the records of a run's distinct keys give the same
+    for `count` tokens, so the records of a run's distinct words give the same
     report as one record per token.  Records are stably sorted by word, and
     the groups by flag."""
     groups: dict[str, list[tuple[WordRecord, int]]] = {}

@@ -1,10 +1,10 @@
-"""Sentence text to the (word, flags) keys of its dictionary-ready tokens.
+"""Sentence text to its dictionary-ready words.
 
 Each whitespace unit loses the punctuation at its ends (apostrophes stay)
-and is dropped if nothing alphanumeric is left.  Acronyms are spelled out
-letter by letter, integer numerals are verbalized (en/fr/es cardinals),
-other numerals and ordinals are kept and flagged, and words split on
-hyphens.
+and splits on hyphens; each part loses the punctuation at its ends and is
+dropped if nothing alphanumeric is left.  Acronyms are spelled out letter
+by letter and integer numerals are verbalized (en/fr/es cardinals); other
+numerals and ordinals are kept as written, which `kept_numeral` tells.
 """
 
 import re
@@ -21,17 +21,15 @@ _GROUPED_INT = re.compile(r"^[0-9]{1,3}(?:,[0-9]{3})+$")
 
 MAX_NUMERAL = 999_999_999
 
-_PLAIN: frozenset[str] = frozenset()
-_UNSUPPORTED = frozenset({"numeral-unsupported"})
 
-
-def _edge_span(raw: str) -> tuple[int, int]:
+def _strip(raw: str) -> str:
+    """`raw` without the punctuation at its ends."""
     start, end = 0, len(raw)
     while start < end and not raw[start].isalnum() and raw[start] not in _KEEP:
         start += 1
     while end > start and not raw[end - 1].isalnum() and raw[end - 1] not in _KEEP:
         end -= 1
-    return start, end
+    return raw[start:end]
 
 
 # --- cardinal number verbalization ------------------------------------------
@@ -190,45 +188,45 @@ def _numeral_value(core: str) -> int:
     raise UnsupportedNumeralError(f"unsupported numeral shape: {core!r}")
 
 
-def normalize(text: str, lang: str = "en") -> list[tuple[str, frozenset[str]]]:
-    """The (word, flags) keys of the tokens of `text`, in order.
+def kept_numeral(word: str) -> bool:
+    """Whether `word` is a numeral or ordinal in digits, as `normalize` keeps
+    those it cannot verbalize."""
+    return bool(_NUMERAL.match(word) or _ORDINAL.match(word))
 
-    Words are lower-cased.  The flags are empty, or `numeral-unsupported`
-    for a numeral or ordinal that stays as written.  A unit holding
-    `TEXT_SYL_SEP` (`|`) is dropped: the output format reserves it as the
-    syllable separator.
+
+def normalize(text: str, lang: str = "en") -> list[str]:
+    """The lower-cased words of `text`, in order.
+
+    Each hyphen part of a unit takes the same rules as a whole unit.  A
+    numeral or ordinal that stays as written is a word of its own.  A unit
+    holding `TEXT_SYL_SEP` (`|`) is dropped: the output format reserves it
+    as the syllable separator.
     """
-    keys: list[tuple[str, frozenset[str]]] = []
+    words: list[str] = []
     for unit in text.split():
         if unit.isalpha() and (len(unit) < 2 or not unit.isupper()):
             # a plain word, unless lower-casing adds a mark: "İ" becomes
             # "i" + U+0307, and the full path strips that mark at the edge
             word = unit.lower()
             if word.isalpha():
-                keys.append((word, _PLAIN))
+                words.append(word)
                 continue
-        start, end = _edge_span(unit)
-        core = unit[start:end]
-        if TEXT_SYL_SEP in core or not any(ch.isalnum() for ch in core):
+        if TEXT_SYL_SEP in _strip(unit):
             continue
-        if len(core) >= 2 and core.isalpha() and core.isupper():
-            keys.extend((ch.lower(), _PLAIN) for ch in core)  # acronym
-            continue
-        word = core.lower()
-        if _NUMERAL.match(core):
-            try:
-                words = num_to_words(_numeral_value(word), lang)
-            except UnsupportedNumeralError:
-                keys.append((word, _UNSUPPORTED))
-            else:
-                keys.extend((w, _PLAIN) for w in words)
-        elif _ORDINAL.match(word):
-            # ordinals ("2nd") are digit-led words we cannot verbalize yet
-            keys.append((word, _UNSUPPORTED))
-        else:
-            for part in word.split("-"):
-                start, end = _edge_span(part)
-                part = part[start:end]
-                if any(ch.isalnum() for ch in part):
-                    keys.append((part, _PLAIN))
-    return keys
+        for part in unit.split("-"):
+            part = _strip(part)
+            if len(part) >= 2 and part.isalpha() and part.isupper():
+                words.extend(ch.lower() for ch in part)  # acronym
+                continue
+            word = _strip(part.lower())
+            if not any(ch.isalnum() for ch in word):
+                continue
+            if _NUMERAL.match(word):
+                try:
+                    words += num_to_words(_numeral_value(word), lang)
+                    continue
+                except UnsupportedNumeralError:
+                    pass
+            # a word, or a numeral or ordinal ("2nd") we cannot verbalize yet
+            words.append(word)
+    return words

@@ -47,8 +47,8 @@ def aligned_words(dtw_calls) -> int:
 
 def sentence_records(sentences, resources, method="lkp-ssp-dtw") -> list:
     """The records of each sentence's tokens, in order, from `annotate_corpus`."""
-    sentence_keys, records = annotate_corpus(sentences, "en", resources, method)
-    return [[records[key] for key in keys] for keys in sentence_keys]
+    sentence_words, records = annotate_corpus(sentences, "en", resources, method)
+    return [[records[word] for word in words] for words in sentence_words]
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from syllab.errors import DictParseError, UnknownSymbolError, UnsupportedNumeral
 from syllab.lexicon import Pronunciation, sc_correction
 from syllab.sonority import VOWEL_LETTERS, VOWEL_LEVEL, SonoritySequence
 from syllab.ssp import PHONE_SYL_SEP, TEXT_SYL_SEP, Syllabification, syllabify_symbols
-from syllab.textnorm import _NUMERAL, _ORDINAL, _edge_span, _numeral_value, num_to_words
+from syllab.textnorm import _NUMERAL, _ORDINAL, _numeral_value, num_to_words
 
 
 def oracle_breaks(points):
@@ -380,36 +380,44 @@ def eager_secondary_stress(path, hierarchy):
     return entries, skipped
 
 
+def _strip_edges(raw):
+    """`raw` without the characters at its ends that are neither
+    alphanumeric nor apostrophes."""
+    def edge(ch):
+        return not ch.isalnum() and ch not in "'’"
+    head = "".join(itertools.dropwhile(edge, raw))
+    return "".join(itertools.dropwhile(edge, reversed(head)))[::-1]
+
+
 def full_path_normalize(text, lang="en"):
-    """`normalize` with every whitespace unit taking the punctuation, numeral,
-    acronym and hyphen path, plain words included."""
-    plain, unsupported = frozenset(), frozenset({"numeral-unsupported"})
-    keys = []
+    """`normalize` with every whitespace unit taking the punctuation and hyphen
+    path, plain words included, and every hyphen part the punctuation,
+    numeral and acronym rules of a unit: each word paired with whether it is a
+    numeral or ordinal kept as written."""
+    pairs = []
     for unit in text.split():
-        start, end = _edge_span(unit)
-        core = unit[start:end]
-        if TEXT_SYL_SEP in core or not any(ch.isalnum() for ch in core):
+        core = _strip_edges(unit)
+        if TEXT_SYL_SEP in core:
             continue
-        if len(core) >= 2 and core.isalpha() and core.isupper():
-            keys.extend((ch.lower(), plain) for ch in core)
-            continue
-        word = core.lower()
-        if _NUMERAL.match(core):
-            try:
-                words = num_to_words(_numeral_value(word), lang)
-            except UnsupportedNumeralError:
-                keys.append((word, unsupported))
-            else:
-                keys.extend((w, plain) for w in words)
-        elif _ORDINAL.match(word):
-            keys.append((word, unsupported))
-        else:
-            for part in word.split("-"):
-                start, end = _edge_span(part)
-                part = part[start:end]
-                if any(ch.isalnum() for ch in part):
-                    keys.append((part, plain))
-    return keys
+        for part in map(_strip_edges, core.split("-")):
+            if not any(ch.isalnum() for ch in part):
+                continue
+            if len(part) >= 2 and part.isalpha() and part.isupper():
+                pairs.extend((ch.lower(), False) for ch in part)
+                continue
+            word = _strip_edges(part.lower())
+            if _NUMERAL.match(part):
+                try:
+                    words = num_to_words(_numeral_value(word), lang)
+                except UnsupportedNumeralError:
+                    pairs.append((word, True))
+                else:
+                    pairs.extend((w, False) for w in words)
+            elif _ORDINAL.match(word):
+                pairs.append((word, True))
+            elif any(ch.isalnum() for ch in word):
+                pairs.append((word, False))
+    return pairs
 
 
 def bounds_syllables(syll):

@@ -205,9 +205,9 @@ def _arctic_records():
     from syllab.cli import read_corpus_file
     pairs = read_corpus_file(prompts_path)
     assert len(pairs) == 1132, f"expected 1132 prompts, got {len(pairs)}"
-    sentence_keys, records = annotate_corpus([text for _, text in pairs], "en",
-                                             resources, "lkp-ssp-dtw")
-    return [records[key] for keys in sentence_keys for key in keys]
+    sentence_words, records = annotate_corpus([text for _, text in pairs], "en",
+                                              resources, "lkp-ssp-dtw")
+    return [records[word] for words in sentence_words for word in words]
 
 
 class TestC6ArcticAnnotation:

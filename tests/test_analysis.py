@@ -103,11 +103,10 @@ class TestRecords:
 
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_one_analysis_serves_every_method(self, mini_resources, method):
-        for word in WORDS:
+        for word in WORDS + NUMERALS + ["2nd"]:
             analysis = next(analyze_words([word], mini_resources))
-            for flags in ((), ("numeral-unsupported",)):
-                assert word_record(analysis, method, flags) == \
-                    syllabify_word(word, mini_resources, method, extra_flags=flags)
+            assert word_record(analysis, method) == \
+                syllabify_word(word, mini_resources, method)
 
     def test_unknown_method_rejected(self, mini_resources):
         with pytest.raises(ValueError):
@@ -144,11 +143,10 @@ sentences = st.lists(
 def test_annotate_rows_equal_fresh_records(mini_resources, sents, method):
     sents = sents + sents[:2]  # repeats across sentences as well as within
     for recs, sentence in zip(sentence_records(sents, mini_resources, method), sents):
-        keys = normalize(sentence, "en")
-        assert len(recs) == len(keys)
-        for rec, (word, flags) in zip(recs, keys):
-            assert rec == syllabify_word(word, mini_resources, method,
-                                         extra_flags=flags)
+        words = normalize(sentence, "en")
+        assert len(recs) == len(words)
+        for rec, word in zip(recs, words):
+            assert rec == syllabify_word(word, mini_resources, method)
 
 
 class TestWorkCounts:
@@ -276,9 +274,9 @@ class TestWorkCounts:
         calls = count_calls(monkeypatch, analyze_word)
         sents = ["The author can write 3.5 words.", "the AUTHOR can write",
                  "write 3.5 words the author"] * 3
-        sentence_keys, _ = annotate_corpus(sents, "en", mini_resources)
-        words = {word for s in sents for word, _ in normalize(s, "en")}
-        assert sum(len(keys) for keys in sentence_keys) > len(words)
+        sentence_words, _ = annotate_corpus(sents, "en", mini_resources)
+        words = {word for s in sents for word in normalize(s, "en")}
+        assert sum(map(len, sentence_words)) > len(words)
         assert sorted(args[0] for args in calls) == sorted(words)
 
     def test_annotate_formats_each_distinct_key_once(self, tmp_path, monkeypatch,
@@ -291,9 +289,9 @@ class TestWorkCounts:
         out = tmp_path / "a.tsv"
         assert main(["annotate", str(prompts), "--dict", str(DATA / "mini_cmu.dict"),
                      "--out", str(out)]) == 0
-        keys = [key for s in sents for key in normalize(s, "en")]
-        assert len(out.read_text().splitlines()) == 1 + len(keys)
-        assert len(rows) == len(set(keys)) < len(keys)
+        words = [word for s in sents for word in normalize(s, "en")]
+        assert len(out.read_text().splitlines()) == 1 + len(words)
+        assert len(rows) == len(set(words)) < len(words)
 
     def test_resources_parse_only_the_words_a_run_uses(self, monkeypatch):
         built = []

@@ -73,7 +73,8 @@ class TestRecordRows:
 
 
     def test_record_outside_the_vocabulary_not_written(self, mini_resources):
-        rec = syllabify_word("leaves", mini_resources, "ssp", extra_flags=("made-up",))
+        rec = syllabify_word("leaves", mini_resources, "ssp")._replace(
+            flags=frozenset({"made-up"}))
         with pytest.raises(ValueError, match="outside the record vocabulary"):
             format_record_row(rec)
 
@@ -125,6 +126,21 @@ class TestSyllabifyCommand:
         lines = out.strip().split("\n")
         assert lines[0].startswith("leaves\t")
         assert lines[1].split("\t")[3] == "sen|tence"
+
+    def test_rows_equal_annotate_rows(self, capsys, tmp_path):
+        # a numeral kept as written is flagged by the word, in either command
+        words = ["3.5", "2nd", "leaves", "sentence", "zzxq"]
+        code, out, _ = run(capsys, "syllabify", *words, "--dict", DICT, "--corpus", CORPUS)
+        assert code == 0
+        assert [row.split("\t")[-1] for row in out.splitlines()[:2]] == [
+            "count-mismatch,no-stress,numeral-unsupported,oov"] * 2
+        prompts, annotated = tmp_path / "p.txt", tmp_path / "a.tsv"
+        prompts.write_text(" ".join(words) + "\n")
+        code, _, _ = run(capsys, "annotate", str(prompts), "--dict", DICT,
+                         "--corpus", CORPUS, "--out", str(annotated))
+        assert code == 0
+        assert out.splitlines() == [row.split("\t", 2)[2] for row in
+                                    annotated.read_text().splitlines()[1:]]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "syllabify", "oceanic", "--dict", DICT,
@@ -377,8 +393,8 @@ class TestAnnotateCommand:
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_report_and_accuracy_equal_per_token_records(self, capsys, tmp_path,
                                                          mini_resources, method):
-        # "3.5" and "2nd" are flagged numeral-unsupported alone and plain inside
-        # a hyphenated unit, so each word has two keys; flagged words repeat
+        # "3.5" and "2nd" are flagged numeral-unsupported alone and inside a
+        # hyphenated unit alike, so each has one record; flagged words repeat
         prompts = ["3.5 zzxq a-3.5 the 3.5 sentence", "2nd x-2nd zzxq sentence.",
                    "zzxq 2nd leaves x"]
         corpus, rep = tmp_path / "c.txt", tmp_path / "rep.tsv"
@@ -390,7 +406,6 @@ class TestAnnotateCommand:
         tokens = [rec for recs in sentence_records(prompts, mini_resources, method)
                   for rec in recs]
         assert {(r.word, r.flags) for r in tokens if r.word == "3.5"} == {
-            ("3.5", frozenset({"oov", "no-stress", "count-mismatch"})),
             ("3.5", frozenset({"oov", "no-stress", "count-mismatch",
                                "numeral-unsupported"}))}
         once = [(rec, 1) for rec in tokens]
@@ -415,17 +430,31 @@ class TestAnnotateCommand:
         assert len(rows) == 3
         assert "oov" in rows[1]
 
-    def test_deterministic_bytes(self, capsys, tmp_path):
+    def test_deterministic_bytes(self, tmp_path):
+        # each run in a fresh interpreter with its own string hash seed, over
+        # hyphenated numerals and acronyms and flagged numerals that repeat
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text((DATA / "fixture_prompts.txt").read_text() + "\n".join([
+            '( extra_0001 "The 1990-1995 FBI-agent report gave 3.5 of the 3.5 stars." )',
+            '( extra_0002 "A 3,000-strong twenty-1 BBC-TV crew saw the 2nd-floor a-3.5." )',
+            '( extra_0003 "2nd 3.5 1990-1995 the FBI agent 2nd" )']) + "\n")
         outs = []
-        for i in range(3):
-            out_path = tmp_path / f"ann{i}.tsv"
-            rep_path = tmp_path / f"rep{i}.tsv"
-            code, _, _ = run(capsys, "annotate", str(DATA / "fixture_prompts.txt"),
-                             "--dict", DICT, "--corpus", CORPUS,
-                             "--out", str(out_path), "--report", str(rep_path))
-            assert code == 0
+        for seed in (1, 2, 3):
+            out_path = tmp_path / f"ann{seed}.tsv"
+            rep_path = tmp_path / f"rep{seed}.tsv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "syllab.cli", "annotate", str(prompts),
+                 "--dict", DICT, "--corpus", CORPUS,
+                 "--out", str(out_path), "--report", str(rep_path)],
+                capture_output=True, timeout=60,
+                env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC,
+                     "PYTHONHASHSEED": str(seed)})
+            assert proc.returncode == 0, proc.stderr
             outs.append(out_path.read_bytes() + rep_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+        rows = [row.split("\t") for row in (tmp_path / "ann1.tsv").read_text().splitlines()]
+        flagged = [row[2] for row in rows if "numeral-unsupported" in row[-1]]
+        assert flagged == ["3.5", "3.5", "2nd", "3.5", "2nd", "3.5", "2nd"]
 
     def test_round_trip_via_reader(self, capsys, tmp_path):
         out_path = tmp_path / "ann.tsv"
@@ -578,7 +607,9 @@ class TestConfigFile:
         assert code == 2 and "config key 'method': 'dtw' not in" in err
 
 
-    @pytest.mark.parametrize("value, code", [("yes", 0), ("true", 0), ("no", 2)])
+    @pytest.mark.parametrize("value, code", [
+        ("yes", 0), ("true", 0), ("no", 2), ("TRUE", 0), ("0", 2), ("ture", 2),
+        ("on", 2), ("", 2)])
     def test_config_lenient(self, capsys, tmp_path, value, code):
         bad = tmp_path / "bad.dict"
         bad.write_text("CAT  K AE1 T\nJUNK\n")
@@ -586,8 +617,11 @@ class TestConfigFile:
         cfg.write_text(f"dict_path = {bad}\nlenient = {value}\n")
         got, out, err = run(capsys, "syllabify", "cat", "--config", str(cfg))
         assert got == code
-        if code:  # the default: a malformed line ends the run
+        if value.lower() in ("no", "0", "false"):  # strict: a malformed line ends the run
             assert out == "" and err == f"error: {bad}:2: expected 'WORD  PHONES...'\n"
+        elif code:  # not a boolean: the run ends before loading anything
+            assert out == "" and err == \
+                f"error: config key 'lenient': {value!r} is not a boolean\n"
         else:  # the line is skipped
             assert out.startswith("cat\t")
 

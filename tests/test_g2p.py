@@ -254,7 +254,7 @@ class TestHostileG2p:
         res = Resources(mini_lexicon, arpabet, letters_en, fallback=fake("ok"))
         sents = ["the zzxq leaves", "blorp and zzxq", "The BLORP leaves a wug"]
         annotate_corpus(sents, "en", res)
-        words = {word for s in sents for word, _ in normalize(s, "en")}
+        words = {word for s in sents for word in normalize(s, "en")}
         assert sorted(args[1] for args in lookups) == sorted(words)
         assert [args[0] for args in batches] == [["zzxq", "blorp", "wug"]]
 

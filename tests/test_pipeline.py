@@ -344,10 +344,11 @@ class TestAnnotateCorpus:
 
     def test_order_is_input_order(self, mini_resources):
         sentences = ["The author can write.", "Leaves come from the tree."]
-        sentence_keys, records = annotate_corpus(sentences, "en", mini_resources)
-        assert [[word for word, _ in keys] for keys in sentence_keys] == \
+        sentence_words, records = annotate_corpus(sentences, "en", mini_resources)
+        assert sentence_words == \
             [["the", "author", "can", "write"], ["leaves", "come", "from", "the", "tree"]]
-        assert all(key in records for keys in sentence_keys for key in keys)
+        assert list(records) == ["the", "author", "can", "write", "leaves", "come",
+                                 "from", "tree"]
 
     def test_permuting_sentences_permutes_output(self, mini_resources):
         sentences = ["The author can write.", "Leaves come from the tree.",

@@ -1,9 +1,13 @@
-"""The README documents exactly the package root's exports and each subcommand's options;
-the modules that `--lang` reaches know the same languages."""
+"""The README documents exactly the package root's exports and each subcommand's options,
+and its Python examples print what they say; the modules that `--lang` reaches know the
+same languages."""
 
 import ast
+import contextlib
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import syllab
@@ -23,6 +27,23 @@ def test_all_matches_readme():
     documented = re.findall(r"^- `(\w+)", section, re.MULTILINE)
     assert sorted(syllab.__all__) == sorted(documented)
     assert all(hasattr(syllab, name) for name in documented)
+
+
+def test_readme_python_examples_print_their_comments(monkeypatch):
+    # the blocks run in order in one namespace from the repo root, and each
+    # comment in a block is the line that the print before it writes
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(README.parent)
+    namespace = {}
+    for block in blocks:
+        comments = [tok.string[1:].strip() for tok in tokenize.generate_tokens(
+                    io.StringIO(block).readline) if tok.type == tokenize.COMMENT]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, str(README), "exec"), namespace)
+        assert out.getvalue().splitlines() == comments
 
 
 def test_subcommand_options_match_readme():

@@ -3,65 +3,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllab.errors import UnsupportedNumeralError
-from syllab.textnorm import normalize, num_to_words
+from syllab.textnorm import kept_numeral, normalize, num_to_words
 
 from oracles import full_path_normalize
 
-PLAIN = frozenset()
-UNSUPPORTED = frozenset({"numeral-unsupported"})
+# whether `kept_numeral` holds for a word (see `kept`)
+PLAIN, UNSUPPORTED = False, True
 
 
-def words(text, lang="en"):
-    return [word for word, _ in normalize(text, lang)]
+def kept(text, lang="en"):
+    """Each word of `text` with whether `kept_numeral` holds for it."""
+    return [(word, kept_numeral(word)) for word in normalize(text, lang)]
 
 
 class TestTokenize:
     """How `normalize` splits text into word tokens."""
 
     def test_punctuation_attached_to_words(self):
-        assert normalize("Hello, world.") == [("hello", PLAIN), ("world", PLAIN)]
+        assert kept("Hello, world.") == [("hello", PLAIN), ("world", PLAIN)]
 
     def test_kind_classification(self):
-        assert words("The BBC aired 42 shows") == \
+        assert normalize("The BBC aired 42 shows") == \
             ["the", "b", "b", "c", "aired", "forty", "two", "shows"]
 
     def test_empty_text(self):
         assert normalize("") == []
 
     def test_leading_punctuation(self):
-        assert normalize('"Quote (42 times).') == \
+        assert kept('"Quote (42 times).') == \
             [("quote", PLAIN), ("forty", PLAIN), ("two", PLAIN), ("times", PLAIN)]
 
     def test_apostrophes_stay_in_core(self):
-        assert words("don't stop, it's o'clock") == ["don't", "stop", "it's", "o'clock"]
+        assert normalize("don't stop, it's o'clock") == ["don't", "stop", "it's", "o'clock"]
 
     def test_punctuation_only_token(self):
-        assert words("stop -- now") == ["stop", "now"]
+        assert normalize("stop -- now") == ["stop", "now"]
 
     def test_single_capital_is_a_word(self):
-        assert words("I a A") == ["i", "a", "a"]
+        assert normalize("I a A") == ["i", "a", "a"]
 
     def test_numeral_kind_implies_digit_pattern(self):
         # only ASCII digit runs joined by . or , are numerals; "a1" is a word
-        assert normalize("2nd 42 3.5 1,000 a1 9") == [
+        assert kept("2nd 42 3.5 1,000 a1 9") == [
             ("2nd", UNSUPPORTED), ("forty", PLAIN), ("two", PLAIN),
             ("3.5", UNSUPPORTED), ("one", PLAIN), ("thousand", PLAIN),
             ("a1", PLAIN), ("nine", PLAIN)]
 
     def test_dotted_abbreviation_is_not_acronym(self):
         # internal dots disqualify: only solid capital runs count
-        assert normalize("U.S.A.") == [("u.s.a", PLAIN)]
+        assert kept("U.S.A.") == [("u.s.a", PLAIN)]
 
 
 class TestExpandAcronym:
     def test_bbc(self):
-        assert normalize("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
+        assert kept("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
 
     def test_usa(self):
-        assert words("USA.") == ["u", "s", "a"]
+        assert normalize("USA.") == ["u", "s", "a"]
 
     def test_non_acronym_rejected(self):
-        assert words("Hello McDonald Ok NASA's") == ["hello", "mcdonald", "ok", "nasa's"]
+        assert normalize("Hello McDonald Ok NASA's") == ["hello", "mcdonald", "ok", "nasa's"]
 
 
 # Hand-verified cardinal spellings; the grammar-level cross-check lives in
@@ -316,41 +317,41 @@ class TestNumToWords:
 
 class TestNormalize:
     def test_numeral_expansion(self):
-        assert words("I saw 2 cats.") == ["i", "saw", "two", "cats"]
+        assert normalize("I saw 2 cats.") == ["i", "saw", "two", "cats"]
 
     def test_acronym_expansion(self):
-        assert words("OK") == ["o", "k"]
+        assert normalize("OK") == ["o", "k"]
 
     def test_plain_word_identity(self):
-        assert normalize("word") == [("word", PLAIN)]
+        assert kept("word") == [("word", PLAIN)]
 
     def test_punctuation_dropped(self):
-        assert words("well -- yes !") == ["well", "yes"]
+        assert normalize("well -- yes !") == ["well", "yes"]
 
     def test_hyphenated_words_split(self):
-        assert words("well-known fact") == ["well", "known", "fact"]
+        assert normalize("well-known fact") == ["well", "known", "fact"]
 
     def test_case_folding(self):
-        assert words("The Debate") == ["the", "debate"]
+        assert normalize("The Debate") == ["the", "debate"]
 
     def test_unsupported_numeral_flagged_not_fatal(self):
-        assert normalize("worth 3.5 points") == \
+        assert kept("worth 3.5 points") == \
             [("worth", PLAIN), ("3.5", UNSUPPORTED), ("points", PLAIN)]
 
     def test_ordinal_flagged(self):
-        assert normalize("the 2nd time") == \
+        assert kept("the 2nd time") == \
             [("the", PLAIN), ("2nd", UNSUPPORTED), ("time", PLAIN)]
 
     def test_thousands_separator(self):
-        assert words("1,000 men") == ["one", "thousand", "men"]
+        assert normalize("1,000 men") == ["one", "thousand", "men"]
 
     def test_decimal_comma_not_misread(self):
-        assert normalize("3,5 points", "fr")[0] == ("3,5", UNSUPPORTED)
+        assert kept("3,5 points", "fr")[0] == ("3,5", UNSUPPORTED)
 
     def test_mixed_sentence_keys(self):
         # acronym, hyphen, ordinal, grouped thousands, decimal and quotes
         text = '"The BBC aired its well-known 2nd report," said 1,250 viewers -- 3.5 stars!'
-        assert normalize(text, "en") == [
+        assert kept(text, "en") == [
             ("the", PLAIN), ("b", PLAIN), ("b", PLAIN), ("c", PLAIN),
             ("aired", PLAIN), ("its", PLAIN), ("well", PLAIN), ("known", PLAIN),
             ("2nd", UNSUPPORTED), ("report", PLAIN), ("said", PLAIN),
@@ -363,16 +364,17 @@ class TestNormalize:
     @given(text=st.text(max_size=80))
     @settings(max_examples=200)
     def test_keys_are_dictionary_ready(self, lang, text):
-        for word, flags in normalize(text, lang):
+        for word in normalize(text, lang):
             assert word and any(ch.isalnum() for ch in word) and word == word.lower()
             assert "|" not in word and not any(ch.isspace() for ch in word)
-            assert flags in (PLAIN, UNSUPPORTED)
+            if kept_numeral(word):  # kept as written: it normalizes to itself
+                assert normalize(word, lang) == [word]
 
     @given(st.text(alphabet=st.sampled_from("abc def' -."), max_size=60))
     @settings(max_examples=200)
     def test_idempotent_without_numerals_acronyms(self, text):
-        once = words(text)
-        assert words(" ".join(once)) == once
+        once = normalize(text)
+        assert normalize(" ".join(once)) == once
 
 
 # letters of both cases, a capital that lower-cases to two code points (İ),
@@ -383,25 +385,55 @@ _UNIT_ALPHABET = ("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class TestPlainWordPath:
-    """A plain word takes one step; every unit gets the keys of the full path."""
+    """A plain word takes one step; every unit gets the words of the full path,
+    and `kept_numeral` holds for those the full path keeps as numerals."""
 
     @pytest.mark.parametrize("lang", ["en", "fr", "es"])
     @given(text=st.text(alphabet=_UNIT_ALPHABET, max_size=60))
     @settings(max_examples=300)
     def test_equals_full_path(self, lang, text):
-        assert normalize(text, lang) == full_path_normalize(text, lang)
+        assert kept(text, lang) == full_path_normalize(text, lang)
 
     @pytest.mark.parametrize("text", ["İ", "İstanbul", "I", "A", "BBC", "ǄA", "ǅ",
                                       "Σοφία", "cafe\u0301", "Hello"])
     def test_edge_cases_equal_full_path(self, text):
-        assert normalize(text) == full_path_normalize(text)
+        assert kept(text) == full_path_normalize(text)
 
     def test_dotted_capital_i_loses_its_dot(self):
         # "İ".lower() is "i" + U+0307; the mark is stripped at the edge
-        assert normalize("İ") == [("i", PLAIN)]
-        assert normalize("İstanbul") == [("i\u0307stanbul", PLAIN)]
+        assert kept("İ") == [("i", PLAIN)]
+        assert kept("İstanbul") == [("i\u0307stanbul", PLAIN)]
 
     def test_capitals(self):
-        assert normalize("I A") == [("i", PLAIN), ("a", PLAIN)]
-        assert normalize("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
-        assert normalize("ǄA") == [("ǆ", PLAIN), ("a", PLAIN)]
+        assert kept("I A") == [("i", PLAIN), ("a", PLAIN)]
+        assert kept("BBC") == [("b", PLAIN), ("b", PLAIN), ("c", PLAIN)]
+        assert kept("ǄA") == [("ǆ", PLAIN), ("a", PLAIN)]
+
+
+_PART_ALPHABET = [ch for ch in _UNIT_ALPHABET if not ch.isspace() and ch not in "-|"]
+
+
+class TestHyphenParts:
+    """Each hyphen part of a unit takes the rules of a whole unit."""
+
+    @pytest.mark.parametrize("lang", ["en", "fr", "es"])
+    @given(a=st.text(alphabet=_PART_ALPHABET, max_size=15),
+           b=st.text(alphabet=_PART_ALPHABET, max_size=15))
+    @settings(max_examples=300)
+    def test_parts_normalize_as_units(self, lang, a, b):
+        assert normalize(a + "-" + b, lang) == normalize(a, lang) + normalize(b, lang)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1990-1995", num_to_words(1990) + num_to_words(1995)),
+        ("twenty-1", ["twenty", "one"]),
+        ("3,000-strong", ["three", "thousand", "strong"]),
+        ("FBI-agent", ["f", "b", "i", "agent"]),
+    ])
+    def test_numerals_and_acronyms_in_parts(self, text, expected):
+        assert normalize(text) == normalize(text.replace("-", " ")) == expected
+        assert not any(map(kept_numeral, expected))
+
+    def test_kept_numerals_in_parts(self):
+        assert kept("a-3.5 2nd-floor") == [("a", PLAIN), ("3.5", UNSUPPORTED),
+                                          ("2nd", UNSUPPORTED), ("floor", PLAIN)]
+        assert kept("a-3.5") == kept("a 3.5")
