@@ -7,7 +7,9 @@ vowel expanded into the points 5, 4 (`curve`).  Each phone-domain break is
 then carried over to the letter whose point is linked to the break's cut
 point: the first point of symbol s is s plus the vowels before it, and the
 symbol of point j is j minus the 5s before it.  `project_words` does this
-for a batch: each curve built once, one budget check, one `dtw` call.
+for a batch: each curve built once, one `dtw` call.  `dtw` itself checks the
+cell budget: a pair whose curves would fill more than `DTW_CELL_BUDGET`
+cells gives None, and no pass of the kernel runs for it.
 
 `dtw` aligns many words at once.  It sorts the curve pairs by shape and
 cuts them into chunks of at most `DTW_CHUNK_CELLS` padded cells.  One pass
@@ -27,8 +29,8 @@ from .ssp import Syllabification
 
 _VOWEL, _VOWEL_POINTS = bytes([VOWEL_LEVEL]), bytes([VOWEL_LEVEL, VOWEL_LEVEL - 1])
 
-# the most cost cells one word's projection may fill: the kernel keeps a
-# step code per cell for the backtrack, so one very long word could exhaust
+# the most cost cells `dtw` fills for one pair: the kernel keeps a step
+# code per cell for the backtrack, so one very long word could exhaust
 # memory
 DTW_CELL_BUDGET = 10 ** 5
 
@@ -43,23 +45,21 @@ def curve(seq: SonoritySequence) -> bytes:
 
 
 def project_words(words: list[tuple[Syllabification, SonoritySequence, SonoritySequence]],
-                  ) -> list[tuple[tuple, tuple[Syllabification, bool]] | None]:
-    """(DTW path, `project_breaks`) of each (phone_syll, phone_seq, letter_seq)
-    word, or None for a word whose curves would fill more than
-    `DTW_CELL_BUDGET` cells; the others are aligned in one `dtw` call."""
+                  ) -> list[tuple[Syllabification, bool] | None]:
+    """`project_breaks` of each (phone_syll, phone_seq, letter_seq) word, all
+    aligned in one `dtw` call; None for a word past the cell budget."""
     curves = [(curve(phones), curve(letters)) for _, phones, letters in words]
-    fits = [k for k, (a, b) in enumerate(curves) if len(a) * len(b) <= DTW_CELL_BUDGET]
-    results = [None] * len(words)
-    for k, (path, _) in zip(fits, dtw([curves[k] for k in fits])):
-        phone_syll, phones, letters = words[k]
-        results[k] = path, project_breaks(phone_syll, path, phones, letters, curves[k][1])
-    return results
+    return [None if path is None
+            else project_breaks(phone_syll, path[0], phones, letters, letter_curve)
+            for (phone_syll, phones, letters), (_, letter_curve), path
+            in zip(words, curves, dtw(curves))]
 
 
 def dtw(curve_pairs: list[tuple[bytes, bytes]],
-        ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+        ) -> list[tuple[tuple[tuple[int, int], ...], int] | None]:
     """Minimal-cost monotone alignment of each (a, b) pair of curves, as
-    (pairs, cost) in the order of `curve_pairs`.
+    (pairs, cost) in the order of `curve_pairs`, or None for a pair that
+    would fill more than `DTW_CELL_BUDGET` cells: no pass aligns it.
 
     A curve is bytes, one level (0-255) per point.  `pairs` is the warping
     path from (0, 0) to the last points of a and b.  An empty curve raises
@@ -78,9 +78,11 @@ def dtw(curve_pairs: list[tuple[bytes, bytes]],
         for k, path in zip(chunk, paths):
             results[k] = path
 
-    # a chunk closes before its padded cells would pass DTW_CHUNK_CELLS
+    # a pair past the budget stays None; a chunk closes before its padded
+    # cells would pass DTW_CHUNK_CELLS
     chunk, rows, cols = [], 0, 0
-    for k in sorted(range(len(shapes)), key=shapes.__getitem__):
+    fits = [k for k, (m, n) in enumerate(shapes) if m * n <= DTW_CELL_BUDGET]
+    for k in sorted(fits, key=shapes.__getitem__):
         m, n = shapes[k]
         if chunk and (len(chunk) + 1) * max(rows, m) * max(cols, n) > DTW_CHUNK_CELLS:
             run(chunk, rows, cols)

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from . import errors, evaluate, pipeline
-from .align import alignment_debug_tsv, project_words
+from .align import alignment_debug_tsv, curve, dtw
 from .errors import ConfigurationError, DictParseError, SyllabError
 from .lexicon import (
     CorpusFormat,
@@ -291,13 +291,13 @@ def cmd_syllabify(args) -> int:
 def _dump_alignments(analyses, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     analyses = [a for a in analyses if a.phone_seq is not None and a.letter_seq is not None]
-    results = project_words([(a.phone_syll, a.phone_seq, a.letter_seq) for a in analyses])
-    for a, result in zip(analyses, results):
-        if result is None:
+    paths = dtw([(curve(a.phone_seq), curve(a.letter_seq)) for a in analyses])
+    for a, path in zip(analyses, paths):
+        if path is None:
             continue  # past the DTW cell budget
         with open(os.path.join(directory, f"{a.word}.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(alignment_debug_tsv(result[0], a.phone_seq, a.letter_seq))
+            fh.write(alignment_debug_tsv(path[0], a.phone_seq, a.letter_seq))
 
 
 def read_corpus_file(path) -> list[tuple[str, str]]:

@@ -10,7 +10,8 @@ into one `WordAnalysis` each, from which `word_record` derives the record
 of any method; it analyzes the words in chunks of `ANALYSIS_CHUNK`, so
 that the words of a chunk are projected with one DTW.  An analysis keeps
 its facts in slots, never a DTW path, and fills the costlier ones (letter
-levels, letters-SSP, projection) on first read, as its records need them.
+levels, letters-SSP) on first read, as its records need them; only its
+chunk fills its projection, and only for the methods `analyze_words` names.
 """
 
 import re
@@ -78,14 +79,16 @@ class WordAnalysis:
     `phone_seq` is None when the word has no pronunciation whose phones the
     hierarchy classifies; `corpus_syll` is the syllabified-corpus entry
     accepted by count consensus, if any.  The letters' levels, the letters
-    as one syllable (`unbroken`), letters-SSP and the DTW projection are
-    slots filled on first read, at most once; no DTW path is kept.  Analyses
-    with equal flags share one frozenset.
+    as one syllable (`unbroken`) and letters-SSP are slots filled on first
+    read, at most once.  Only the chunk of `analyze_words` that made the
+    analysis sets `projection`, the DTW-projected letters and their
+    degenerate flag (None past the DTW cell budget); no DTW path is kept.
+    Analyses with equal flags share one frozenset.
     """
 
-    _LAZY = ("letter_seq", "unbroken", "letters_ssp", "projection")
+    _LAZY = ("letter_seq", "unbroken", "letters_ssp")
     __slots__ = ("word", "pronunciations", "phone_seq", "phone_syll", "corpus_syll",
-                 "stress_index", "flags", "letter_hierarchy") + _LAZY
+                 "stress_index", "flags", "letter_hierarchy", "projection") + _LAZY
 
     def __init__(self, word: str, pronunciations: list[Pronunciation],
                  phone_seq: SonoritySequence | None, phone_syll: Syllabification,
@@ -123,20 +126,6 @@ class WordAnalysis:
             return self.unbroken
         return ssp_breaks(self.letter_seq)
 
-    def _projection(self) -> tuple[Syllabification, bool] | None:
-        """DTW-projected letter syllabification and its degenerate flag;
-        None when the DTW would exceed its cell budget.  Read only for a word
-        with a phone break to carry, and projected alone unless its chunk was."""
-        if self.letter_seq is None:
-            return self.unbroken, False
-        return _projections([self])[0]
-
-
-def _projections(analyses: list[WordAnalysis]) -> list:
-    """Each analysis's projection, as `_projection` gives it, by one DTW."""
-    results = project_words([(a.phone_syll, a.phone_seq, a.letter_seq) for a in analyses])
-    return [None if result is None else result[1] for result in results]
-
 
 def analyze_words(words: Iterable[str], resources: Resources, methods=(),
                   ) -> Iterator[WordAnalysis]:
@@ -144,12 +133,13 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
 
     The analyses are made `ANALYSIS_CHUNK` at a time as the result is
     consumed: first the facts of each word of a chunk, then, by one DTW, the
-    projection of those whose records under one of `methods` read one.  Every
-    distinct word is looked up once, by its chunk, or up front when an
-    external G2P is configured: the lexicon misses go to it in one batch.
-    The words whose phones the phone hierarchy does not classify are counted
-    in one warning, logged when the result is exhausted or dropped; the run
-    keeps only the first of their errors.
+    projection of those whose records under one of `methods` read one (the
+    letters unbroken for a word with a letter the hierarchy lacks); no other
+    analysis gets one.  Every distinct word is looked up once, by its chunk,
+    or up front when an external G2P is configured: the lexicon misses go to
+    it in one batch.  The words whose phones the phone hierarchy does not
+    classify are counted in one warning, logged when the result is exhausted
+    or dropped; the run keeps only the first of their errors.
     """
     # word -> its pronunciations, or None until its chunk looks it up
     found = dict.fromkeys(map(str.lower, words))
@@ -180,10 +170,13 @@ def analyze_words(words: Iterable[str], resources: Resources, methods=(),
         while chunk := [analysis(*item) for item in islice(items, ANALYSIS_CHUNK)]:
             if projects:
                 todo = [a for a in chunk if a.phone_syll.breaks
-                        and not (lookup_first and a.corpus_syll is not None)
-                        and a.letter_seq is not None]
-                for a, projection in zip(todo, _projections(todo)):
-                    a.projection = projection
+                        and not (lookup_first and a.corpus_syll is not None)]
+                projections = iter(project_words([
+                    (a.phone_syll, a.phone_seq, a.letter_seq) for a in todo
+                    if a.letter_seq is not None]))
+                for a in todo:
+                    a.projection = (next(projections) if a.letter_seq is not None
+                                    else (a.unbroken, False))
             yield from chunk
     finally:
         count, first = unclassified

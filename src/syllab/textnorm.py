@@ -216,7 +216,8 @@ def normalize(text: str, lang: str = "en") -> list[str]:
         for part in unit.split("-"):
             part = _strip(part)
             if len(part) >= 2 and part.isalpha() and part.isupper():
-                words.extend(ch.lower() for ch in part)  # acronym
+                # an acronym: each letter takes the rule of a one-letter unit
+                words.extend(_strip(ch.lower()) for ch in part)
                 continue
             word = _strip(part.lower())
             if not any(ch.isalnum() for ch in word):

@@ -403,7 +403,7 @@ def full_path_normalize(text, lang="en"):
             if not any(ch.isalnum() for ch in part):
                 continue
             if len(part) >= 2 and part.isalpha() and part.isupper():
-                pairs.extend((ch.lower(), False) for ch in part)
+                pairs.extend((_strip_edges(ch.lower()), False) for ch in part)
                 continue
             word = _strip_edges(part.lower())
             if _NUMERAL.match(part):

@@ -199,12 +199,20 @@ class TestBatch:
                  for _ in range(600)]
         long = [rng.randint(1, 4) for _ in range(DTW_CELL_BUDGET - 7)]
         cases.insert(300, ([3], long))
+        # a 2 x k pair just past the cell budget sorts among the short pairs:
+        # it gives None, and no pass aligns it
+        over = [rng.randint(1, 4) for _ in range(DTW_CELL_BUDGET // 2 + 1)]
+        short = sorted((len(la), len(lb)) for la, lb in cases if lb is not long)
+        assert short[0] < (2, len(over)) < short[-1]
+        cases.insert(450, ([2, 3], over))
         curves = [(raw_curve(la), raw_curve(lb)) for la, lb in cases]
         got = dtw(curves)
         assert got[300] == row_dtw([3], long)
+        assert got[450] is None
         assert all(path == row_dtw(la, lb) for (la, lb), path in zip(cases[:40], got))
+        assert not any(curves[450] in levels for levels, _, _ in passes)
         shapes = [(len(levels), rows, cols) for levels, rows, cols in passes]
-        assert sum(k for k, _, _ in shapes) == len(cases)
+        assert sum(k for k, _, _ in shapes) == len(cases) - 1
         assert (1, 1, len(long)) in shapes
         shapes.remove((1, 1, len(long)))
         assert max(k * rows * cols for k, rows, cols in shapes) <= DTW_CHUNK_CELLS
@@ -245,8 +253,8 @@ class TestProjectBreaks:
         assert projected.n_syllables <= syl.n_syllables
 
     def test_project_words_checks_the_budget_and_aligns_once(self, monkeypatch):
-        # one dtw call over the words within the cell budget, each result as
-        # for the word alone, and None for the word past the budget
+        # one dtw call over every word, each result as for the word alone,
+        # and None for the word past the budget, for which dtw gives None
         calls = count_calls(monkeypatch, dtw)
         rng = random.Random(5)
         seqs = [(sequence_from_levels(random_expanded_levels(rng, 9)),
@@ -258,12 +266,12 @@ class TestProjectBreaks:
         words = [(ssp_breaks(phone), phone, letters) for phone, letters in seqs]
         got = project_words(words)
         [(aligned,)] = calls
-        assert len(aligned) == len(words) - 1 and got[2] is None
+        assert len(aligned) == len(words) and got[2] is None
+        assert dtw([aligned[2]]) == [None]
         for (syl, phone, letters), result in zip(words, got):
             if letters is not over:
                 pairs, _ = align(curve(phone), curve(letters))
-                assert result == (pairs, project_breaks(syl, pairs, phone, letters,
-                                                        curve(letters)))
+                assert result == project_breaks(syl, pairs, phone, letters, curve(letters))
 
 
 def oracle_projection(phone, letters):

@@ -3,12 +3,13 @@
 import gc
 import itertools
 import random
+from collections import ChainMap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllab.align import alignment_debug_tsv, curve, dtw
+from syllab.align import alignment_debug_tsv, curve, dtw, project_breaks
 from syllab.cli import format_record_row, main
 from syllab.errors import UnknownSymbolError
 from syllab.evaluate import run_ablation, word_accuracy
@@ -104,7 +105,7 @@ class TestRecords:
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_one_analysis_serves_every_method(self, mini_resources, method):
         for word in WORDS + NUMERALS + ["2nd"]:
-            analysis = next(analyze_words([word], mini_resources))
+            analysis = next(analyze_words([word], mini_resources, METHOD_CHOICES))
             assert word_record(analysis, method) == \
                 syllabify_word(word, mini_resources, method)
 
@@ -114,14 +115,14 @@ class TestRecords:
 
     @pytest.mark.parametrize("method", METHOD_CHOICES)
     def test_selector_gives_the_record_text_and_method(self, mini_resources, method):
+        # letters the hierarchy lacks, and a pronunciation without a vowel
+        resources = mini_resources._replace(lexicon=ChainMap(
+            {"3d": [Pronunciation(("TH", "R", "IY1", "D", "IY2"))]},
+            mini_resources.lexicon))
         analyses = list(analyze_words(["qqqzz", "a", "rhythm", "beautiful", "about",
-                                       "etc", "w"], mini_resources))
-        # a pronunciation without a vowel, and letters the hierarchy lacks
-        analyses += [analyze_word("hmm", mini_resources,
-                                  [Pronunciation(("HH", "M"))], oov=False),
-                     analyze_word("3d", mini_resources,
-                                  [Pronunciation(("TH", "R", "IY1", "D", "IY2"))],
-                                  oov=False)]
+                                       "etc", "w", "3d"], resources, (method,)))
+        analyses.append(analyze_word("hmm", mini_resources,
+                                     [Pronunciation(("HH", "M"))], oov=False))
         kinds = set()
         for analysis in analyses:
             rec = word_record(analysis, method)
@@ -173,10 +174,14 @@ class TestWorkCounts:
         alignments = count_calls(monkeypatch, dtw)
         n = len(mini_resources.lexicon)
         run_ablation(mini_resources, n, 0)
-        # analyses made apart from any method align nothing
+        # analyses made apart from any method align nothing, nor does a read
+        # of their records under a DTW method: it raises
         multi = [a for a in analyze_words(mini_resources.lexicon, mini_resources)
                  if a.phone_syll.breaks and a.letter_seq is not None]
         assert aligned_words(alignments) == len(multi) > 0
+        for a in multi:
+            with pytest.raises(AttributeError):
+                word_record(a, "ssp-dtw")
         run_ablation(mini_resources, n, 0, ("ssp", "lkp-ssp"))
         assert aligned_words(alignments) == len(multi)
 
@@ -198,18 +203,21 @@ class TestWorkCounts:
     def test_dump_alignment_aligns_each_dumped_word_once(self, tmp_path, monkeypatch,
                                                          capsys, mini_resources):
         alignments = count_calls(monkeypatch, dtw)
+        projections = count_calls(monkeypatch, project_breaks)
         words = ["sentence", "beautiful", "oceanic", "Sentence", "leaves"]
         options = ["--dict", str(DATA / "mini_cmu.dict"), "--method", "ssp-dtw"]
         assert main(["syllabify", *words, *options]) == 0
-        run = list(alignments)
-        assert aligned_words(run) == 3  # leaves has no break to project
+        run, projected_run = list(alignments), list(projections)
+        assert aligned_words(run) == len(projected_run) == 3  # leaves has no break
         alignments.clear()
+        projections.clear()
         dump = tmp_path / "aligns"
         assert main(["syllabify", *words, *options, "--dump-alignment", str(dump)]) == 0
-        # the run aligns as without the dump; the dump adds one call, which
-        # aligns each word it dumps once, a word without a break too
+        # the run aligns and projects as without the dump; the dump adds one
+        # call, which aligns each word it dumps once, a word without a break
+        # too, and projects none
         *projected, (dumped_pairs,) = alignments
-        assert projected == run
+        assert projected == run and projections == projected_run
         dumped = sorted(p.stem for p in dump.iterdir())
         assert dumped == ["beautiful", "leaves", "oceanic", "sentence"]
         assert len(dumped_pairs) == len(dumped)

@@ -100,7 +100,8 @@ class TestRecordRows:
         method = data.draw(st.sampled_from(METHOD_CHOICES))
         _, table = annotate_corpus([" ".join(words)], "en", resources, method)
         records = [*table.values(),  # annotate's, then syllabify's
-                   *(word_record(a, method) for a in analyze_words(words, resources))]
+                   *(word_record(a, method)
+                     for a in analyze_words(words, resources, (method,)))]
         assert any(format_record_row(rec).split("\t")[1:3] == ["Q1", "-"]
                    for rec in records)
         for rec in records:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,14 @@ class TestExpandAcronym:
 
     def test_non_acronym_rejected(self):
         assert normalize("Hello McDonald Ok NASA's") == ["hello", "mcdonald", "ok", "nasa's"]
+
+    def test_letters_take_the_one_letter_unit_rule(self):
+        # every letter whose doubling is an acronym: "İ" lower-cases to "i" +
+        # U+0307, and loses the mark at its end in an acronym as alone
+        letters = [ch for ch in map(chr, range(sys.maxunicode + 1))
+                   if (ch * 2).isalpha() and (ch * 2).isupper()]
+        assert len(letters) > 1000
+        assert [ch for ch in letters if normalize(ch * 2) != normalize(ch) * 2] == []
 
 
 # Hand-verified cardinal spellings; the grammar-level cross-check lives in
@@ -400,8 +410,10 @@ class TestPlainWordPath:
         assert kept(text) == full_path_normalize(text)
 
     def test_dotted_capital_i_loses_its_dot(self):
-        # "İ".lower() is "i" + U+0307; the mark is stripped at the edge
+        # "İ".lower() is "i" + U+0307; the mark is stripped at the edge, as
+        # it is from each letter of an acronym
         assert kept("İ") == [("i", PLAIN)]
+        assert kept("İİ") == kept("İSTANBUL")[:1] * 2 == [("i", PLAIN)] * 2
         assert kept("İstanbul") == [("i\u0307stanbul", PLAIN)]
 
     def test_capitals(self):
